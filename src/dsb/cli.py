@@ -12,6 +12,7 @@ from .kvcache import parse_cache
 from .oracle import OracleDenoiser, exact_match_rate
 from .samplers import parse_sampler
 from .schedulers import parse_scheduler
+from .state import CacheIntegrityError, InvalidConfiguration, NoCandidates
 
 
 def _read_prompt(path: str) -> List[int]:
@@ -107,7 +108,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (
+        ValueError,
+        OSError,
+        InvalidConfiguration,
+        CacheIntegrityError,
+        NoCandidates,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -170,16 +170,25 @@ class TinyDenoiser:
             raise ValueError("token id outside the vocabulary")
 
     def _attend(self, q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Full bidirectional attention of queries q over all keys/values."""
+        """Full bidirectional attention of queries q over all keys/values.
+
+        Batched matmul over heads, so both products run as BLAS GEMMs.  The
+        1/sqrt(dh) factor scales the (q, d) query block instead of the
+        (h, q, k) scores, and the softmax runs in place on the scores buffer,
+        which nothing else holds.
+        """
         h = self.config.heads
         dh = self.config.width // h
-        qh = q.reshape(q.shape[0], h, dh)
-        kh = keys.reshape(keys.shape[0], h, dh)
-        vh = values.reshape(values.shape[0], h, dh)
-        scores = np.einsum("qhd,khd->hqk", qh, kh) / np.sqrt(np.float32(dh))
-        weights = softmax(scores, axis=-1)
-        out = np.einsum("hqk,khd->qhd", weights, vh)
-        return out.reshape(q.shape[0], self.config.width)
+        nq, nk = q.shape[0], keys.shape[0]
+        qh = (q / np.sqrt(np.float32(dh))).reshape(nq, h, dh).transpose(1, 0, 2)
+        kh = keys.reshape(nk, h, dh).transpose(1, 2, 0)
+        vh = values.reshape(nk, h, dh).transpose(1, 0, 2)
+        weights = np.matmul(qh, kh)  # (h, q, k)
+        weights -= weights.max(axis=-1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=-1, keepdims=True)
+        out = np.matmul(weights, vh)  # (h, q, dh)
+        return out.transpose(1, 0, 2).reshape(nq, self.config.width)
 
     def forward_full(self, tokens: Sequence[int]) -> Tuple[np.ndarray, KVStore]:
         """Logits for every position plus a fully populated KV store."""
@@ -226,7 +235,9 @@ class TinyDenoiser:
         n = tokens.shape[0]
         if n != cache.seq_len:
             raise ValueError(f"cache sized for {cache.seq_len} positions, got {n} tokens")
-        rows = np.unique(np.asarray(list(recompute), dtype=np.int64))
+        if not isinstance(recompute, np.ndarray):
+            recompute = list(recompute)  # sets and other iterables
+        rows = np.unique(np.asarray(recompute, dtype=np.int64))
         if rows.size == 0:
             raise ValueError("recompute set is empty: no queries to form")
         if rows[0] < 0 or rows[-1] >= n:

@@ -58,6 +58,25 @@ def test_decode_with_oracle_profile(tmp_path, prompt_file, capsys):
     assert "steps=8" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cache", ["dual", "dsbcache:pmin=4"])
+def test_oracle_with_kv_cache_is_a_clean_error(tmp_path, prompt_file, cache, capsys):
+    profile = hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=3)
+    ppath = tmp_path / "profile.txt"
+    save_profile(profile, str(ppath))
+    code = main([
+        "decode",
+        "--scheduler", "naive:B=4",
+        "--sampler", "vanilla",
+        "--cache", cache,
+        "--denoiser", f"oracle:profile={ppath}",
+        "--prompt-file", prompt_file,
+        "--gen-len", "8",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nocache" in err
+
+
 def test_grid_command(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(

@@ -164,6 +164,66 @@ def test_forward_matches_loop_reference():
     assert max_rel_diff(fast.astype(np.float64), slow) <= 1e-5
 
 
+# dh = 3: 1/sqrt(dh) is not a power of two, so scaling the queries instead
+# of the scores rounds differently from the reference.
+INEXACT_SCALE = DenoiserConfig(vocab_size=11, width=12, heads=4, depth=2, max_len=16, seed=5)
+
+
+@pytest.fixture(scope="module")
+def sharp_model():
+    """INEXACT_SCALE with wq and wk scaled up 30x.
+
+    The seeded +-0.1 weights leave attention almost uniform, so a wrong
+    score scale would move the logits by well under the 1e-5 tolerance.
+    At 30x a wrong scale (1/dh for 1/sqrt(dh)) moves them by about 1e-4.
+    """
+    base = TinyDenoiser(INEXACT_SCALE)
+    params = {
+        name: arr * np.float32(30.0) if name.endswith((".wq", ".wk")) else arr
+        for name, arr in base.params.items()
+    }
+    return TinyDenoiser(INEXACT_SCALE, params)
+
+
+def test_forward_full_matches_loop_reference_inexact_scale(sharp_model):
+    from reference import loop_forward_reference
+
+    toks = tokens_for(sharp_model, 9, seed=2)
+    fast, _ = sharp_model.forward_full(toks)
+    slow = np.array(loop_forward_reference(sharp_model, toks.tolist()), dtype=np.float64)
+    assert max_rel_diff(fast.astype(np.float64), slow) <= 1e-5
+
+
+def test_partial_forward_cached_matches_loop_reference(sharp_model):
+    """Fewer query rows than keys, against a freshly written store."""
+    from reference import loop_forward_reference
+
+    toks = tokens_for(sharp_model, 9, seed=3)
+    _, kv = sharp_model.forward_full(toks)
+    rows = np.array([1, 4, 5, 8])
+    got = sharp_model.forward_cached(toks, kv, rows)
+    assert got.shape == (rows.size, INEXACT_SCALE.vocab_size)
+    slow = np.array(loop_forward_reference(sharp_model, toks.tolist()), dtype=np.float64)
+    assert max_rel_diff(got.astype(np.float64), slow[rows]) <= 1e-5
+
+
+def test_recompute_set_accepts_array_list_and_set(model):
+    toks = tokens_for(model, 10)
+    outs = []
+    for recompute in (np.array([6, 2, 3]), [6, 2, 3], {6, 2, 3}):
+        _, kv = model.forward_full(toks)
+        outs.append(model.forward_cached(toks, kv, recompute))
+    assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+
+def test_softmax_leaves_its_input_alone():
+    x = np.array([[1.0, 3.0, -2.0], [0.5, 0.5, 9.0]], dtype=np.float32)
+    before = x.copy()
+    probs = softmax(x, axis=-1)
+    assert np.array_equal(x, before)
+    assert np.allclose(probs.sum(axis=-1), 1.0)
+
+
 class TestWeightFile:
     def test_round_trip(self, model, tmp_path):
         path = tmp_path / "weights.bin"
