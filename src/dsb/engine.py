@@ -1,8 +1,8 @@
 """The iterative decode loop and the experiment-grid harness.
 
 Per iteration the loop runs: recompute-set selection, denoiser forward (full
-or cached), confidence extraction, eligible-set computation, commit
-selection, commits, window advance, cache-schedule update.  One
+or cached), eligible-set computation, confidences for the eligible positions
+only, commit selection, commits, window advance, cache-schedule update.  One
 :class:`StepRecord` is appended per iteration, so the trace replays the
 decode exactly.
 """
@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from . import metrics
+from .configstr import reject_unknown, split_spec
 from .denoiser import TinyDenoiser, confidences, parse_denoiser_config
 from .kvcache import (
     CachePolicy,
@@ -106,13 +107,12 @@ def decode(
             else:
                 logits = denoiser.forward_cached(tokens, kv, rset)
                 rows = rset
-            masked_abs = {lp + i for i in state.masked_positions(0, gen_len)}
-            scoreable = masked_abs.intersection(int(r) for r in rows)
-            conf = confidences(logits, scoreable, vocab, positions=rows)
+            # Every recompute set covers the block, so each eligible position has a row.
+            eligible = eligible_set(window, state)
+            conf = confidences(logits, eligible, vocab, positions=rows)
         else:
-            conf = denoiser.confidence_map(state)
-
-        eligible = eligible_set(window, state)
+            eligible = eligible_set(window, state)
+            conf = denoiser.confidence_map(state, eligible)
         commits, fallback = select(sampler, conf, eligible)
         for pos, tok in commits:
             state.commit(pos - lp, tok)
@@ -166,8 +166,6 @@ def read_trace(path: str) -> List[StepRecord]:
 
 def build_denoiser(spec: str, seed_offset: int = 0) -> Denoiser:
     """Build `toy:...` or `oracle:profile=PATH` denoisers from config strings."""
-    from .configstr import reject_unknown, split_spec
-
     name, _ = split_spec(spec)
     if name == "toy":
         config = parse_denoiser_config(spec)
@@ -208,6 +206,35 @@ class GridSpec:
     gen_len: int
     prompt_len: int = 8
     premature_floor: float = 0.5
+
+    def __post_init__(self) -> None:
+        # Fail on malformed axis entries and impossible pairings up front,
+        # before any cell runs, rather than mid-grid.
+        for s in self.schedulers:
+            parse_scheduler(s)
+        for s in self.samplers:
+            parse_sampler(s)
+        kv_caches = [c for c in self.caches if not isinstance(parse_cache(c), NoCache)]
+        seq_len = self.prompt_len + self.gen_len
+        for d in self.denoisers:
+            if split_spec(d)[0] == "toy":
+                max_len = parse_denoiser_config(d).max_len  # weights are built per cell
+                if seq_len > max_len:
+                    raise ValueError(
+                        f"prompt + response length {seq_len} exceeds max_len {max_len} of {d!r}"
+                    )
+                continue
+            profile = build_denoiser(d).profile
+            if kv_caches:
+                raise InvalidConfiguration(
+                    f"denoiser {d!r} has no KV support, so it cannot run with cache "
+                    f"{kv_caches[0]!r}; use nocache"
+                )
+            if profile.gen_len != self.gen_len:
+                raise ValueError(
+                    f"profile of {d!r} is scripted for length {profile.gen_len}, "
+                    f"the grid has gen_len {self.gen_len}"
+                )
 
 
 def parse_grid_file(path: str) -> GridSpec:
@@ -250,13 +277,6 @@ def parse_grid_file(path: str) -> GridSpec:
         raise ValueError(f"{path}: missing required key {exc.args[0]!r}") from None
     if raw:
         raise ValueError(f"{path}: unknown key(s) {sorted(raw)}")
-    # Fail on malformed axis entries up front rather than mid-grid.
-    for s in spec.schedulers:
-        parse_scheduler(s)
-    for s in spec.samplers:
-        parse_sampler(s)
-    for s in spec.caches:
-        parse_cache(s)
     return spec
 
 

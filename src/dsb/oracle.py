@@ -16,27 +16,26 @@ status feeds back, which keeps scheduler comparisons analyzable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .state import Candidate, ConfidenceMap, SequenceState, StepRecord, Vocab
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+# Last chain link per position: row 0 is the truth-or-decoy coin, row 1 the decoy draw.
+_STREAMS = np.array([[1], [2]], dtype=np.uint64)
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finaliser, element-wise; uint64 arithmetic wraps mod 2**64."""
+    x = x + _GOLDEN
+    x = (x ^ (x >> 30)) * _MIX1
+    x = (x ^ (x >> 27)) * _MIX2
     return x ^ (x >> 31)
-
-
-def _hash_chain(*parts: int) -> int:
-    h = 0
-    for part in parts:
-        h = _splitmix64(h ^ (part & _MASK64))
-    return h
 
 
 @dataclass(frozen=True)
@@ -90,55 +89,26 @@ def context_fractions(profile: DifficultyProfile, decoded: np.ndarray) -> np.nda
     """f_i for every response position given the decoded mask."""
     n = profile.gen_len
     r = profile.radius
-    csum = np.concatenate([[0], np.cumsum(decoded.astype(np.int64))])
+    csum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(decoded, out=csum[1:])
     idx = np.arange(n)
     lo = np.maximum(0, idx - r)
     hi = np.minimum(n, idx + r + 1)
     neighbors = hi - lo - 1  # the position itself never counts
-    decoded_near = csum[hi] - csum[lo] - decoded.astype(np.int64)
-    out = np.zeros(n, dtype=np.float64)
-    has = neighbors > 0
-    out[has] = decoded_near[has] / neighbors[has]
-    return out
-
-
-def _decoy(draw: int, truth: int, mask_id: int, vocab_size: int) -> int:
-    """Deterministic non-truth, non-mask token derived from a hash draw."""
-    token = draw % (vocab_size - 2)
-    lo, hi = sorted((truth, mask_id))
-    if token >= lo:
-        token += 1
-    if token >= hi:
-        token += 1
-    return token
+    decoded_near = csum[hi] - csum[lo] - decoded
+    # A lone position has no neighbors and nothing decoded near it: 0 / 1 = 0.
+    return decoded_near / np.maximum(neighbors, 1)
 
 
 def oracle_confidences(
-    profile: DifficultyProfile, state: SequenceState, vocab: Vocab
+    profile: DifficultyProfile,
+    state: SequenceState,
+    vocab: Vocab,
+    positions: Optional[Iterable[int]] = None,
 ) -> ConfidenceMap:
-    """Confidence map (absolute keys) for every masked response position."""
-    if profile.gen_len != state.gen_len:
-        raise ValueError(
-            f"profile scripted for length {profile.gen_len}, state has {state.gen_len}"
-        )
-    lp = state.prompt_len
-    decoded = state.response != vocab.mask_id
-    frac = context_fractions(profile, decoded)
-    out: ConfidenceMap = {}
-    for i in range(state.gen_len):
-        if decoded[i]:
-            continue
-        c = (1.0 - profile.base_difficulty[i]) + profile.context_gain * frac[i]
-        c = min(1.0, max(0.0, c))
-        truth = profile.truth[i]
-        u = _hash_chain(profile.seed, state.step, i, 1) / 2.0**64
-        if u < c:
-            token = truth
-        else:
-            draw = _hash_chain(profile.seed, state.step, i, 2)
-            token = _decoy(draw, truth, vocab.mask_id, vocab.size)
-        out[lp + i] = Candidate(int(token), float(c))
-    return out
+    """Confidence map (absolute keys) for ``positions``, by default every masked
+    response position."""
+    return OracleDenoiser(profile, vocab).confidence_map(state, positions)
 
 
 class OracleDenoiser:
@@ -150,14 +120,53 @@ class OracleDenoiser:
     def __init__(self, profile: DifficultyProfile, vocab: Vocab):
         if vocab.size < 3:
             raise ValueError("oracle decoys need at least two non-mask tokens")
-        for t in profile.truth:
-            if not 0 <= t < vocab.size or t == vocab.mask_id:
-                raise ValueError(f"ground-truth token {t} invalid for the vocabulary")
+        truth = np.array(profile.truth, dtype=np.int64)
+        bad = truth[(truth < 0) | (truth >= vocab.size) | (truth == vocab.mask_id)]
+        if bad.size:
+            raise ValueError(f"ground-truth token {bad[0]} invalid for the vocabulary")
         self.profile = profile
         self.vocab = vocab
+        self._base = np.array(profile.base_difficulty, dtype=np.float64)
+        self._truth = truth
+        self._seed_hash = _splitmix64(np.array([profile.seed & _MASK64], dtype=np.uint64))
 
-    def confidence_map(self, state: SequenceState) -> ConfidenceMap:
-        return oracle_confidences(self.profile, state, self.vocab)
+    def confidence_map(
+        self, state: SequenceState, positions: Optional[Iterable[int]] = None
+    ) -> ConfidenceMap:
+        """Scores for the absolute ``positions``, or every masked response position.
+
+        Each scored position must be a masked response position.  At response
+        index i the truth-or-decoy coin hashes (seed, step, i, 1) and the decoy
+        hashes (seed, step, i, 2), each through one splitmix64 chain.
+        """
+        profile, vocab = self.profile, self.vocab
+        if profile.gen_len != state.gen_len:
+            raise ValueError(
+                f"profile scripted for length {profile.gen_len}, state has {state.gen_len}"
+            )
+        lp = state.prompt_len
+        decoded = state.response != vocab.mask_id
+        if positions is None:
+            idx = np.flatnonzero(~decoded)
+        else:
+            idx = np.sort(np.fromiter(positions, dtype=np.int64)) - lp
+            if idx.size and (idx[0] < 0 or idx[-1] >= state.gen_len or decoded[idx].any()):
+                raise ValueError("oracle positions must be masked response positions")
+        frac = context_fractions(profile, decoded)[idx]
+        c = (1.0 - self._base[idx]) + profile.context_gain * frac
+        c = np.minimum(1.0, np.maximum(0.0, c))
+
+        prefix = _splitmix64(self._seed_hash ^ np.uint64(state.step & _MASK64))
+        h = _splitmix64(prefix ^ idx.astype(np.uint64))
+        coin, draw = _splitmix64(h ^ _STREAMS)
+        u = coin.astype(np.float64) / 2.0**64
+        # Decoy: a non-truth, non-mask token; skip past both reserved ids.
+        truth = self._truth[idx]
+        decoy = (draw % np.uint64(vocab.size - 2)).astype(np.int64)
+        decoy += decoy >= np.minimum(truth, vocab.mask_id)
+        decoy += decoy >= np.maximum(truth, vocab.mask_id)
+        token = np.where(u < c, truth, decoy)
+        return dict(zip((idx + lp).tolist(), map(Candidate, token.tolist(), c.tolist())))
 
     def reseeded(self, seed: int) -> "OracleDenoiser":
         return OracleDenoiser(replace(self.profile, seed=seed), self.vocab)

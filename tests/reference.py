@@ -170,3 +170,64 @@ def fixed_block_decode(
             step += 1
         block_lo = block_hi
     return trace
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(x: int) -> int:
+    """The splitmix64 finaliser on one Python int, masked to 64 bits by hand."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def hash_chain(*parts: int) -> int:
+    """Fold every part, two's-complement masked to 64 bits, through splitmix64."""
+    h = 0
+    for part in parts:
+        h = splitmix64(h ^ (part & _MASK64))
+    return h
+
+
+def decoy(draw: int, truth: int, mask_id: int, vocab_size: int) -> int:
+    """Non-truth, non-mask token: draw over the V-2 other ids, skipping the two reserved."""
+    token = draw % (vocab_size - 2)
+    lo, hi = sorted((truth, mask_id))
+    if token >= lo:
+        token += 1
+    if token >= hi:
+        token += 1
+    return token
+
+
+def scalar_oracle_confidences(
+    profile, masked: List[bool], step: int, prompt_len: int, mask_id: int, vocab_size: int
+) -> Dict[int, Tuple[int, float]]:
+    """The difficulty oracle one position at a time: {abs pos: (token, confidence)}.
+
+    ``profile`` is read by attribute only (base_difficulty, context_gain,
+    radius, truth, seed).  For masked response index i, with f_i the decoded
+    share of its neighbors within the radius (i itself excluded):
+    c = clip((1 - delta_i) + gain * f_i, 0, 1); the token is the truth when
+    hash(seed, step, i, 1) / 2**64 < c and a decoy from hash(seed, step, i, 2)
+    otherwise.
+    """
+    n = len(masked)
+    r = profile.radius
+    out: Dict[int, Tuple[int, float]] = {}
+    for i in range(n):
+        if not masked[i]:
+            continue
+        near = [j for j in range(max(0, i - r), min(n, i + r + 1)) if j != i]
+        f = sum(1 for j in near if not masked[j]) / len(near) if near else 0.0
+        c = (1.0 - profile.base_difficulty[i]) + profile.context_gain * f
+        c = min(1.0, max(0.0, c))
+        truth = profile.truth[i]
+        if hash_chain(profile.seed, step, i, 1) / 2.0**64 < c:
+            token = truth
+        else:
+            token = decoy(hash_chain(profile.seed, step, i, 2), truth, mask_id, vocab_size)
+        out[prompt_len + i] = (token, c)
+    return out

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+import dsb.engine
 from dsb.cli import main
 from dsb.engine import read_trace
 from dsb.metrics import ROW_COLUMNS
@@ -96,6 +97,44 @@ def test_grid_command(tmp_path, capsys):
     assert parsed[0] == ROW_COLUMNS
     assert len(parsed) == 3
     assert "steps_mean" in capsys.readouterr().out
+
+
+TOY = "toy:seed=5,v=33,d=32,h=2,layers=2,maxlen=64"
+
+
+@pytest.mark.parametrize(
+    "caches, denoisers",
+    [
+        ("nocache; dual", f"{TOY}; oracle:profile={{profile}}"),
+        ("nocache", f"{TOY}; toy:seed=1,bogus=2"),
+        ("nocache", f"{TOY}; toy:seed=1,maxlen=9"),
+        ("nocache", f"{TOY}; oracle:profile={{profile}},v=3"),
+        ("nocache", f"{TOY}; oracle:profile={{short_profile}}"),
+        ("nocache", f"{TOY}; oracle:profile={{profile}}.missing"),
+    ],
+    ids=["oracle-dual", "unknown-param", "over-maxlen", "bad-truth", "bad-length", "no-profile"],
+)
+def test_bad_grid_fails_before_the_first_cell(tmp_path, monkeypatch, capsys, caches, denoisers):
+    paths = {}
+    for name, gen_len in (("profile", 8), ("short_profile", 6)):
+        paths[name] = tmp_path / f"{name}.txt"
+        save_profile(hard_easy_profile(gen_len, 2, Vocab(65, 64), radius=2, seed=3), str(paths[name]))
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "gen_len = 8\n"
+        "prompt_len = 2\n"
+        "schedulers = naive:B=4\n"
+        "samplers = vanilla\n"
+        f"caches = {caches}\n"
+        f"denoisers = {denoisers.format(**paths)}\n"
+    )
+    cells = []
+    monkeypatch.setattr(dsb.engine, "run_cell", lambda *args, **kw: cells.append(args))
+    out_csv = tmp_path / "rows.csv"
+    code = main(["grid", "--config", str(cfg), "--csv", str(out_csv)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert cells == [] and not out_csv.exists()
 
 
 def test_bad_config_string_is_a_clean_error(prompt_file, capsys):

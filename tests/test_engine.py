@@ -17,9 +17,9 @@ from dsb.kvcache import DSBCache, DualCache, NoCache
 from dsb.oracle import OracleDenoiser, hard_easy_profile, make_profile, oracle_confidences, save_profile
 from dsb.samplers import ConfidenceThreshold, VanillaTop1
 from dsb.schedulers import NaiveBlock, SlidingBlock
-from dsb.state import InvalidConfiguration, SequenceState, Vocab
+from dsb.state import Candidate, InvalidConfiguration, SequenceState, Vocab
 
-from reference import fixed_block_decode
+from reference import fixed_block_decode, scalar_oracle_confidences
 
 VOCAB = Vocab(size=16, mask_id=15)
 TOY = DenoiserConfig(vocab_size=33, width=32, heads=2, depth=2, max_len=96, seed=5)
@@ -161,6 +161,44 @@ class TestReferenceEquivalence:
         res = decode(den, NaiveBlock(block), VanillaTop1(), NoCache(), [1] * lp, gen_len)
         got = [(rec.step, list(zip(rec.positions, rec.tokens))) for rec in res.records]
         assert got == expected
+
+
+class ScalarOracle:
+    """Test-only oracle scored by the per-position reference loop.
+
+    It ignores the positions the engine asks for and scores every masked
+    position, as the engine's oracle path once did.
+    """
+
+    def __init__(self, profile, vocab):
+        self.profile = profile
+        self.vocab = vocab
+
+    def confidence_map(self, state, positions):
+        masked = (state.response == self.vocab.mask_id).tolist()
+        conf = scalar_oracle_confidences(
+            self.profile, masked, state.step, state.prompt_len,
+            self.vocab.mask_id, self.vocab.size,
+        )
+        return {pos: Candidate(tok, c) for pos, (tok, c) in conf.items()}
+
+
+@pytest.mark.parametrize("sampler", [VanillaTop1(), ConfidenceThreshold(0.9)])
+@pytest.mark.parametrize(
+    "scheduler", [NaiveBlock(8), SlidingBlock(8, 8), SlidingBlock(8, None)]
+)
+def test_oracle_decode_matches_scalar_reference_oracle(scheduler, sampler):
+    gen_len = 48
+    rng = np.random.default_rng(7)
+    profile = make_profile(
+        rng.uniform(0.0, 0.6, gen_len).tolist(), 0.5, 3,
+        rng.integers(0, VOCAB.mask_id, gen_len).tolist(), 2**63 + 11,
+    )
+    prompt = [1, 2, 3]
+    fast = decode(OracleDenoiser(profile, VOCAB), scheduler, sampler, NoCache(), prompt, gen_len)
+    slow = decode(ScalarOracle(profile, VOCAB), scheduler, sampler, NoCache(), prompt, gen_len)
+    assert fast.records == slow.records
+    assert np.array_equal(fast.response, slow.response)
 
 
 class TestTraceIO:

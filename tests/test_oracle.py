@@ -21,6 +21,8 @@ from dsb.samplers import ConfidenceThreshold, VanillaTop1
 from dsb.schedulers import NaiveBlock, SlidingBlock
 from dsb.state import new_sequence, Vocab
 
+from reference import scalar_oracle_confidences
+
 VOCAB = Vocab(size=16, mask_id=15)
 
 
@@ -103,6 +105,58 @@ def test_monotone_context_benefit(gen_len, radius, gain, data):
     decoded[extra] = True
     grown = context_fractions(prof, decoded)[target]
     assert grown >= base
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random profile, vocabulary, partially decoded state and step."""
+    vocab_size = draw(st.integers(min_value=3, max_value=40))
+    vocab = Vocab(size=vocab_size, mask_id=draw(st.integers(0, vocab_size - 1)))
+    tokens = [t for t in range(vocab_size) if t != vocab.mask_id]
+    gen_len = draw(st.integers(min_value=1, max_value=40))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    profile = make_profile(
+        draw(st.lists(unit, min_size=gen_len, max_size=gen_len)),
+        draw(unit),
+        draw(st.integers(min_value=1, max_value=6)),
+        draw(st.lists(st.sampled_from(tokens), min_size=gen_len, max_size=gen_len)),
+        draw(st.one_of(
+            st.integers(min_value=-(2**64), max_value=-1),
+            st.integers(min_value=2**63, max_value=2**70),
+            st.integers(min_value=0, max_value=2**63),
+        )),
+    )
+    prompt = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=4))
+    state = new_sequence(prompt, gen_len, vocab)
+    for i in range(gen_len):
+        if draw(st.booleans()):
+            state.commit(i, draw(st.sampled_from(tokens)))
+    state.step = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    return profile, vocab, state
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=oracle_cases(), data=st.data())
+def test_array_scoring_matches_scalar_reference(case, data):
+    """The vectorised oracle equals the per-position hash loop, bit for bit,
+    and scoring a subset of positions equals the full map restricted to it."""
+    profile, vocab, state = case
+    masked = (state.response == vocab.mask_id).tolist()
+    full = oracle_confidences(profile, state, vocab)
+    assert full == scalar_oracle_confidences(
+        profile, masked, state.step, state.prompt_len, vocab.mask_id, vocab.size
+    )
+    subset = data.draw(st.sets(st.sampled_from(sorted(full)))) if full else set()
+    assert oracle_confidences(profile, state, vocab, subset) == {p: full[p] for p in subset}
+
+
+def test_positions_must_be_masked_response_positions():
+    prof = profile_of([0.4] * 6, gain=0.3, radius=2)
+    state = new_sequence([1, 2], 6, VOCAB)
+    state.commit(1, 4)
+    for bad in ([0], [2 + 1], [2 + 6]):
+        with pytest.raises(ValueError):
+            oracle_confidences(prof, state, VOCAB, bad)
 
 
 class TestDeterminism:
