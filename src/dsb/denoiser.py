@@ -3,15 +3,16 @@
 The model is meant for desk-scale verification of scheduling and caching
 semantics, not for generating text anyone wants to read: every weight is
 drawn from a seeded PRNG, so two models built from the same config are
-bitwise identical.  It exposes two forward paths:
+bitwise identical.  Two entry points share one forward body:
 
-* :meth:`TinyDenoiser.forward_full` runs all positions and returns a freshly
-  populated KV store.
+* :meth:`TinyDenoiser.forward_full` runs all positions on a fresh KV store.
 * :meth:`TinyDenoiser.forward_cached` forms queries only for a requested
   recompute set, overwrites those rows of the KV store, and serves every
-  other key/value from the store as-is.  Stale entries between refreshes are
-  accepted by design; validity flags only guard slots that were never
-  written.
+  other key/value from the store as-is; stale entries between refreshes are
+  accepted by design, and a validity vector guards slots never written.
+
+Both take an optional ``score`` subset of the recomputed rows; the last
+layer's query side, MLP and head run only for those.
 
 Attention is fully bidirectional (no causal mask), positions are learned
 absolute embeddings, and all arithmetic is float32 with max-subtracted
@@ -60,18 +61,18 @@ class DenoiserConfig:
 
 
 class LayerKV:
-    """Per-layer key/value rows plus validity and freshness bookkeeping."""
+    """Per-layer key/value rows plus freshness stamps."""
 
     def __init__(self, seq_len: int, width: int):
         self.keys = np.zeros((seq_len, width), dtype=np.float32)
         self.values = np.zeros((seq_len, width), dtype=np.float32)
-        self.valid = np.zeros(seq_len, dtype=bool)
         self.stamp = np.zeros(seq_len, dtype=np.int64)
 
 
 class KVStore:
     """All layers' KV rows for one decode; single-owner, mutated in place.
 
+    ``valid`` marks the positions written; every write covers all layers.
     ``query_count`` accumulates how many attention queries the cached path
     has formed against this store, which drives the recompute metrics.
     """
@@ -79,14 +80,16 @@ class KVStore:
     def __init__(self, seq_len: int, width: int, depth: int):
         self.seq_len = seq_len
         self.layers = [LayerKV(seq_len, width) for _ in range(depth)]
+        self.valid = np.zeros(seq_len, dtype=bool)
         self.update_count = 0
         self.query_count = 0
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LN_EPS) * gain + bias
+    # Bit-identical to (x - mean) / sqrt(var + eps): numpy's mean/var run these ufuncs.
+    centred = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
+    var = np.square(centred).sum(axis=-1, keepdims=True) / x.shape[-1]
+    return centred / np.sqrt(var + LN_EPS) * gain + bias
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -159,7 +162,8 @@ class TinyDenoiser:
             raise ValueError(f"seq_len {seq_len} exceeds max_len {self.config.max_len}")
         return KVStore(seq_len, self.config.width, self.config.depth)
 
-    def _check_tokens(self, tokens: np.ndarray) -> None:
+    def _check_tokens(self, tokens: Sequence[int]) -> np.ndarray:
+        tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 1 or tokens.shape[0] < 1:
             raise ValueError("tokens must be a non-empty 1-d array")
         if tokens.shape[0] > self.config.max_len:
@@ -168,70 +172,52 @@ class TinyDenoiser:
             )
         if tokens.min() < 0 or tokens.max() >= self.config.vocab_size:
             raise ValueError("token id outside the vocabulary")
+        return tokens
 
     def _attend(self, q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Full bidirectional attention of queries q over all keys/values.
 
         Batched matmul over heads, so both products run as BLAS GEMMs.  The
-        1/sqrt(dh) factor scales the (q, d) query block instead of the
-        (h, q, k) scores, and the softmax runs in place on the scores buffer,
-        which nothing else holds.
+        1/sqrt(dh) factor scales the queries as they are copied into a
+        contiguous (h, q, dh) block, the softmax exponentiates the scores
+        buffer in place, and the row sums divide the (h, q, dh) product
+        instead of the larger (h, q, k) weights.
         """
         h = self.config.heads
         dh = self.config.width // h
         nq, nk = q.shape[0], keys.shape[0]
-        qh = (q / np.sqrt(np.float32(dh))).reshape(nq, h, dh).transpose(1, 0, 2)
+        qh = np.empty((h, nq, dh), dtype=np.float32)
+        np.divide(q.reshape(nq, h, dh).transpose(1, 0, 2), np.sqrt(np.float32(dh)), out=qh)
         kh = keys.reshape(nk, h, dh).transpose(1, 2, 0)
         vh = values.reshape(nk, h, dh).transpose(1, 0, 2)
         weights = np.matmul(qh, kh)  # (h, q, k)
         weights -= weights.max(axis=-1, keepdims=True)
         np.exp(weights, out=weights)
-        weights /= weights.sum(axis=-1, keepdims=True)
         out = np.matmul(weights, vh)  # (h, q, dh)
+        out /= weights.sum(axis=-1, keepdims=True)
         return out.transpose(1, 0, 2).reshape(nq, self.config.width)
 
-    def forward_full(self, tokens: Sequence[int]) -> Tuple[np.ndarray, KVStore]:
-        """Logits for every position plus a fully populated KV store."""
-        tokens = np.asarray(tokens, dtype=np.int64)
-        self._check_tokens(tokens)
-        n = tokens.shape[0]
-        p = self.params
-        cache = self.empty_cache(n)
-        cache.update_count = 1
-        cache.query_count = n
-
-        x = p["tok_emb"][tokens] + p["pos_emb"][:n]
-        for i in range(self.config.depth):
-            h = _layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            q = h @ p[f"l{i}.wq"] + p[f"l{i}.bq"]
-            k = h @ p[f"l{i}.wk"] + p[f"l{i}.bk"]
-            v = h @ p[f"l{i}.wv"] + p[f"l{i}.bv"]
-            layer = cache.layers[i]
-            layer.keys[:] = k
-            layer.values[:] = v
-            layer.valid[:] = True
-            layer.stamp[:] = cache.update_count
-            x = x + self._attend(q, k, v) @ p[f"l{i}.wo"] + p[f"l{i}.bo"]
-            h2 = _layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
-            x = x + np.maximum(h2 @ p[f"l{i}.w_up"] + p[f"l{i}.b_up"], 0.0) @ p[
-                f"l{i}.w_down"
-            ] + p[f"l{i}.b_down"]
-        logits = _layer_norm(x, p["ln_f_g"], p["ln_f_b"]) @ p["w_out"] + p["b_out"]
-        return logits, cache
+    def forward_full(
+        self, tokens: Sequence[int], score: Optional[Sequence[int]] = None
+    ) -> Tuple[np.ndarray, KVStore]:
+        """Logits for every position (or ``score``) plus a fully populated KV store."""
+        tokens = self._check_tokens(tokens)
+        cache = self.empty_cache(tokens.shape[0])
+        return self._forward(tokens, cache, np.arange(cache.seq_len), score), cache
 
     def forward_cached(
-        self, tokens: Sequence[int], cache: KVStore, recompute: Iterable[int]
+        self, tokens: Sequence[int], cache: KVStore, recompute: Iterable[int],
+        score: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        """Logits for the recompute positions only, refreshing their KV rows.
+        """Logits for the recompute positions (or ``score``), refreshing their KV rows.
 
         Queries are formed solely for ``recompute``; their attention runs
         against fresh keys/values at those rows and stored (possibly stale)
         keys/values everywhere else.  Rows outside the recompute set must
         have been written before, otherwise :class:`CacheIntegrityError`.
-        Returned logits rows follow ascending position order.
+        Returned logits rows follow ascending position order (``score``'s order if given).
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
-        self._check_tokens(tokens)
+        tokens = self._check_tokens(tokens)
         n = tokens.shape[0]
         if n != cache.seq_len:
             raise ValueError(f"cache sized for {cache.seq_len} positions, got {n} tokens")
@@ -242,29 +228,44 @@ class TinyDenoiser:
             raise ValueError("recompute set is empty: no queries to form")
         if rows[0] < 0 or rows[-1] >= n:
             raise ValueError("recompute position outside the token buffer")
+        unwritten = ~cache.valid
+        unwritten[rows] = False
+        if unwritten.any():
+            bad = int(np.argmax(unwritten))
+            raise CacheIntegrityError(f"position {bad} was never computed but is outside the recompute set")
+        return self._forward(tokens, cache, rows, score)
 
-        cached = np.ones(n, dtype=bool)
-        cached[rows] = False
-        for i, layer in enumerate(cache.layers):
-            if not layer.valid[cached].all():
-                bad = int(np.nonzero(cached & ~layer.valid)[0][0])
-                raise CacheIntegrityError(
-                    f"layer {i} position {bad} was never computed but is outside the recompute set"
-                )
+    def _forward(
+        self, tokens: np.ndarray, cache: KVStore, rows: np.ndarray, score: Optional[Sequence[int]]
+    ) -> np.ndarray:
+        """Recompute the sorted ``rows`` against ``cache``; one logits row per ``score`` entry.
+
+        Keys and values are written for all of ``rows``, so the store does
+        not depend on ``score``.  The last layer then cuts the rows to
+        ``score`` (a subset of ``rows``; ``None`` keeps all) for the rest.
+        """
+        keep = None
+        if score is not None:
+            score = np.asarray(score, dtype=np.int64)
+            keep = np.searchsorted(rows, score)
+            if not np.array_equal(rows.take(keep, mode="clip"), score):
+                raise ValueError("score positions must be a subset of the recomputed rows")
 
         p = self.params
         cache.update_count += 1
         cache.query_count += int(rows.size)
+        cache.valid[rows] = True
 
         x = p["tok_emb"][tokens[rows]] + p["pos_emb"][rows]
         for i in range(self.config.depth):
             layer = cache.layers[i]
             h = _layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            q = h @ p[f"l{i}.wq"] + p[f"l{i}.bq"]
             layer.keys[rows] = h @ p[f"l{i}.wk"] + p[f"l{i}.bk"]
             layer.values[rows] = h @ p[f"l{i}.wv"] + p[f"l{i}.bv"]
-            layer.valid[rows] = True
             layer.stamp[rows] = cache.update_count
+            if keep is not None and i == self.config.depth - 1:
+                x, h = x[keep], h[keep]
+            q = h @ p[f"l{i}.wq"] + p[f"l{i}.bq"]
             x = x + self._attend(q, layer.keys, layer.values) @ p[f"l{i}.wo"] + p[f"l{i}.bo"]
             h2 = _layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
             x = x + np.maximum(h2 @ p[f"l{i}.w_up"] + p[f"l{i}.b_up"], 0.0) @ p[
@@ -335,21 +336,22 @@ def confidences(
 ) -> ConfidenceMap:
     """Best non-mask token and its probability for each masked position.
 
-    ``positions`` gives the absolute position of each logits row; by default
-    row i scores position i.  The mask token is excluded before the softmax,
-    so the argmax can never be the mask id and a flat row over V tokens
-    yields confidence 1/(V-1).
+    ``positions`` gives the distinct absolute position of each logits row, in
+    any order; by default row i scores position i.  The mask token is
+    excluded before the softmax, so the argmax can never be the mask id and a
+    flat row over V tokens yields confidence 1/(V-1).
     """
-    if positions is None:
-        positions = np.arange(logits.shape[0], dtype=np.int64)
-    row_of = {int(pos): r for r, pos in enumerate(positions)}
     targets = sorted(int(m) for m in masked)
     if not targets:
         return {}
-    try:
-        rows = np.array([row_of[pos] for pos in targets], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"no logits row for masked position {exc.args[0]}") from None
+    positions = np.arange(logits.shape[0]) if positions is None else np.asarray(positions)
+    order = np.argsort(positions, kind="stable")
+    at = np.searchsorted(positions, targets, sorter=order)
+    found = at < positions.size
+    found[found] = positions[order[at[found]]] == np.asarray(targets)[found]
+    if not found.all():
+        raise ValueError(f"no logits row for masked position {targets[int(np.argmin(found))]}")
+    rows = order[at]
     scores = logits[rows].astype(np.float32, copy=True)
     scores[:, vocab.mask_id] = -np.inf
     probs = softmax(scores, axis=-1)

@@ -1,10 +1,10 @@
 """The iterative decode loop and the experiment-grid harness.
 
-Per iteration the loop runs: recompute-set selection, denoiser forward (full
-or cached), eligible-set computation, confidences for the eligible positions
-only, commit selection, commits, window advance, cache-schedule update.  One
-:class:`StepRecord` is appended per iteration, so the trace replays the
-decode exactly.
+Per iteration the loop runs: recompute-set selection, eligible-set
+computation, denoiser forward (full or cached) and confidences for the
+eligible positions only, commit selection, commits, window advance,
+cache-schedule update.  One :class:`StepRecord` is appended per iteration,
+so the trace replays the decode exactly.
 """
 
 from __future__ import annotations
@@ -99,19 +99,17 @@ def decode(
         if state.step > gen_len:
             raise RuntimeError("decode failed to make progress")
         rset, event = recompute_set(cache, window, schedule, seq_len)
+        eligible = eligible_set(window, state)
         if neural:
-            tokens = state.full_tokens()
-            if kv is None:
-                logits, _ = denoiser.forward_full(tokens)
-                rows = np.arange(seq_len, dtype=np.int64)
-            else:
-                logits = denoiser.forward_cached(tokens, kv, rset)
-                rows = rset
             # Every recompute set covers the block, so each eligible position has a row.
-            eligible = eligible_set(window, state)
-            conf = confidences(logits, eligible, vocab, positions=rows)
+            tokens = state.full_tokens()
+            score = np.array(sorted(eligible), dtype=np.int64)
+            if kv is None:
+                logits, _ = denoiser.forward_full(tokens, score)
+            else:
+                logits = denoiser.forward_cached(tokens, kv, rset, score)
+            conf = confidences(logits, eligible, vocab, positions=score)
         else:
-            eligible = eligible_set(window, state)
             conf = denoiser.confidence_map(state, eligible)
         commits, fallback = select(sampler, conf, eligible)
         for pos, tok in commits:

@@ -195,19 +195,21 @@ class InstrumentedDenoiser:
     def empty_cache(self, seq_len):
         return self.inner.empty_cache(seq_len)
 
-    def forward_full(self, tokens):
-        logits, kv = self.inner.forward_full(tokens)
+    def forward_full(self, tokens, score=None):
+        logits, kv = self.inner.forward_full(tokens, score)
         self.rsets.append(np.arange(len(tokens), dtype=np.int64))
         return logits, kv
 
-    def forward_cached(self, tokens, cache, recompute):
+    def forward_cached(self, tokens, cache, recompute, score=None):
         rows = np.asarray(list(recompute), dtype=np.int64)
-        logits = self.inner.forward_cached(tokens, cache, rows)
         self.rsets.append(np.sort(rows))
-        if rows.size == len(tokens):  # a global refresh: compare with the full pass
-            full, _ = self.inner.forward_full(tokens)
-            self.refresh_rel_diffs.append(max_rel_diff(logits, full))
-        return logits
+        if rows.size != len(tokens):
+            return self.inner.forward_cached(tokens, cache, rows, score)
+        # A global refresh: compare every row with the full pass, then score.
+        logits = self.inner.forward_cached(tokens, cache, rows)
+        full, _ = self.inner.forward_full(tokens)
+        self.refresh_rel_diffs.append(max_rel_diff(logits, full))
+        return logits if score is None else logits[np.asarray(score, dtype=np.int64)]
 
 
 @dataclass

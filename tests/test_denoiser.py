@@ -1,9 +1,13 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from dsb.denoiser import DenoiserConfig, TinyDenoiser, confidences, softmax
+from dsb.denoiser import LN_EPS, DenoiserConfig, TinyDenoiser, _layer_norm, confidences, softmax
 from dsb.state import CacheIntegrityError, Vocab
 
 CFG = DenoiserConfig(vocab_size=33, width=32, heads=4, depth=3, max_len=64, seed=42)
@@ -69,8 +73,7 @@ class TestForwardFull:
 
     def test_marks_everything_valid(self, model):
         _, kv = model.forward_full(tokens_for(model, 10))
-        for layer in kv.layers:
-            assert layer.valid.all()
+        assert kv.valid.all()
 
     def test_bidirectional_attention(self, model):
         """Changing a later token must move logits at earlier positions."""
@@ -207,6 +210,76 @@ def test_partial_forward_cached_matches_loop_reference(sharp_model):
     assert max_rel_diff(got.astype(np.float64), slow[rows]) <= 1e-5
 
 
+@pytest.mark.parametrize("fixture", ["model", "sharp_model"])
+def test_scored_rows_match_unpruned_pass_and_loop_reference(fixture, request):
+    """The last layer run on ``score`` rows only gives those rows' logits."""
+    from reference import loop_forward_reference
+
+    m = request.getfixturevalue(fixture)
+    toks = tokens_for(m, 9, seed=4)
+    slow = np.array(loop_forward_reference(m, toks.tolist()), dtype=np.float64)
+    score = [8, 2, 5]  # one logits row per entry, in this order
+    want = np.array(score)
+
+    full, _ = m.forward_full(toks)
+    pruned, _ = m.forward_full(toks, score)
+    assert pruned.shape == (3, m.config.vocab_size)
+    assert max_rel_diff(pruned, full[want]) <= 1e-5
+    assert max_rel_diff(pruned.astype(np.float64), slow[want]) <= 1e-5
+
+    rows = np.array([1, 2, 4, 5, 6, 8])
+    _, kv = m.forward_full(toks)
+    unpruned = m.forward_cached(toks, copy.deepcopy(kv), rows)
+    got = m.forward_cached(toks, kv, rows, score)
+    assert max_rel_diff(got, unpruned[np.searchsorted(rows, want)]) <= 1e-5
+    assert max_rel_diff(got.astype(np.float64), slow[want]) <= 1e-5
+
+
+def test_store_does_not_depend_on_what_is_scored(model):
+    toks = tokens_for(model, 12, seed=5)
+    changed = toks.copy()
+    changed[[3, 6]] = (changed[[3, 6]] + 5) % CFG.vocab_size
+    _, base = model.forward_full(toks)
+    _, pruned_full = model.forward_full(changed, [6])
+    stores = [copy.deepcopy(base), copy.deepcopy(base), pruned_full]
+    model.forward_cached(changed, stores[0], np.arange(2, 9))
+    model.forward_cached(changed, stores[1], np.arange(2, 9), score=[3, 7])
+    _, unpruned_full = model.forward_full(changed)
+    for a, b in ((stores[0], stores[1]), (unpruned_full, pruned_full)):
+        assert np.array_equal(a.valid, b.valid)
+        assert (a.update_count, a.query_count) == (b.update_count, b.query_count)
+        for la, lb in zip(a.layers, b.layers):
+            assert np.array_equal(la.keys, lb.keys)
+            assert np.array_equal(la.values, lb.values)
+            assert np.array_equal(la.stamp, lb.stamp)
+
+
+def test_score_outside_recomputed_rows_rejected(model):
+    toks = tokens_for(model, 10)
+    _, kv = model.forward_full(toks)
+    for score in ([4, 5], [1, 3], [11]):
+        with pytest.raises(ValueError):
+            model.forward_cached(toks, kv, np.array([2, 3, 4]), score)
+    with pytest.raises(ValueError):
+        model.forward_full(toks, [3, 10])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=arrays(
+        np.float32,
+        st.tuples(st.integers(1, 4), st.integers(1, 80)),
+        elements=st.floats(-1e3, 1e3, width=32),
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_layer_norm_is_bit_identical_to_mean_var_form(x, seed):
+    rng = np.random.default_rng(seed)
+    gain, bias = rng.uniform(-2, 2, size=(2, x.shape[-1])).astype(np.float32)
+    want = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + LN_EPS) * gain + bias
+    assert np.array_equal(_layer_norm(x, gain, bias), want)
+
+
 def test_recompute_set_accepts_array_list_and_set(model):
     toks = tokens_for(model, 10)
     outs = []
@@ -297,3 +370,25 @@ class TestConfidences:
         vocab = Vocab(size=4, mask_id=3)
         with pytest.raises(ValueError):
             confidences(np.zeros((1, 4), dtype=np.float32), {5}, vocab)
+
+    def test_unsorted_positions_match_sorted(self):
+        vocab = Vocab(size=6, mask_id=5)
+        rng = np.random.default_rng(7)
+        logits = rng.normal(size=(8, 6)).astype(np.float32)
+        positions = np.array([3, 4, 9, 10, 12, 15, 20, 21])
+        perm = rng.permutation(8)
+        masked = {4, 12, 20, 21}
+        want = confidences(logits, masked, vocab, positions=positions)
+        assert confidences(logits[perm], masked, vocab, positions=positions[perm]) == want
+        assert want == {
+            int(p): confidences(logits[[r]], {int(p)}, vocab, positions=positions[[r]])[int(p)]
+            for r, p in enumerate(positions) if p in masked
+        }
+
+    def test_position_between_rows_rejected(self):
+        vocab = Vocab(size=4, mask_id=3)
+        logits = np.zeros((3, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="masked position 12"):
+            confidences(logits, {5, 12}, vocab, positions=np.array([20, 11, 5]))
+        with pytest.raises(ValueError, match="masked position 21"):
+            confidences(logits, {5, 21}, vocab, positions=np.array([20, 11, 5]))
