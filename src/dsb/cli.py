@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import List, Optional
 
 from . import engine, metrics
 from .kvcache import parse_cache
-from .oracle import OracleDenoiser, exact_match_rate
 from .samplers import parse_sampler
 from .schedulers import parse_scheduler
 from .state import CacheIntegrityError, InvalidConfiguration, NoCandidates
@@ -25,40 +23,24 @@ def _read_prompt(path: str) -> List[int]:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    denoiser = engine.build_denoiser(args.denoiser)
-    scheduler = parse_scheduler(args.scheduler)
-    sampler = parse_sampler(args.sampler)
-    cache = parse_cache(args.cache)
-    prompt = _read_prompt(args.prompt_file)
-
-    started = time.perf_counter()
-    result = engine.decode(
-        denoiser, scheduler, sampler, cache, prompt, args.gen_len, eos_id=args.eos_id
+    result, row = engine.decode_row(
+        args.denoiser,
+        engine.build_denoiser(args.denoiser),
+        parse_scheduler(args.scheduler),
+        parse_sampler(args.sampler),
+        parse_cache(args.cache),
+        _read_prompt(args.prompt_file),
+        args.gen_len,
+        premature_floor=args.premature_floor,
+        eos_id=args.eos_id,
     )
-    elapsed = time.perf_counter() - started
-
     if args.trace:
         engine.write_trace(result.records, args.trace)
     if args.csv:
-        row = {
-            "scheduler": args.scheduler,
-            "sampler": args.sampler,
-            "cache": args.cache,
-            "denoiser": args.denoiser,
-            "seed": "",
-        }
-        row.update(
-            metrics.run_stats(result.records, len(prompt) + args.gen_len, args.premature_floor)
-        )
-        if isinstance(denoiser, OracleDenoiser):
-            row["exact_match"] = exact_match_rate(result.records, denoiser.profile, len(prompt))
-        else:
-            row["exact_match"] = None
-        row["wall_time_s"] = elapsed
         metrics.write_csv([row], args.csv, metrics.ROW_COLUMNS)
 
     print(f"steps={result.steps} commits={result.state.decoded_count} "
-          f"wall_time_s={elapsed:.4f} early_stopped={result.early_stopped}")
+          f"wall_time_s={row['wall_time_s']:.4f} early_stopped={result.early_stopped}")
     print("response:", " ".join(str(int(t)) for t in result.response))
     return 0
 

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .state import Candidate, CacheIntegrityError, ConfidenceMap, Vocab
+from .state import CacheIntegrityError, ConfidenceMap, Vocab
 
 WEIGHT_SPAN = 0.1  # all weights ~ Uniform(-WEIGHT_SPAN, +WEIGHT_SPAN)
 LN_EPS = np.float32(1e-5)
@@ -330,7 +330,7 @@ class TinyDenoiser:
 
 def confidences(
     logits: np.ndarray,
-    masked: Iterable[int],
+    masked: Sequence[int],
     vocab: Vocab,
     positions: Optional[np.ndarray] = None,
 ) -> ConfidenceMap:
@@ -341,14 +341,12 @@ def confidences(
     excluded before the softmax, so the argmax can never be the mask id and a
     flat row over V tokens yields confidence 1/(V-1).
     """
-    targets = sorted(int(m) for m in masked)
-    if not targets:
-        return {}
+    targets = np.sort(np.asarray(masked, dtype=np.int64))
     positions = np.arange(logits.shape[0]) if positions is None else np.asarray(positions)
     order = np.argsort(positions, kind="stable")
     at = np.searchsorted(positions, targets, sorter=order)
     found = at < positions.size
-    found[found] = positions[order[at[found]]] == np.asarray(targets)[found]
+    found[found] = positions[order[at[found]]] == targets[found]
     if not found.all():
         raise ValueError(f"no logits row for masked position {targets[int(np.argmin(found))]}")
     rows = order[at]
@@ -356,11 +354,7 @@ def confidences(
     scores[:, vocab.mask_id] = -np.inf
     probs = softmax(scores, axis=-1)
     best = probs.argmax(axis=-1)
-    conf = probs[np.arange(len(targets)), best]
-    return {
-        pos: Candidate(int(tok), float(c))
-        for pos, tok, c in zip(targets, best, conf)
-    }
+    return ConfidenceMap(targets, best, probs[np.arange(targets.size), best])
 
 
 def parse_denoiser_config(spec: str) -> DenoiserConfig:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from itertools import product
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,16 +104,17 @@ def decode(
         if neural:
             # Every recompute set covers the block, so each eligible position has a row.
             tokens = state.full_tokens()
-            score = np.array(sorted(eligible), dtype=np.int64)
             if kv is None:
-                logits, _ = denoiser.forward_full(tokens, score)
+                logits, _ = denoiser.forward_full(tokens, eligible)
             else:
-                logits = denoiser.forward_cached(tokens, kv, rset, score)
-            conf = confidences(logits, eligible, vocab, positions=score)
+                logits = denoiser.forward_cached(tokens, kv, rset, eligible)
+            conf = confidences(logits, eligible, vocab, positions=eligible)
         else:
             conf = denoiser.confidence_map(state, eligible)
-        commits, fallback = select(sampler, conf, eligible)
-        for pos, tok in commits:
+        chosen, fallback = select(sampler, conf)
+        positions = conf.positions[chosen].tolist()
+        committed = conf.tokens[chosen].tolist()
+        for pos, tok in zip(positions, committed):
             state.commit(pos - lp, tok)
 
         records.append(
@@ -120,9 +122,9 @@ def decode(
                 step=state.step,
                 block_start=window.start,
                 block_end=window.end,
-                positions=[pos for pos, _ in commits],
-                tokens=[tok for _, tok in commits],
-                confidences=[conf[pos].confidence for pos, _ in commits],
+                positions=positions,
+                tokens=committed,
+                confidences=conf.confidences[chosen].tolist(),
                 recompute_count=int(len(rset)),
                 cache_event=event,
                 fallback=fallback,
@@ -131,16 +133,14 @@ def decode(
 
         start_used = window.start
         window = advance(scheduler, window, state)
-        after_step(schedule, len(commits), event, start_used)
+        after_step(schedule, len(positions), event, start_used)
         state.step += 1
 
-        if eos_id is not None:
-            eos_positions = [pos for pos, tok in commits if tok == eos_id]
-            if eos_positions:
-                first = min(eos_positions) - lp
-                if not state.masked_positions(0, first):
-                    early_stopped = True
-                    break
+        if eos_id is not None and eos_id in committed:
+            first = positions[committed.index(eos_id)] - lp  # positions ascend
+            if not state.masked_positions(0, first).size:
+                early_stopped = True
+                break
 
     return DecodeResult(state=state, records=records, early_stopped=early_stopped)
 
@@ -278,6 +278,29 @@ def parse_grid_file(path: str) -> GridSpec:
     return spec
 
 
+def decode_row(
+    denoiser_spec: str, denoiser: Denoiser, scheduler: SchedulerKind, sampler: SamplerKind,
+    cache: CachePolicy, prompt: Sequence[int], gen_len: int, *, seed: Optional[int] = None,
+    premature_floor: float = 0.5, eos_id: Optional[int] = None,
+) -> Tuple[DecodeResult, Dict[str, object]]:
+    """Run one timed decode; returns it and its ``metrics.ROW_COLUMNS`` row.
+
+    ``seed`` is the grid seed (None outside a grid); ``exact_match`` is None without a truth.
+    """
+    started = time.perf_counter()
+    result = decode(denoiser, scheduler, sampler, cache, prompt, gen_len, eos_id=eos_id)
+    elapsed = time.perf_counter() - started
+    row: Dict[str, object] = dict(
+        scheduler=format_scheduler(scheduler), sampler=format_sampler(sampler),
+        cache=format_cache(cache), denoiser=denoiser_spec, seed=seed,
+    )
+    row.update(metrics.run_stats(result.records, result.state.seq_len, premature_floor))
+    row["exact_match"] = (exact_match_rate(result.records, denoiser.profile, result.state.prompt_len)
+                          if isinstance(denoiser, OracleDenoiser) else None)
+    row["wall_time_s"] = elapsed
+    return result, row
+
+
 def run_cell(
     scheduler_spec: str,
     sampler_spec: str,
@@ -290,27 +313,11 @@ def run_cell(
 ) -> Dict[str, object]:
     """Run one grid cell and compute its metrics row."""
     denoiser = build_denoiser(denoiser_spec, seed_offset=seed)
-    scheduler = parse_scheduler(scheduler_spec)
-    sampler = parse_sampler(sampler_spec)
-    cache = parse_cache(cache_spec)
     prompt = make_prompt(denoiser.vocab, prompt_len, seed)
-    started = time.perf_counter()
-    result = decode(denoiser, scheduler, sampler, cache, prompt, gen_len)
-    elapsed = time.perf_counter() - started
-    row: Dict[str, object] = {
-        "scheduler": format_scheduler(scheduler),
-        "sampler": format_sampler(sampler),
-        "cache": format_cache(cache),
-        "denoiser": denoiser_spec,
-        "seed": seed,
-    }
-    row.update(metrics.run_stats(result.records, prompt_len + gen_len, premature_floor))
-    if isinstance(denoiser, OracleDenoiser):
-        row["exact_match"] = exact_match_rate(result.records, denoiser.profile, prompt_len)
-    else:
-        row["exact_match"] = None
-    row["wall_time_s"] = elapsed
-    return row
+    return decode_row(
+        denoiser_spec, denoiser, parse_scheduler(scheduler_spec), parse_sampler(sampler_spec),
+        parse_cache(cache_spec), prompt, gen_len, seed=seed, premature_floor=premature_floor,
+    )[1]
 
 
 def run_grid(spec: Union[GridSpec, str]) -> List[Dict[str, object]]:
@@ -320,22 +327,5 @@ def run_grid(spec: Union[GridSpec, str]) -> List[Dict[str, object]]:
     """
     if isinstance(spec, str):
         spec = parse_grid_file(spec)
-    rows = []
-    for scheduler_spec in spec.schedulers:
-        for sampler_spec in spec.samplers:
-            for cache_spec in spec.caches:
-                for denoiser_spec in spec.denoisers:
-                    for seed in spec.seeds:
-                        rows.append(
-                            run_cell(
-                                scheduler_spec,
-                                sampler_spec,
-                                cache_spec,
-                                denoiser_spec,
-                                seed,
-                                spec.gen_len,
-                                spec.prompt_len,
-                                spec.premature_floor,
-                            )
-                        )
-    return rows
+    cells = product(spec.schedulers, spec.samplers, spec.caches, spec.denoisers, spec.seeds)
+    return [run_cell(*cell, spec.gen_len, spec.prompt_len, spec.premature_floor) for cell in cells]

@@ -23,7 +23,6 @@ ROW_COLUMNS = [
     "denoiser",
     "seed",
     "steps",
-    "nfe",
     "commits_total",
     "commits_per_step",
     "recompute_total",
@@ -36,7 +35,7 @@ ROW_COLUMNS = [
 
 CONFIG_KEYS = ["scheduler", "sampler", "cache", "denoiser"]
 
-SUMMARY_FIELDS = ["steps", "nfe", "recompute_frac", "premature_commits", "exact_match"]
+SUMMARY_FIELDS = ["steps", "recompute_frac", "premature_commits", "exact_match"]
 
 
 def run_stats(
@@ -53,7 +52,6 @@ def run_stats(
     )
     return {
         "steps": steps,
-        "nfe": steps,
         "commits_total": commits_total,
         "commits_per_step": commits_total / steps,
         "recompute_total": recompute_total,
@@ -71,17 +69,11 @@ def summarize(rows: Iterable[Dict[str, object]]) -> List[Dict[str, object]]:
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to summarize")
-    groups: Dict[tuple, List[Dict[str, object]]] = {}
-    order: List[tuple] = []
+    groups: Dict[tuple, List[Dict[str, object]]] = {}  # in first-seen order
     for row in rows:
-        key = tuple(row.get(k) for k in CONFIG_KEYS)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(tuple(row.get(k) for k in CONFIG_KEYS), []).append(row)
     out = []
-    for key in order:
-        members = groups[key]
+    for key, members in groups.items():
         summary: Dict[str, object] = dict(zip(CONFIG_KEYS, key))
         summary["n_runs"] = len(members)
         for field in SUMMARY_FIELDS:

@@ -16,25 +16,37 @@ status feeds back, which keeps scheduler comparisons analyzable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .state import Candidate, ConfidenceMap, SequenceState, StepRecord, Vocab
+from .state import ConfidenceMap, SequenceState, StepRecord, Vocab
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# As 0-d uint64 arrays, which numpy combines with arrays faster than uint64 scalars.
+_GOLDEN_U, _MIX1_U, _MIX2_U = (np.array(c, dtype=np.uint64) for c in (_GOLDEN, _MIX1, _MIX2))
 # Last chain link per position: row 0 is the truth-or-decoy coin, row 1 the decoy draw.
 _STREAMS = np.array([[1], [2]], dtype=np.uint64)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finaliser, element-wise; uint64 arithmetic wraps mod 2**64."""
-    x = x + _GOLDEN
-    x = (x ^ (x >> 30)) * _MIX1
-    x = (x ^ (x >> 27)) * _MIX2
+    x = x + _GOLDEN_U
+    x ^= x >> 30
+    x *= _MIX1_U
+    x ^= x >> 27
+    x *= _MIX2_U
+    x ^= x >> 31
+    return x
+
+
+def _splitmix64_int(x: int) -> int:
+    """The same finaliser on one Python int, for the once-per-call chain links."""
+    x = (x + _GOLDEN) & _MASK64
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
     return x ^ (x >> 31)
 
 
@@ -85,26 +97,35 @@ def make_profile(
     )
 
 
-def context_fractions(profile: DifficultyProfile, decoded: np.ndarray) -> np.ndarray:
-    """f_i for every response position given the decoded mask."""
-    n = profile.gen_len
-    r = profile.radius
-    csum = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(decoded, out=csum[1:])
+@lru_cache(maxsize=32)
+def _neighbourhood(n: int, radius: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per index: neighbour bounds [lo, hi) within ``radius`` and the count (self excluded, >= 1)."""
     idx = np.arange(n)
-    lo = np.maximum(0, idx - r)
-    hi = np.minimum(n, idx + r + 1)
-    neighbors = hi - lo - 1  # the position itself never counts
-    decoded_near = csum[hi] - csum[lo] - decoded
-    # A lone position has no neighbors and nothing decoded near it: 0 / 1 = 0.
-    return decoded_near / np.maximum(neighbors, 1)
+    lo = np.maximum(0, idx - radius)
+    hi = np.minimum(n, idx + radius + 1)
+    bounds = lo, hi, np.maximum(hi - lo - 1, 1)
+    for a in bounds:
+        a.flags.writeable = False  # the cache hands the same arrays to every call
+    return bounds
+
+
+def context_fractions(
+    profile: DifficultyProfile, decoded: np.ndarray, idx: Union[slice, np.ndarray] = slice(None)
+) -> np.ndarray:
+    """f_i at the response indices ``idx`` (by default every one) given the decoded mask.
+
+    One cumulative sum over the mask, gathered at ``idx`` only.  A lone
+    position has nothing decoded near it and divides 0 by 1.
+    """
+    lo, hi, count = _neighbourhood(profile.gen_len, profile.radius)
+    csum = np.zeros(decoded.size + 1, dtype=np.int64)
+    np.cumsum(decoded, out=csum[1:])
+    return (csum[hi[idx]] - csum[lo[idx]] - decoded[idx]) / count[idx]
 
 
 def oracle_confidences(
-    profile: DifficultyProfile,
-    state: SequenceState,
-    vocab: Vocab,
-    positions: Optional[Iterable[int]] = None,
+    profile: DifficultyProfile, state: SequenceState, vocab: Vocab,
+    positions: Optional[Sequence[int]] = None,
 ) -> ConfidenceMap:
     """Confidence map (absolute keys) for ``positions``, by default every masked
     response position."""
@@ -126,14 +147,15 @@ class OracleDenoiser:
             raise ValueError(f"ground-truth token {bad[0]} invalid for the vocabulary")
         self.profile = profile
         self.vocab = vocab
-        self._base = np.array(profile.base_difficulty, dtype=np.float64)
+        self._ease = 1.0 - np.array(profile.base_difficulty, dtype=np.float64)
         self._truth = truth
-        self._seed_hash = _splitmix64(np.array([profile.seed & _MASK64], dtype=np.uint64))
+        self._seed_hash = _splitmix64_int(profile.seed & _MASK64)
 
     def confidence_map(
-        self, state: SequenceState, positions: Optional[Iterable[int]] = None
+        self, state: SequenceState, positions: Optional[Sequence[int]] = None
     ) -> ConfidenceMap:
-        """Scores for the absolute ``positions``, or every masked response position.
+        """Scores for the absolute ``positions`` (any order; the map ascends),
+        or every masked response position.
 
         Each scored position must be a masked response position.  At response
         index i the truth-or-decoy coin hashes (seed, step, i, 1) and the decoy
@@ -149,15 +171,14 @@ class OracleDenoiser:
         if positions is None:
             idx = np.flatnonzero(~decoded)
         else:
-            idx = np.sort(np.fromiter(positions, dtype=np.int64)) - lp
+            idx = np.sort(np.asarray(positions, dtype=np.int64)) - lp
             if idx.size and (idx[0] < 0 or idx[-1] >= state.gen_len or decoded[idx].any()):
                 raise ValueError("oracle positions must be masked response positions")
-        frac = context_fractions(profile, decoded)[idx]
-        c = (1.0 - self._base[idx]) + profile.context_gain * frac
+        c = self._ease[idx] + profile.context_gain * context_fractions(profile, decoded, idx)
         c = np.minimum(1.0, np.maximum(0.0, c))
 
-        prefix = _splitmix64(self._seed_hash ^ np.uint64(state.step & _MASK64))
-        h = _splitmix64(prefix ^ idx.astype(np.uint64))
+        prefix = _splitmix64_int(self._seed_hash ^ (state.step & _MASK64))
+        h = _splitmix64(idx.astype(np.uint64) ^ np.uint64(prefix))
         coin, draw = _splitmix64(h ^ _STREAMS)
         u = coin.astype(np.float64) / 2.0**64
         # Decoy: a non-truth, non-mask token; skip past both reserved ids.
@@ -165,8 +186,7 @@ class OracleDenoiser:
         decoy = (draw % np.uint64(vocab.size - 2)).astype(np.int64)
         decoy += decoy >= np.minimum(truth, vocab.mask_id)
         decoy += decoy >= np.maximum(truth, vocab.mask_id)
-        token = np.where(u < c, truth, decoy)
-        return dict(zip((idx + lp).tolist(), map(Candidate, token.tolist(), c.tolist())))
+        return ConfidenceMap(idx + lp, np.where(u < c, truth, decoy), c)
 
     def reseeded(self, seed: int) -> "OracleDenoiser":
         return OracleDenoiser(replace(self.profile, seed=seed), self.vocab)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple, Union
+from typing import Tuple, Union
+
+import numpy as np
 
 from .configstr import reject_unknown, split_spec
 from .state import ConfidenceMap, NoCandidates
@@ -31,44 +33,32 @@ class ConfidenceThreshold:
 
 SamplerKind = Union[VanillaTop1, ConfidenceThreshold]
 
-Commit = Tuple[int, int]  # (absolute position, token)
 
-
-def _scored(conf: ConfidenceMap, eligible: Iterable[int]) -> List[int]:
-    positions = sorted(p for p in eligible if p in conf)
-    if not positions:
+def select_top1(conf: ConfidenceMap) -> np.ndarray:
+    """Index into ``conf`` of the maximal confidence; ``argmax`` takes the first
+    maximum, so ties go to the lowest position."""
+    if not len(conf):
         raise NoCandidates("no eligible position has a confidence entry")
-    return positions
+    return np.argmax(conf.confidences, keepdims=True)
 
 
-def select_top1(conf: ConfidenceMap, eligible: Iterable[int]) -> List[Commit]:
-    """The eligible position of maximal confidence; ties go to the lowest index."""
-    positions = _scored(conf, eligible)
-    best = max(positions, key=lambda p: (conf[p].confidence, -p))
-    return [(best, conf[best].token)]
+def select_threshold(conf: ConfidenceMap, tau: float) -> Tuple[np.ndarray, bool]:
+    """Indices into ``conf`` of every confidence >= tau, in position order.
 
-
-def select_threshold(
-    conf: ConfidenceMap, eligible: Iterable[int], tau: float
-) -> Tuple[List[Commit], bool]:
-    """All eligible positions with confidence >= tau, in position order.
-
-    Returns ``(commits, fallback)`` where ``fallback`` marks that nothing
-    cleared tau and the top-1 position was committed instead.
+    Returns ``(indices, fallback)`` where ``fallback`` marks that nothing
+    cleared tau and the top-1 position was chosen instead.
     """
-    positions = _scored(conf, eligible)
-    chosen = [(p, conf[p].token) for p in positions if conf[p].confidence >= tau]
-    if chosen:
+    chosen = np.flatnonzero(conf.confidences >= tau)
+    if chosen.size:
         return chosen, False
-    return select_top1(conf, positions), True
+    return select_top1(conf), True
 
 
-def select(
-    kind: SamplerKind, conf: ConfidenceMap, eligible: Iterable[int]
-) -> Tuple[List[Commit], bool]:
+def select(kind: SamplerKind, conf: ConfidenceMap) -> Tuple[np.ndarray, bool]:
+    """``(indices into conf to commit, fallback)`` for either sampler."""
     if isinstance(kind, VanillaTop1):
-        return select_top1(conf, eligible), False
-    return select_threshold(conf, eligible, kind.tau)
+        return select_top1(conf), False
+    return select_threshold(conf, kind.tau)
 
 
 def parse_sampler(spec: str) -> SamplerKind:

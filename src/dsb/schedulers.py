@@ -10,8 +10,10 @@ count, optionally capped at a maximum width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Set, Union
+from dataclasses import dataclass
+from typing import Optional, Union
+
+import numpy as np
 
 from .configstr import reject_unknown, split_spec, take_int
 from .state import SequenceState
@@ -81,52 +83,39 @@ def init_window(kind: SchedulerKind, prompt_len: int, gen_len: int) -> BlockWind
     return BlockWindow(prompt_len, end, kind.init_size, kind.max_size)
 
 
-def eligible_set(window: BlockWindow, state: SequenceState) -> Set[int]:
-    """Masked absolute positions inside the active block."""
+def eligible_set(window: BlockWindow, state: SequenceState) -> np.ndarray:
+    """Masked absolute positions inside the active block, ascending (int64)."""
     lp = state.prompt_len
-    lo = max(window.start, lp) - lp
-    hi = max(window.end, lp) - lp
-    return {lp + i for i in state.masked_positions(lo, hi)}
+    return lp + state.masked_positions(max(window.start, lp) - lp, max(window.end, lp) - lp)
 
 
 def advance_naive(window: BlockWindow, state: SequenceState) -> BlockWindow:
     """Move to the next fixed block once the current one is fully decoded."""
-    if eligible_set(window, state):
+    if eligible_set(window, state).size:
         return window
     limit = state.prompt_len + state.gen_len
     start = window.end
     end = min(start + window.init_size, limit)
-    return replace(window, start=start, end=end)
+    return BlockWindow(start, end, window.init_size, window.max_size)
 
 
-def advance_sliding(
-    window: BlockWindow, state: SequenceState, *, trail_left_of_mask: bool = False
-) -> BlockWindow:
+def advance_sliding(window: BlockWindow, state: SequenceState) -> BlockWindow:
     """Post-step boundary update for the sliding schedule.
 
     The left boundary becomes the first masked position of the old window, or
     the old right boundary when the window is clear.  The right boundary is
     min(prompt_len + init_size + decoded_count, start + max_size), clamped to
     the end of the response buffer.
-
-    ``trail_left_of_mask`` is a debug knob that places the left boundary one
-    slot before the first mask instead of on it, for comparing the two
-    plausible slide rules; it is never used by the engine.
     """
     lp = state.prompt_len
     limit = lp + state.gen_len
     remaining = eligible_set(window, state)
-    if remaining:
-        start = min(remaining)
-        if trail_left_of_mask:
-            start = max(window.start, start - 1)
-    else:
-        start = window.end
+    start = int(remaining[0]) if remaining.size else window.end
     end = lp + window.init_size + state.decoded_count
     if window.max_size is not None:
         end = min(end, start + window.max_size)
     end = min(end, limit)
-    return replace(window, start=start, end=max(start, end))
+    return BlockWindow(start, max(start, end), window.init_size, window.max_size)
 
 
 def advance(kind: SchedulerKind, window: BlockWindow, state: SequenceState) -> BlockWindow:

@@ -4,12 +4,17 @@ Coordinate convention: the scheduler and cache modules index into the full
 ``prompt + response`` buffer (absolute positions).  ``SequenceState`` itself
 exposes response-relative positions; ``prompt_len`` is the single offset that
 converts between the two.
+
+Step state is array-valued: masked and eligible positions are ascending int64
+arrays, and one :class:`ConfidenceMap` of aligned arrays carries a step's scores.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Sequence, Set
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,8 +58,41 @@ class Candidate(NamedTuple):
     confidence: float
 
 
-# Keyed by absolute position; every keyed position must currently be masked.
-ConfidenceMap = Dict[int, Candidate]
+class ConfidenceMap(Mapping):
+    """One step's scores: three aligned arrays over ascending absolute positions.
+
+    ``positions`` (int64, each currently masked), ``tokens`` (int64, the best
+    non-mask token there) and ``confidences`` (float64, so that tau tests and
+    trace values are exact); samplers return indices into them.  As a
+    read-only mapping it answers ``len(m)``, ``pos in m`` and ``m[pos] ->
+    Candidate`` by absolute position, and equals the dict it stands for.
+    """
+
+    def __init__(self, positions, tokens, confidences) -> None:
+        self.positions = np.asarray(positions, dtype=np.int64)
+        self.tokens = np.asarray(tokens, dtype=np.int64)
+        self.confidences = np.asarray(confidences, dtype=np.float64)
+
+    @cached_property
+    def _index(self) -> Dict[int, int]:
+        """``{position: array index}``, built on the first lookup by position."""
+        return dict(zip(self.positions.tolist(), range(self.positions.size)))
+
+    def __contains__(self, pos) -> bool:
+        return pos in self._index
+
+    def __getitem__(self, pos) -> Candidate:
+        i = self._index[pos]
+        return Candidate(int(self.tokens[i]), float(self.confidences[i]))
+
+    def __len__(self) -> int:
+        return self.positions.size
+
+    def __iter__(self):
+        return iter(self.positions.tolist())
+
+    def __repr__(self) -> str:
+        return f"ConfidenceMap({dict(self)!r})"
 
 
 @dataclass
@@ -88,10 +126,6 @@ class SequenceState:
         """Concatenated prompt + response buffer (absolute coordinates)."""
         return np.concatenate([self.prompt, self.response])
 
-    def is_masked(self, position: int) -> bool:
-        """True if the response-relative ``position`` is still undecoded."""
-        return int(self.response[position]) == self.vocab.mask_id
-
     def commit(self, position: int, token: int) -> None:
         """Write ``token`` into the masked response slot ``position``.
 
@@ -110,15 +144,13 @@ class SequenceState:
         self.response[position] = token
         self.decoded_count += 1
 
-    def masked_positions(self, start: int, stop: int) -> Set[int]:
-        """Response-relative masked positions within the half-open [start, stop)."""
+    def masked_positions(self, start: int, stop: int) -> np.ndarray:
+        """Ascending int64 response-relative masked positions in the half-open [start, stop)."""
         if not (0 <= start <= stop <= self.gen_len):
             raise ValueError(
                 f"range [{start}, {stop}) not contained in [0, {self.gen_len})"
             )
-        window = self.response[start:stop]
-        (idx,) = np.nonzero(window == self.vocab.mask_id)
-        return {start + int(i) for i in idx}
+        return start + (self.response[start:stop] == self.vocab.mask_id).nonzero()[0]
 
 
 def new_sequence(prompt: Sequence[int], gen_len: int, vocab: Vocab) -> SequenceState:

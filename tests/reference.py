@@ -202,6 +202,12 @@ def decoy(draw: int, truth: int, mask_id: int, vocab_size: int) -> int:
     return token
 
 
+def context_fraction(masked: List[bool], i: int, radius: int) -> float:
+    """Decoded share of index i's neighbours within ``radius`` (i itself excluded)."""
+    near = [j for j in range(max(0, i - radius), min(len(masked), i + radius + 1)) if j != i]
+    return sum(1 for j in near if not masked[j]) / len(near) if near else 0.0
+
+
 def scalar_oracle_confidences(
     profile, masked: List[bool], step: int, prompt_len: int, mask_id: int, vocab_size: int
 ) -> Dict[int, Tuple[int, float]]:
@@ -214,14 +220,11 @@ def scalar_oracle_confidences(
     hash(seed, step, i, 1) / 2**64 < c and a decoy from hash(seed, step, i, 2)
     otherwise.
     """
-    n = len(masked)
-    r = profile.radius
     out: Dict[int, Tuple[int, float]] = {}
-    for i in range(n):
+    for i in range(len(masked)):
         if not masked[i]:
             continue
-        near = [j for j in range(max(0, i - r), min(n, i + r + 1)) if j != i]
-        f = sum(1 for j in near if not masked[j]) / len(near) if near else 0.0
+        f = context_fraction(masked, i, profile.radius)
         c = (1.0 - profile.base_difficulty[i]) + profile.context_gain * f
         c = min(1.0, max(0.0, c))
         truth = profile.truth[i]
@@ -231,3 +234,22 @@ def scalar_oracle_confidences(
             token = decoy(hash_chain(profile.seed, step, i, 2), truth, mask_id, vocab_size)
         out[prompt_len + i] = (token, c)
     return out
+
+
+def select_reference(
+    conf: Dict[int, Tuple[int, float]], tau: Optional[float]
+) -> Tuple[List[Tuple[int, int]], bool]:
+    """Commit choice over ``{abs pos: (token, confidence)}``: ``(commits, fallback)``.
+
+    Top-1 is ``max`` keyed on (confidence, -position), so ties go to the
+    lowest position.  With a ``tau``, every position whose confidence is
+    >= tau commits, in position order; if none does, the top-1 commits and
+    ``fallback`` is True.
+    """
+    positions = sorted(conf)
+    if tau is not None:
+        picks = [(p, conf[p][0]) for p in positions if conf[p][1] >= tau]
+        if picks:
+            return picks, False
+    best = max(positions, key=lambda p: (conf[p][1], -p))
+    return [(best, conf[best][0])], tau is not None

@@ -4,8 +4,8 @@ import pytest
 
 import dsb.engine
 from dsb.cli import main
-from dsb.engine import read_trace
-from dsb.metrics import ROW_COLUMNS
+from dsb.engine import make_prompt, read_trace, run_cell
+from dsb.metrics import ROW_COLUMNS, write_csv
 from dsb.oracle import hard_easy_profile, save_profile
 from dsb.state import Vocab
 
@@ -57,6 +57,42 @@ def test_decode_with_oracle_profile(tmp_path, prompt_file, capsys):
     ])
     assert code == 0
     assert "steps=8" in capsys.readouterr().out
+
+
+def test_decode_csv_row_equals_the_grid_cell_row(tmp_path):
+    """`dsb decode --csv` and `run_cell` build their rows with one helper: for
+    the same oracle decode they agree in every column but the wall time and
+    the grid seed, which a lone decode leaves empty."""
+    vocab = Vocab(65, 64)
+    ppath = tmp_path / "profile.txt"
+    save_profile(hard_easy_profile(24, hard_position=5, vocab=vocab, radius=2, seed=3), str(ppath))
+    config = ["dsb:init=6,max=unbounded", "threshold:tau=0.9", "nocache", f"oracle:profile={ppath}"]
+    cell = run_cell(*config, seed=0, gen_len=24, prompt_len=4)
+    prompt = tmp_path / "p.tok"
+    prompt.write_text(" ".join(str(t) for t in make_prompt(vocab, 4, 0)))
+    decoded_csv = tmp_path / "decode.csv"
+    code = main([
+        "decode",
+        "--scheduler", config[0],
+        "--sampler", config[1],
+        "--cache", config[2],
+        "--denoiser", config[3],
+        "--prompt-file", str(prompt),
+        "--gen-len", "24",
+        "--csv", str(decoded_csv),
+    ])
+    assert code == 0
+    cell_csv = tmp_path / "cell.csv"
+    write_csv([cell], str(cell_csv), ROW_COLUMNS)
+    rows = []
+    for path in (decoded_csv, cell_csv):
+        with open(path) as fh:
+            (row,) = csv.DictReader(fh)
+        del row["wall_time_s"]
+        rows.append(row)
+    assert (rows[0].pop("seed"), rows[1].pop("seed")) == ("", "0")
+    assert rows[0]["exact_match"] != "" and rows[0]["commits_total"] == "24"
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("cache", ["dual", "dsbcache:pmin=4"])

@@ -334,7 +334,7 @@ class TestWeightFile:
 class TestConfidences:
     def test_uniform_logits_split_over_non_mask_tokens(self):
         vocab = Vocab(size=4, mask_id=3)
-        out = confidences(np.zeros((2, 4), dtype=np.float32), {0, 1}, vocab)
+        out = confidences(np.zeros((2, 4), dtype=np.float32), [0, 1], vocab)
         assert set(out) == {0, 1}
         for cand in out.values():
             assert cand.token != vocab.mask_id
@@ -344,32 +344,32 @@ class TestConfidences:
         vocab = Vocab(size=8, mask_id=7)
         row = np.zeros((1, 8), dtype=np.float32)
         row[0, 2] = 50.0
-        out = confidences(row, {0}, vocab)
+        out = confidences(row, [0], vocab)
         assert out[0].token == 2
         assert abs(out[0].confidence - 1.0) < 1e-6
 
     def test_empty_masked_set(self):
         vocab = Vocab(size=4, mask_id=3)
-        assert confidences(np.zeros((2, 4), dtype=np.float32), set(), vocab) == {}
+        assert confidences(np.zeros((2, 4), dtype=np.float32), [], vocab) == {}
 
     def test_mask_never_wins(self):
         vocab = Vocab(size=4, mask_id=3)
         row = np.zeros((1, 4), dtype=np.float32)
         row[0, 3] = 99.0
-        out = confidences(row, {0}, vocab)
+        out = confidences(row, [0], vocab)
         assert out[0].token != 3
 
     def test_position_remapping(self):
         vocab = Vocab(size=4, mask_id=3)
         logits = np.zeros((2, 4), dtype=np.float32)
         logits[1, 0] = 9.0
-        out = confidences(logits, {20}, vocab, positions=np.array([17, 20]))
+        out = confidences(logits, [20], vocab, positions=np.array([17, 20]))
         assert out[20].token == 0
 
     def test_missing_row_rejected(self):
         vocab = Vocab(size=4, mask_id=3)
         with pytest.raises(ValueError):
-            confidences(np.zeros((1, 4), dtype=np.float32), {5}, vocab)
+            confidences(np.zeros((1, 4), dtype=np.float32), [5], vocab)
 
     def test_unsorted_positions_match_sorted(self):
         vocab = Vocab(size=6, mask_id=5)
@@ -377,11 +377,11 @@ class TestConfidences:
         logits = rng.normal(size=(8, 6)).astype(np.float32)
         positions = np.array([3, 4, 9, 10, 12, 15, 20, 21])
         perm = rng.permutation(8)
-        masked = {4, 12, 20, 21}
+        masked = [4, 12, 20, 21]
         want = confidences(logits, masked, vocab, positions=positions)
         assert confidences(logits[perm], masked, vocab, positions=positions[perm]) == want
         assert want == {
-            int(p): confidences(logits[[r]], {int(p)}, vocab, positions=positions[[r]])[int(p)]
+            int(p): confidences(logits[[r]], [int(p)], vocab, positions=positions[[r]])[int(p)]
             for r, p in enumerate(positions) if p in masked
         }
 
@@ -389,6 +389,6 @@ class TestConfidences:
         vocab = Vocab(size=4, mask_id=3)
         logits = np.zeros((3, 4), dtype=np.float32)
         with pytest.raises(ValueError, match="masked position 12"):
-            confidences(logits, {5, 12}, vocab, positions=np.array([20, 11, 5]))
+            confidences(logits, [5, 12], vocab, positions=np.array([20, 11, 5]))
         with pytest.raises(ValueError, match="masked position 21"):
-            confidences(logits, {5, 21}, vocab, positions=np.array([20, 11, 5]))
+            confidences(logits, [5, 21], vocab, positions=np.array([20, 11, 5]))

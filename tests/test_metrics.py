@@ -34,7 +34,8 @@ class TestRunStats:
             record(1, [2], [0.3], 6),
         ]
         stats = run_stats(records, seq_len=10, premature_floor=0.5)
-        assert stats["steps"] == stats["nfe"] == 2
+        assert stats["steps"] == 2
+        assert "nfe" not in stats
         assert stats["commits_total"] == 3
         assert stats["commits_per_step"] == 1.5
         assert stats["recompute_total"] == 16
@@ -55,7 +56,6 @@ class TestSummarize:
             "denoiser": "toy:seed=1",
             "seed": seed,
             "steps": steps,
-            "nfe": steps,
             "recompute_frac": 1.0,
             "premature_commits": premature,
             "exact_match": None,
@@ -123,7 +123,7 @@ class TestOutput:
     def rows(self):
         return [
             {"scheduler": "naive:B=4", "sampler": "vanilla", "cache": "nocache",
-             "denoiser": "toy:seed=1", "seed": 0, "steps": 8, "nfe": 8,
+             "denoiser": "toy:seed=1", "seed": 0, "steps": 8,
              "commits_total": 8, "commits_per_step": 1.0, "recompute_total": 80,
              "recompute_per_step": 10.0, "recompute_frac": 1.0,
              "premature_commits": 0, "exact_match": None, "wall_time_s": 0.0125}

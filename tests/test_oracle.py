@@ -21,7 +21,7 @@ from dsb.samplers import ConfidenceThreshold, VanillaTop1
 from dsb.schedulers import NaiveBlock, SlidingBlock
 from dsb.state import new_sequence, Vocab
 
-from reference import scalar_oracle_confidences
+from reference import context_fraction, scalar_oracle_confidences
 
 VOCAB = Vocab(size=16, mask_id=15)
 
@@ -79,6 +79,24 @@ class TestContextFractions:
         decoded = np.array([False, True, False, False])
         f = context_fractions(prof, decoded)
         assert f[0] == 0.5  # neighbors {1, 2}, one decoded
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    decoded=st.lists(st.booleans(), min_size=1, max_size=30),
+    radius=st.integers(min_value=1, max_value=8),
+    data=st.data(),
+)
+def test_fractions_match_reference_in_full_and_gathered(decoded, radius, data):
+    """The oracle's one cumsum equals the per-position neighbour count, both
+    over every index and gathered at a subset of indices."""
+    prof = profile_of([0.5] * len(decoded), gain=0.5, radius=radius)
+    decoded = np.array(decoded)
+    masked = (~decoded).tolist()
+    full = context_fractions(prof, decoded)
+    assert full.tolist() == [context_fraction(masked, i, radius) for i in range(len(masked))]
+    idx = np.array(sorted(data.draw(st.sets(st.integers(0, len(masked) - 1)))), dtype=np.int64)
+    assert context_fractions(prof, decoded, idx).tolist() == full[idx].tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,7 +165,7 @@ def test_array_scoring_matches_scalar_reference(case, data):
         profile, masked, state.step, state.prompt_len, vocab.mask_id, vocab.size
     )
     subset = data.draw(st.sets(st.sampled_from(sorted(full)))) if full else set()
-    assert oracle_confidences(profile, state, vocab, subset) == {p: full[p] for p in subset}
+    assert oracle_confidences(profile, state, vocab, sorted(subset)) == {p: full[p] for p in subset}
 
 
 def test_positions_must_be_masked_response_positions():

@@ -78,17 +78,17 @@ class TestMaskedPositions:
         state = new_sequence([1], 4, VOCAB)
         state.commit(0, 9)
         state.commit(3, 4)
-        assert state.masked_positions(0, 4) == {1, 2}
+        assert state.masked_positions(0, 4).tolist() == [1, 2]
 
     def test_fully_decoded(self):
         state = new_sequence([1], 2, VOCAB)
         state.commit(0, 9)
         state.commit(1, 4)
-        assert state.masked_positions(0, 2) == set()
+        assert state.masked_positions(0, 2).tolist() == []
 
     def test_subrange(self):
         state = new_sequence([1], 4, VOCAB)
-        assert state.masked_positions(1, 3) == {1, 2}
+        assert state.masked_positions(1, 3).tolist() == [1, 2]
 
     def test_out_of_bounds(self):
         state = new_sequence([1], 4, VOCAB)
