@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 
 def split_spec(text: str) -> Tuple[str, Dict[str, str]]:
@@ -23,10 +23,13 @@ def split_spec(text: str) -> Tuple[str, Dict[str, str]]:
     return name.strip(), params
 
 
-def take_int(params: Dict[str, str], key: str, spec: str) -> int:
+def take_int(params: Dict[str, str], key: str, spec: str, default: Optional[int] = None) -> int:
+    """Pop ``key`` as an integer; ``default`` when it is absent, else it is required."""
     try:
         return int(params.pop(key))
     except KeyError:
+        if default is not None:
+            return default
         raise ValueError(f"missing required parameter {key!r} in {spec!r}") from None
     except ValueError:
         raise ValueError(f"parameter {key!r} in {spec!r} is not an integer") from None

@@ -359,18 +359,18 @@ def confidences(
 
 def parse_denoiser_config(spec: str) -> DenoiserConfig:
     """Parse `toy:seed=42` with optional v/d/h/layers/maxlen overrides."""
-    from .configstr import reject_unknown, split_spec
+    from .configstr import reject_unknown, split_spec, take_int
 
     name, params = split_spec(spec)
     if name != "toy":
         raise ValueError(f"unknown denoiser {name!r} in {spec!r}")
     fields = {
-        "seed": int(params.pop("seed", 0)),
-        "vocab_size": int(params.pop("v", 65)),
-        "width": int(params.pop("d", 64)),
-        "heads": int(params.pop("h", 4)),
-        "depth": int(params.pop("layers", 4)),
-        "max_len": int(params.pop("maxlen", 512)),
+        "seed": take_int(params, "seed", spec, 0),
+        "vocab_size": take_int(params, "v", spec, 65),
+        "width": take_int(params, "d", spec, 64),
+        "heads": take_int(params, "h", spec, 4),
+        "depth": take_int(params, "layers", spec, 4),
+        "max_len": take_int(params, "maxlen", spec, 512),
     }
     reject_unknown(params, spec)
     return DenoiserConfig(**fields)

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import metrics
-from .configstr import reject_unknown, split_spec
+from .configstr import reject_unknown, split_spec, take_int
 from .denoiser import TinyDenoiser, confidences, parse_denoiser_config
 from .kvcache import (
     CachePolicy,
@@ -176,7 +176,7 @@ def build_denoiser(spec: str, seed_offset: int = 0) -> Denoiser:
             path = params.pop("profile")
         except KeyError:
             raise ValueError(f"missing required parameter 'profile' in {spec!r}") from None
-        vocab_size = int(params.pop("v", 65))
+        vocab_size = take_int(params, "v", spec, 65)
         reject_unknown(params, spec)
         profile = load_profile(path)
         vocab = Vocab(size=vocab_size, mask_id=vocab_size - 1)
@@ -208,6 +208,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         # Fail on malformed axis entries and impossible pairings up front,
         # before any cell runs, rather than mid-grid.
+        metrics.check_premature_floor(self.premature_floor)
         for s in self.schedulers:
             parse_scheduler(s)
         for s in self.samplers:
@@ -287,6 +288,7 @@ def decode_row(
 
     ``seed`` is the grid seed (None outside a grid); ``exact_match`` is None without a truth.
     """
+    metrics.check_premature_floor(premature_floor)
     started = time.perf_counter()
     result = decode(denoiser, scheduler, sampler, cache, prompt, gen_len, eos_id=eos_id)
     elapsed = time.perf_counter() - started

@@ -103,16 +103,15 @@ def recompute_set(
     """
     if not (0 <= window.start <= window.end <= seq_len):
         raise ValueError(f"window [{window.start}, {window.end}) outside [0, {seq_len})")
-    everything = np.arange(seq_len, dtype=np.int64)
     if isinstance(policy, NoCache):
-        return everything, EVENT_NONE
+        return np.arange(seq_len, dtype=np.int64), EVENT_NONE
     if isinstance(policy, DualCache):
         if not schedule.primed or window.start - schedule.refresh_anchor >= window.init_size:
-            return everything, EVENT_REFRESH
+            return np.arange(seq_len, dtype=np.int64), EVENT_REFRESH
         return np.arange(window.start, window.end, dtype=np.int64), EVENT_PARTIAL
     # DSBCache
     if not schedule.primed or schedule.tokens_since_refresh >= window.init_size:
-        return everything, EVENT_REFRESH
+        return np.arange(seq_len, dtype=np.int64), EVENT_REFRESH
     pw = prefix_window_len(policy.prefix_min, window.start, schedule.prev_window_start)
     lo = max(0, window.start - pw)
     hi = min(seq_len, window.end + policy.suffix_len)
@@ -148,7 +147,7 @@ def parse_cache(spec: str) -> CachePolicy:
         return DualCache()
     if name == "dsbcache":
         pmin = take_int(params, "pmin", spec)
-        suffix = int(params.pop("suffix", 0))
+        suffix = take_int(params, "suffix", spec, 0)
         reject_unknown(params, spec)
         return DSBCache(pmin, suffix)
     raise ValueError(f"unknown cache policy {name!r} in {spec!r}")

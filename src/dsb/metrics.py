@@ -38,6 +38,13 @@ CONFIG_KEYS = ["scheduler", "sampler", "cache", "denoiser"]
 SUMMARY_FIELDS = ["steps", "recompute_frac", "premature_commits", "exact_match"]
 
 
+def check_premature_floor(floor: float) -> None:
+    """A premature-commit floor must lie strictly inside (0, 1); at 0 or 1 it
+    counts no commit, or every one, as premature."""
+    if not 0.0 < floor < 1.0:
+        raise ValueError(f"premature_floor must lie in (0, 1), got {floor}")
+
+
 def run_stats(
     records: Sequence[StepRecord], seq_len: int, premature_floor: float = 0.5
 ) -> Dict[str, object]:

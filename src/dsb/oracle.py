@@ -11,6 +11,11 @@ with probability c_i and a seeded decoy otherwise; draws are keyed by
 (seed, step, position), so identical commit histories replay identically.
 Committed token values are deliberately ignored: only the mask/decoded
 status feeds back, which keeps scheduler comparisons analyzable.
+
+Because the draws never depend on the decode history, each denoiser hashes
+them ahead of time for a block of 32 consecutive steps at every response
+position in one vectorised pass, and scoring a step only gathers from that
+block.  The denoiser holds one block and replaces it when the step leaves it.
 """
 
 from __future__ import annotations
@@ -21,14 +26,22 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .metrics import check_premature_floor
 from .state import ConfidenceMap, SequenceState, StepRecord, Vocab
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-# As 0-d uint64 arrays, which numpy combines with arrays faster than uint64 scalars.
-_GOLDEN_U, _MIX1_U, _MIX2_U = (np.array(c, dtype=np.uint64) for c in (_GOLDEN, _MIX1, _MIX2))
-# Last chain link per position: row 0 is the truth-or-decoy coin, row 1 the decoy draw.
-_STREAMS = np.array([[1], [2]], dtype=np.uint64)
+# splitmix64 constants as 0-d uint64 arrays, which numpy combines with arrays
+# faster than uint64 scalars.
+_GOLDEN_U, _MIX1_U, _MIX2_U = (
+    np.array(c, dtype=np.uint64)
+    for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+)
+# Last chain link per (step, position): plane 0 is the truth-or-decoy coin,
+# plane 1 the decoy draw.
+_STREAMS = np.array([1, 2], dtype=np.uint64).reshape(2, 1, 1)
+# Draws are hashed for 2**_BLOCK_BITS consecutive steps at a time.
+_BLOCK_BITS = 5
+_BLOCK = 1 << _BLOCK_BITS
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -40,14 +53,6 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     x *= _MIX2_U
     x ^= x >> 31
     return x
-
-
-def _splitmix64_int(x: int) -> int:
-    """The same finaliser on one Python int, for the once-per-call chain links."""
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-    return x ^ (x >> 31)
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,33 @@ class OracleDenoiser:
         self.vocab = vocab
         self._ease = 1.0 - np.array(profile.base_difficulty, dtype=np.float64)
         self._truth = truth
-        self._seed_hash = _splitmix64_int(profile.seed & _MASK64)
+        # One-element arrays: numpy warns when uint64 scalars wrap, not arrays.
+        self._seed_hash = _splitmix64(np.array([profile.seed & _MASK64], dtype=np.uint64))
+        self._index = np.arange(profile.gen_len, dtype=np.uint64)
+        # Decoys are held in the narrowest unsigned dtype for every token id
+        # and skip past both reserved ids: the truth and the mask.
+        decoy_dtype = np.min_scalar_type(vocab.size - 1)
+        self._skip_lo = np.minimum(truth, vocab.mask_id).astype(decoy_dtype)
+        self._skip_hi = np.maximum(truth, vocab.mask_id).astype(decoy_dtype)
+        # The hashed block: its key (step >> _BLOCK_BITS), coin thresholds and decoys.
+        self._block_key: Optional[int] = None
+        self._u = self._decoy = None
+
+    def _hash_block(self, key: int) -> None:
+        """Draw the coin and decoy of steps [key * 32, key * 32 + 32) at every
+        response index: one splitmix64 link for the step, one for the index,
+        then the coin and decoy streams, as (32, gen_len) tables."""
+        steps = np.arange(_BLOCK, dtype=np.uint64)
+        steps += np.uint64(key << _BLOCK_BITS)
+        prefix = _splitmix64(steps ^ self._seed_hash)
+        h = _splitmix64(prefix[:, None] ^ self._index)
+        coin, draw = _splitmix64(h ^ _STREAMS)
+        u = coin.astype(np.float64)
+        u /= 2.0**64
+        decoy = (draw % np.uint64(self.vocab.size - 2)).astype(self._skip_lo.dtype)
+        decoy += decoy >= self._skip_lo
+        decoy += decoy >= self._skip_hi
+        self._block_key, self._u, self._decoy = key, u, decoy
 
     def confidence_map(
         self, state: SequenceState, positions: Optional[Sequence[int]] = None
@@ -159,7 +190,9 @@ class OracleDenoiser:
 
         Each scored position must be a masked response position.  At response
         index i the truth-or-decoy coin hashes (seed, step, i, 1) and the decoy
-        hashes (seed, step, i, 2), each through one splitmix64 chain.
+        hashes (seed, step, i, 2), each through one splitmix64 chain.  Both are
+        gathered from the hashed block of 32 steps that holds ``state.step``,
+        which is hashed first if the denoiser holds another block.
         """
         profile, vocab = self.profile, self.vocab
         if profile.gen_len != state.gen_len:
@@ -177,16 +210,12 @@ class OracleDenoiser:
         c = self._ease[idx] + profile.context_gain * context_fractions(profile, decoded, idx)
         c = np.minimum(1.0, np.maximum(0.0, c))
 
-        prefix = _splitmix64_int(self._seed_hash ^ (state.step & _MASK64))
-        h = _splitmix64(idx.astype(np.uint64) ^ np.uint64(prefix))
-        coin, draw = _splitmix64(h ^ _STREAMS)
-        u = coin.astype(np.float64) / 2.0**64
-        # Decoy: a non-truth, non-mask token; skip past both reserved ids.
-        truth = self._truth[idx]
-        decoy = (draw % np.uint64(vocab.size - 2)).astype(np.int64)
-        decoy += decoy >= np.minimum(truth, vocab.mask_id)
-        decoy += decoy >= np.maximum(truth, vocab.mask_id)
-        return ConfidenceMap(idx + lp, np.where(u < c, truth, decoy), c)
+        step = state.step & _MASK64
+        if step >> _BLOCK_BITS != self._block_key:
+            self._hash_block(step >> _BLOCK_BITS)
+        row = step & (_BLOCK - 1)
+        tokens = np.where(self._u[row][idx] < c, self._truth[idx], self._decoy[row][idx])
+        return ConfidenceMap(idx + lp, tokens, c)
 
     def reseeded(self, seed: int) -> "OracleDenoiser":
         return OracleDenoiser(replace(self.profile, seed=seed), self.vocab)
@@ -194,8 +223,7 @@ class OracleDenoiser:
 
 def premature_commit_count(records: Iterable[StepRecord], floor: float) -> int:
     """Committed tokens whose confidence at commit time was below ``floor``."""
-    if not 0.0 < floor < 1.0:
-        raise ValueError(f"floor must lie in (0, 1), got {floor}")
+    check_premature_floor(floor)
     return sum(
         1 for rec in records for conf in rec.confidences if conf < floor
     )

@@ -173,6 +173,23 @@ def test_bad_grid_fails_before_the_first_cell(tmp_path, monkeypatch, capsys, cac
     assert cells == [] and not out_csv.exists()
 
 
+def test_grid_with_premature_floor_outside_unit_interval_runs_no_cell(
+    tmp_path, monkeypatch, capsys
+):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "gen_len = 8\nprompt_len = 2\nschedulers = naive:B=4\nsamplers = vanilla\n"
+        f"caches = nocache\ndenoisers = {TOY}\npremature_floor = 5\n"
+    )
+    cells = []
+    monkeypatch.setattr(dsb.engine, "run_cell", lambda *args, **kw: cells.append(args))
+    out_csv = tmp_path / "rows.csv"
+    code = main(["grid", "--config", str(cfg), "--csv", str(out_csv)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: premature_floor must lie in (0, 1)")
+    assert cells == [] and not out_csv.exists()
+
+
 def test_bad_config_string_is_a_clean_error(prompt_file, capsys):
     code = main([
         "decode",
@@ -185,6 +202,27 @@ def test_bad_config_string_is_a_clean_error(prompt_file, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("floor", ["0", "1", "5.0"])
+def test_premature_floor_outside_unit_interval_fails_before_decoding(
+    prompt_file, monkeypatch, capsys, floor
+):
+    decodes = []
+    monkeypatch.setattr(dsb.engine, "decode", lambda *args, **kw: decodes.append(args))
+    code = main([
+        "decode",
+        "--scheduler", "naive:B=4",
+        "--sampler", "vanilla",
+        "--cache", "nocache",
+        "--denoiser", "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64",
+        "--prompt-file", prompt_file,
+        "--gen-len", "8",
+        "--premature-floor", floor,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: premature_floor must lie in (0, 1)")
+    assert decodes == []
 
 
 def test_missing_prompt_file_is_a_clean_error(tmp_path, capsys):

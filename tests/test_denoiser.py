@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dsb.denoiser import LN_EPS, DenoiserConfig, TinyDenoiser, _layer_norm, confidences, softmax
+from dsb.denoiser import (
+    LN_EPS,
+    DenoiserConfig,
+    TinyDenoiser,
+    _layer_norm,
+    confidences,
+    parse_denoiser_config,
+    softmax,
+)
 from dsb.state import CacheIntegrityError, Vocab
 
 CFG = DenoiserConfig(vocab_size=33, width=32, heads=4, depth=3, max_len=64, seed=42)
@@ -392,3 +400,10 @@ class TestConfidences:
             confidences(logits, [5, 12], vocab, positions=np.array([20, 11, 5]))
         with pytest.raises(ValueError, match="masked position 21"):
             confidences(logits, [5, 21], vocab, positions=np.array([20, 11, 5]))
+
+
+@pytest.mark.parametrize("key", ["seed", "v", "d", "h", "layers", "maxlen"])
+def test_non_integer_toy_key_names_the_key_and_spec(key):
+    spec = f"toy:{key}=x"
+    with pytest.raises(ValueError, match=rf"^parameter '{key}' in '{spec}' is not an integer$"):
+        parse_denoiser_config(spec)

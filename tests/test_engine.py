@@ -285,6 +285,15 @@ class TestGrid:
             assert row["steps"] >= 1
             assert row["wall_time_s"] > 0
 
+    @pytest.mark.parametrize("floor", [0.0, 1.0, 5.0, -0.5, float("nan")])
+    def test_premature_floor_outside_unit_interval_rejected(self, floor):
+        with pytest.raises(ValueError, match="premature_floor must lie in"):
+            GridSpec(
+                schedulers=["naive:B=4"], samplers=["vanilla"], caches=["nocache"],
+                denoisers=["toy:seed=5,v=33,d=32,h=2,layers=2,maxlen=96"],
+                seeds=[0], gen_len=8, prompt_len=2, premature_floor=floor,
+            )
+
     def test_oracle_cells_report_exact_match(self, tmp_path):
         profile = hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=1)
         ppath = tmp_path / "p.txt"
@@ -357,6 +366,13 @@ class TestBuildDenoiser:
     def test_unknown_denoiser(self):
         with pytest.raises(ValueError):
             build_denoiser("bert:seed=1")
+
+    def test_non_integer_oracle_vocab_names_the_key_and_spec(self, tmp_path):
+        path = tmp_path / "p.txt"
+        save_profile(hard_easy_profile(8, 2, Vocab(65, 64), radius=2, seed=1), str(path))
+        spec = f"oracle:profile={path},v=x"
+        with pytest.raises(ValueError, match="parameter 'v' in .* is not an integer"):
+            build_denoiser(spec)
 
 
 def test_run_grid_accepts_a_config_path(tmp_path):

@@ -216,3 +216,8 @@ class TestParse:
                     "lru:n=4", "dual:x=1"]:
             with pytest.raises(ValueError):
                 parse_cache(bad)
+
+    def test_non_integer_suffix_names_the_key_and_spec(self):
+        message = r"^parameter 'suffix' in 'dsbcache:pmin=24,suffix=x' is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            parse_cache("dsbcache:pmin=24,suffix=x")

@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +20,8 @@ from dsb.oracle import (
     premature_commit_count,
     save_profile,
 )
-from dsb.samplers import ConfidenceThreshold, VanillaTop1
-from dsb.schedulers import NaiveBlock, SlidingBlock
+from dsb.samplers import ConfidenceThreshold, VanillaTop1, parse_sampler
+from dsb.schedulers import NaiveBlock, SlidingBlock, parse_scheduler
 from dsb.state import new_sequence, Vocab
 
 from reference import context_fraction, scalar_oracle_confidences
@@ -166,6 +169,102 @@ def test_array_scoring_matches_scalar_reference(case, data):
     )
     subset = data.draw(st.sets(st.sampled_from(sorted(full)))) if full else set()
     assert oracle_confidences(profile, state, vocab, sorted(subset)) == {p: full[p] for p in subset}
+
+
+def reference_map(den, state):
+    masked = (state.response == den.vocab.mask_id).tolist()
+    return scalar_oracle_confidences(
+        den.profile, masked, state.step, state.prompt_len, den.vocab.mask_id, den.vocab.size
+    )
+
+
+def coin_flip_case(seed=7):
+    """A denoiser whose every masked position is a near-even truth-or-decoy coin,
+    so draws from any other step or seed show in the tokens."""
+    gen_len = 40
+    truth = [(3 * i + 1) % 15 for i in range(gen_len)]
+    prof = make_profile([0.5] * gen_len, 0.2, 2, truth, seed)
+    state = new_sequence([1, 2], gen_len, VOCAB)
+    for i in range(0, gen_len, 5):
+        state.commit(i, 4)
+    return OracleDenoiser(prof, VOCAB), state
+
+
+# Both sides of the 32-step block edges, revisits, and the end of the uint64 step range.
+BLOCK_EDGE_STEPS = [0, 31, 32, 33, 5, 2**63, 2**64 - 33, 2**64 - 32, 2**64 - 1]
+
+
+def test_one_denoiser_scores_block_edges_like_the_reference():
+    """One denoiser, so the hashed block it holds is reused and replaced
+    across steps; every map equals the per-position hash loop."""
+    den, state = coin_flip_case()
+    for step in BLOCK_EDGE_STEPS:
+        state.step = step
+        assert den.confidence_map(state) == reference_map(den, state), step
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=oracle_cases(),
+    steps=st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=100),
+            st.integers(min_value=2**64 - 100, max_value=2**64 - 1),
+            st.integers(min_value=0, max_value=2**64 - 1),
+        ),
+        min_size=1, max_size=12,
+    ),
+)
+def test_one_denoiser_scores_any_step_order_like_the_reference(case, steps):
+    profile, vocab, state = case
+    den = OracleDenoiser(profile, vocab)
+    for step in steps:
+        state.step = step
+        assert den.confidence_map(state) == reference_map(den, state)
+
+
+def test_reseeded_copy_shares_no_hashed_block():
+    den, state = coin_flip_case(seed=7)
+    state.step = 40
+    before = den.confidence_map(state)
+    copy = den.reseeded(8)
+    fresh = OracleDenoiser(replace(den.profile, seed=8), VOCAB)
+    assert copy.confidence_map(state) == fresh.confidence_map(state) == reference_map(fresh, state)
+    assert copy.confidence_map(state) != before
+    assert den.confidence_map(state) == before
+
+
+# sha256 of each trace (one JSON line per step, as write_trace writes it) of the
+# golden profile below.  Recorded from the oracle that hashed its draws one step
+# at a time, before it hashed them in blocks of 32 steps; the block-hashed draws
+# must replay those traces byte for byte.
+GOLDEN_TRACE_DIGESTS = {
+    ("naive:B=16", "vanilla"):
+        "fc6e0cd3589a64cf80794362084af5479b6944b580a3edca36e5b33b0d547980",
+    ("naive:B=16", "threshold:tau=0.9"):
+        "5d118319d197913ef016e3b0c34f3e8b29fd00e90a0f0b03e461fb4e929703e7",
+    ("dsb:init=16,max=16", "vanilla"):
+        "cfd244748172d165345f139d89f59a9659120960e72f09f95265e09650de0b21",
+    ("dsb:init=16,max=16", "threshold:tau=0.9"):
+        "5687f11c1f3007321856a162c0950c1dd7864da044110a9b8b98011be39f59dc",
+    ("dsb:init=16,max=unbounded", "vanilla"):
+        "e9b0cd5e15ca868bc14dc648d85f34502d07afa21d4f25a65df97f5f1952499b",
+    ("dsb:init=16,max=unbounded", "threshold:tau=0.9"):
+        "1b7185583f7dcd2c7240b7de2b5cd9d2907557e244830ec582c311bbb80c43ad",
+}
+
+
+def test_oracle_traces_match_the_golden_digests():
+    n = 64
+    vocab = Vocab(size=65, mask_id=64)
+    prof = make_profile([(i * 37 % n) / 80 for i in range(n)], 0.6, 3,
+                        [(5 * i + 3) % 64 for i in range(n)], 2**63 + 7)
+    den = OracleDenoiser(prof, vocab)  # one denoiser for every decode, as in a grid row
+    for (sched, sampler), digest in GOLDEN_TRACE_DIGESTS.items():
+        res = decode(den, parse_scheduler(sched), parse_sampler(sampler), NoCache(),
+                     [1, 2, 3, 4], n)
+        trace = "".join(rec.to_json() + "\n" for rec in res.records)
+        assert hashlib.sha256(trace.encode()).hexdigest() == digest, (sched, sampler)
 
 
 def test_positions_must_be_masked_response_positions():
