@@ -11,8 +11,10 @@ bitwise identical.  Two entry points share one forward body:
   other key/value from the store as-is; stale entries between refreshes are
   accepted by design, and a validity vector guards slots never written.
 
-Both take an optional ``score`` subset of the recomputed rows; the last
-layer's query side, MLP and head run only for those.
+The KV store is two ``(depth, seq_len, width)`` arrays plus that vector.
+Both entry points take an optional ``score`` subset of the recomputed rows;
+the last layer's query side, MLP and head run only for those, and
+:func:`confidences` turns logits row i into the scores of ``score[i]``.
 
 Attention is fully bidirectional (no causal mask), positions are learned
 absolute embeddings, and all arithmetic is float32 with max-subtracted
@@ -52,37 +54,30 @@ class DenoiserConfig:
     def __post_init__(self) -> None:
         if self.vocab_size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
+        for name in ("width", "heads", "depth", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.width % self.heads != 0:
             raise ValueError(
                 f"width {self.width} is not divisible by {self.heads} heads"
             )
-        if self.depth < 1 or self.max_len < 1:
-            raise ValueError("depth and max_len must be >= 1")
-
-
-class LayerKV:
-    """Per-layer key/value rows plus freshness stamps."""
-
-    def __init__(self, seq_len: int, width: int):
-        self.keys = np.zeros((seq_len, width), dtype=np.float32)
-        self.values = np.zeros((seq_len, width), dtype=np.float32)
-        self.stamp = np.zeros(seq_len, dtype=np.int64)
 
 
 class KVStore:
     """All layers' KV rows for one decode; single-owner, mutated in place.
 
+    ``keys`` and ``values`` are float32 ``(depth, seq_len, width)`` arrays, so
+    layer i's rows are the C-contiguous slices ``keys[i]`` and ``values[i]``.
     ``valid`` marks the positions written; every write covers all layers.
-    ``query_count`` accumulates how many attention queries the cached path
-    has formed against this store, which drives the recompute metrics.
     """
 
     def __init__(self, seq_len: int, width: int, depth: int):
         self.seq_len = seq_len
-        self.layers = [LayerKV(seq_len, width) for _ in range(depth)]
+        self.keys = np.zeros((depth, seq_len, width), dtype=np.float32)
+        self.values = np.zeros((depth, seq_len, width), dtype=np.float32)
         self.valid = np.zeros(seq_len, dtype=bool)
-        self.update_count = 0
-        self.query_count = 0
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -252,21 +247,17 @@ class TinyDenoiser:
                 raise ValueError("score positions must be a subset of the recomputed rows")
 
         p = self.params
-        cache.update_count += 1
-        cache.query_count += int(rows.size)
         cache.valid[rows] = True
 
         x = p["tok_emb"][tokens[rows]] + p["pos_emb"][rows]
         for i in range(self.config.depth):
-            layer = cache.layers[i]
             h = _layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            layer.keys[rows] = h @ p[f"l{i}.wk"] + p[f"l{i}.bk"]
-            layer.values[rows] = h @ p[f"l{i}.wv"] + p[f"l{i}.bv"]
-            layer.stamp[rows] = cache.update_count
+            cache.keys[i, rows] = h @ p[f"l{i}.wk"] + p[f"l{i}.bk"]
+            cache.values[i, rows] = h @ p[f"l{i}.wv"] + p[f"l{i}.bv"]
             if keep is not None and i == self.config.depth - 1:
                 x, h = x[keep], h[keep]
             q = h @ p[f"l{i}.wq"] + p[f"l{i}.bq"]
-            x = x + self._attend(q, layer.keys, layer.values) @ p[f"l{i}.wo"] + p[f"l{i}.bo"]
+            x = x + self._attend(q, cache.keys[i], cache.values[i]) @ p[f"l{i}.wo"] + p[f"l{i}.bo"]
             h2 = _layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
             x = x + np.maximum(h2 @ p[f"l{i}.w_up"] + p[f"l{i}.b_up"], 0.0) @ p[
                 f"l{i}.w_down"
@@ -328,33 +319,25 @@ class TinyDenoiser:
         return cls(config, params)
 
 
-def confidences(
-    logits: np.ndarray,
-    masked: Sequence[int],
-    vocab: Vocab,
-    positions: Optional[np.ndarray] = None,
-) -> ConfidenceMap:
-    """Best non-mask token and its probability for each masked position.
+def confidences(logits: np.ndarray, positions: Sequence[int], vocab: Vocab) -> ConfidenceMap:
+    """Best non-mask token and its probability at each of ``positions``.
 
-    ``positions`` gives the distinct absolute position of each logits row, in
-    any order; by default row i scores position i.  The mask token is
-    excluded before the softmax, so the argmax can never be the mask id and a
-    flat row over V tokens yields confidence 1/(V-1).
+    Logits row i scores ``positions[i]``; the positions must strictly ascend,
+    as :class:`ConfidenceMap` and the samplers' lowest-position tie-break
+    expect.  The mask token is excluded before the softmax, so the argmax can
+    never be the mask id and a flat row over V tokens yields confidence 1/(V-1).
     """
-    targets = np.sort(np.asarray(masked, dtype=np.int64))
-    positions = np.arange(logits.shape[0]) if positions is None else np.asarray(positions)
-    order = np.argsort(positions, kind="stable")
-    at = np.searchsorted(positions, targets, sorter=order)
-    found = at < positions.size
-    found[found] = positions[order[at[found]]] == targets[found]
-    if not found.all():
-        raise ValueError(f"no logits row for masked position {targets[int(np.argmin(found))]}")
-    rows = order[at]
-    scores = logits[rows].astype(np.float32, copy=True)
+    positions = np.asarray(positions, dtype=np.int64)
+    if logits.shape[0] != positions.size or (np.diff(positions) <= 0).any():
+        raise ValueError(
+            f"need one logits row per strictly ascending position, got {logits.shape[0]} "
+            f"rows for positions {positions.tolist()}"
+        )
+    scores = logits.astype(np.float32, copy=True)
     scores[:, vocab.mask_id] = -np.inf
     probs = softmax(scores, axis=-1)
     best = probs.argmax(axis=-1)
-    return ConfidenceMap(targets, best, probs[np.arange(targets.size), best])
+    return ConfidenceMap(positions, best, probs[np.arange(positions.size), best])
 
 
 def parse_denoiser_config(spec: str) -> DenoiserConfig:
@@ -373,4 +356,7 @@ def parse_denoiser_config(spec: str) -> DenoiserConfig:
         "max_len": take_int(params, "maxlen", spec, 512),
     }
     reject_unknown(params, spec)
-    return DenoiserConfig(**fields)
+    try:
+        return DenoiserConfig(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {spec!r}") from None

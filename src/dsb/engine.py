@@ -108,7 +108,7 @@ def decode(
                 logits, _ = denoiser.forward_full(tokens, eligible)
             else:
                 logits = denoiser.forward_cached(tokens, kv, rset, eligible)
-            conf = confidences(logits, eligible, vocab, positions=eligible)
+            conf = confidences(logits, eligible, vocab)
         else:
             conf = denoiser.confidence_map(state, eligible)
         chosen, fallback = select(sampler, conf)
@@ -209,6 +209,12 @@ class GridSpec:
         # Fail on malformed axis entries and impossible pairings up front,
         # before any cell runs, rather than mid-grid.
         metrics.check_premature_floor(self.premature_floor)
+        for name in ("gen_len", "prompt_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(seed < 0 for seed in self.seeds):
+            # Each grid seed seeds its cell's prompt and is added to a toy spec's seed.
+            raise ValueError(f"grid seeds must be >= 0, got {min(self.seeds)}")
         for s in self.schedulers:
             parse_scheduler(s)
         for s in self.samplers:
@@ -261,16 +267,23 @@ def parse_grid_file(path: str) -> GridSpec:
             raise ValueError(f"{path}: key {key!r} has no entries")
         return items
 
+    def number(kind: type, key: str, text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{path}: key {key!r} needs {noun}, got {text!r}") from None
+
     try:
         spec = GridSpec(
             schedulers=str_list("schedulers"),
             samplers=str_list("samplers"),
             caches=str_list("caches"),
             denoisers=str_list("denoisers"),
-            seeds=[int(s) for s in raw.pop("seeds", "0").split()],
-            gen_len=int(raw.pop("gen_len")),
-            prompt_len=int(raw.pop("prompt_len", "8")),
-            premature_floor=float(raw.pop("premature_floor", "0.5")),
+            seeds=[number(int, "seeds", s) for s in raw.pop("seeds", "0").split()],
+            gen_len=number(int, "gen_len", raw.pop("gen_len")),
+            prompt_len=number(int, "prompt_len", raw.pop("prompt_len", "8")),
+            premature_floor=number(float, "premature_floor", raw.pop("premature_floor", "0.5")),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing required key {exc.args[0]!r}") from None

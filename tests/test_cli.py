@@ -237,3 +237,45 @@ def test_missing_prompt_file_is_a_clean_error(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["h=0", "d=0", "d=-4", "seed=-1"])
+def test_bad_toy_value_is_a_clean_error_in_decode_and_grid(tmp_path, prompt_file, capsys, bad):
+    spec = f"toy:v=33,layers=2,maxlen=64,{bad}"
+    code = main([
+        "decode",
+        "--scheduler", "naive:B=4",
+        "--sampler", "vanilla",
+        "--cache", "nocache",
+        "--denoiser", spec,
+        "--prompt-file", prompt_file,
+        "--gen-len", "8",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "gen_len = 8\nprompt_len = 2\nschedulers = naive:B=4\nsamplers = vanilla\n"
+        f"caches = nocache\ndenoisers = {spec}\n"
+    )
+    out_csv = tmp_path / "rows.csv"
+    assert main(["grid", "--config", str(cfg), "--csv", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(spec) in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("key", ["seeds", "gen_len", "prompt_len", "premature_floor"])
+def test_non_numeric_grid_value_names_the_file_and_key(tmp_path, capsys, key):
+    lines = {"gen_len": "8", "prompt_len": "2", "seeds": "0 1", "premature_floor": "0.5"}
+    lines[key] = "0 x" if key == "seeds" else "x"
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "".join(f"{k} = {v}\n" for k, v in lines.items())
+        + f"schedulers = naive:B=4\nsamplers = vanilla\ncaches = nocache\ndenoisers = {TOY}\n"
+    )
+    out_csv = tmp_path / "rows.csv"
+    assert main(["grid", "--config", str(cfg), "--csv", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: key '{key}' needs ") and err.rstrip().endswith("got 'x'")
+    assert not out_csv.exists()

@@ -107,9 +107,9 @@ class TestForwardCached:
         _, kv_full = model.forward_full(toks)
         kv = model.empty_cache(18)
         model.forward_cached(toks, kv, np.arange(18))
-        for mine, ref in zip(kv.layers, kv_full.layers):
-            assert max_rel_diff(mine.keys, ref.keys) <= 1e-6
-            assert max_rel_diff(mine.values, ref.values) <= 1e-6
+        for i in range(CFG.depth):
+            assert max_rel_diff(kv.keys[i], kv_full.keys[i]) <= 1e-6
+            assert max_rel_diff(kv.values[i], kv_full.values[i]) <= 1e-6
 
     def test_empty_recompute_rejected(self, model):
         toks = tokens_for(model, 8)
@@ -126,32 +126,16 @@ class TestForwardCached:
     def test_partial_only_touches_recompute_rows(self, model):
         toks = tokens_for(model, 12)
         _, kv = model.forward_full(toks)
-        before = [(l.keys.copy(), l.values.copy()) for l in kv.layers]
+        before = [(kv.keys[i].copy(), kv.values[i].copy()) for i in range(CFG.depth)]
         rows = np.array([3, 4, 5])
         changed = toks.copy()
         changed[4] = (changed[4] + 7) % CFG.vocab_size
         model.forward_cached(changed, kv, rows)
         untouched = np.setdiff1d(np.arange(12), rows)
-        for layer, (k0, v0) in zip(kv.layers, before):
-            assert np.array_equal(layer.keys[untouched], k0[untouched])
-            assert np.array_equal(layer.values[untouched], v0[untouched])
-            assert not np.array_equal(layer.keys[rows], k0[rows])
-
-    def test_query_counter_tracks_recompute_sizes(self, model):
-        toks = tokens_for(model, 10)
-        _, kv = model.forward_full(toks)
-        start = kv.query_count
-        model.forward_cached(toks, kv, np.arange(10))
-        model.forward_cached(toks, kv, np.array([2, 3]))
-        assert kv.query_count == start + 10 + 2
-
-    def test_stamps_record_freshness(self, model):
-        toks = tokens_for(model, 6)
-        _, kv = model.forward_full(toks)
-        model.forward_cached(toks, kv, np.array([1, 2]))
-        layer = kv.layers[0]
-        assert layer.stamp[1] == layer.stamp[2] == kv.update_count
-        assert (layer.stamp[[0, 3, 4, 5]] < kv.update_count).all()
+        for i, (k0, v0) in enumerate(before):
+            assert np.array_equal(kv.keys[i][untouched], k0[untouched])
+            assert np.array_equal(kv.values[i][untouched], v0[untouched])
+            assert not np.array_equal(kv.keys[i][rows], k0[rows])
 
     def test_logits_rows_follow_position_order(self, model):
         toks = tokens_for(model, 12)
@@ -255,11 +239,8 @@ def test_store_does_not_depend_on_what_is_scored(model):
     _, unpruned_full = model.forward_full(changed)
     for a, b in ((stores[0], stores[1]), (unpruned_full, pruned_full)):
         assert np.array_equal(a.valid, b.valid)
-        assert (a.update_count, a.query_count) == (b.update_count, b.query_count)
-        for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.keys, lb.keys)
-            assert np.array_equal(la.values, lb.values)
-            assert np.array_equal(la.stamp, lb.stamp)
+        assert np.array_equal(a.keys, b.keys)
+        assert np.array_equal(a.values, b.values)
 
 
 def test_score_outside_recomputed_rows_rejected(model):
@@ -358,7 +339,7 @@ class TestConfidences:
 
     def test_empty_masked_set(self):
         vocab = Vocab(size=4, mask_id=3)
-        assert confidences(np.zeros((2, 4), dtype=np.float32), [], vocab) == {}
+        assert confidences(np.zeros((0, 4), dtype=np.float32), [], vocab) == {}
 
     def test_mask_never_wins(self):
         vocab = Vocab(size=4, mask_id=3)
@@ -371,39 +352,34 @@ class TestConfidences:
         vocab = Vocab(size=4, mask_id=3)
         logits = np.zeros((2, 4), dtype=np.float32)
         logits[1, 0] = 9.0
-        out = confidences(logits, [20], vocab, positions=np.array([17, 20]))
+        out = confidences(logits, [17, 20], vocab)
         assert out[20].token == 0
 
-    def test_missing_row_rejected(self):
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_row_count_must_match_positions(self, rows):
         vocab = Vocab(size=4, mask_id=3)
-        with pytest.raises(ValueError):
-            confidences(np.zeros((1, 4), dtype=np.float32), [5], vocab)
+        with pytest.raises(ValueError, match="one logits row per"):
+            confidences(np.zeros((rows, 4), dtype=np.float32), [5, 9], vocab)
 
-    def test_unsorted_positions_match_sorted(self):
-        vocab = Vocab(size=6, mask_id=5)
-        rng = np.random.default_rng(7)
-        logits = rng.normal(size=(8, 6)).astype(np.float32)
-        positions = np.array([3, 4, 9, 10, 12, 15, 20, 21])
-        perm = rng.permutation(8)
-        masked = [4, 12, 20, 21]
-        want = confidences(logits, masked, vocab, positions=positions)
-        assert confidences(logits[perm], masked, vocab, positions=positions[perm]) == want
-        assert want == {
-            int(p): confidences(logits[[r]], [int(p)], vocab, positions=positions[[r]])[int(p)]
-            for r, p in enumerate(positions) if p in masked
-        }
-
-    def test_position_between_rows_rejected(self):
+    @pytest.mark.parametrize("positions", [[9, 5, 12], [5, 9, 9], [5, 5, 12]])
+    def test_positions_must_strictly_ascend(self, positions):
         vocab = Vocab(size=4, mask_id=3)
-        logits = np.zeros((3, 4), dtype=np.float32)
-        with pytest.raises(ValueError, match="masked position 12"):
-            confidences(logits, [5, 12], vocab, positions=np.array([20, 11, 5]))
-        with pytest.raises(ValueError, match="masked position 21"):
-            confidences(logits, [5, 21], vocab, positions=np.array([20, 11, 5]))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            confidences(np.zeros((3, 4), dtype=np.float32), positions, vocab)
 
 
 @pytest.mark.parametrize("key", ["seed", "v", "d", "h", "layers", "maxlen"])
 def test_non_integer_toy_key_names_the_key_and_spec(key):
     spec = f"toy:{key}=x"
     with pytest.raises(ValueError, match=rf"^parameter '{key}' in '{spec}' is not an integer$"):
+        parse_denoiser_config(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [("toy:h=0", "heads"), ("toy:d=0", "width"), ("toy:d=-4", "width"), ("toy:seed=-1", "seed"),
+     ("toy:layers=0", "depth"), ("toy:maxlen=0", "max_len")],
+)
+def test_bad_toy_value_names_the_field_and_spec(spec, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be >= [01], got -?\d+ in '{spec}'$"):
         parse_denoiser_config(spec)

@@ -294,6 +294,30 @@ class TestGrid:
                 seeds=[0], gen_len=8, prompt_len=2, premature_floor=floor,
             )
 
+    @pytest.mark.parametrize(
+        "denoiser, seeds, gen_len, prompt_len, match",
+        [
+            ("toy:seed=0,v=33,d=32,h=2,layers=2,maxlen=96", [0, -1], 8, 2, "grid seeds must be >= 0, got -1"),
+            ("toy:seed=5,v=33,d=32,h=2,layers=2,maxlen=96", [-1], 8, 2, "grid seeds must be >= 0, got -1"),
+            ("toy:seed=-1,v=33,d=32,h=2,layers=2,maxlen=96", [0], 8, 2, "seed must be >= 0, got -1"),
+            ("toy:seed=5,v=33,d=32,h=2,layers=2,maxlen=96", [0], 0, 2, "gen_len must be >= 1, got 0"),
+            ("toy:seed=5,v=33,d=32,h=2,layers=2,maxlen=96", [0], 8, 0, "prompt_len must be >= 1, got 0"),
+        ],
+        ids=["toy-seed-plus-grid-seed", "negative-grid-seed", "negative-toy-seed", "gen-len-0",
+             "prompt-len-0"],
+    )
+    def test_bad_seed_or_length_rejected_before_any_decode(
+        self, monkeypatch, denoiser, seeds, gen_len, prompt_len, match
+    ):
+        decodes = []
+        monkeypatch.setattr(dsb.engine, "decode", lambda *args, **kw: decodes.append(args))
+        with pytest.raises(ValueError, match=match):
+            run_grid(GridSpec(
+                schedulers=["naive:B=4"], samplers=["vanilla"], caches=["nocache"],
+                denoisers=[denoiser], seeds=seeds, gen_len=gen_len, prompt_len=prompt_len,
+            ))
+        assert decodes == []
+
     def test_oracle_cells_report_exact_match(self, tmp_path):
         profile = hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=1)
         ppath = tmp_path / "p.txt"
