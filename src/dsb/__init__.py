@@ -15,7 +15,6 @@ from .oracle import (
     DifficultyProfile,
     OracleDenoiser,
     hard_easy_profile,
-    oracle_confidences,
     premature_commit_count,
 )
 from .samplers import ConfidenceThreshold, VanillaTop1, select_threshold, select_top1

@@ -35,6 +35,15 @@ def take_int(params: Dict[str, str], key: str, spec: str, default: Optional[int]
         raise ValueError(f"parameter {key!r} in {spec!r} is not an integer") from None
 
 
+def parse_number(kind: type, text: str, where: str):
+    """``kind(text)`` for ``int`` or ``float``; the error names ``where``, e.g. `path:3: key 'x'`."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where} needs {noun}, got {text!r}") from None
+
+
 def reject_unknown(params: Dict[str, str], spec: str) -> None:
     if params:
         raise ValueError(f"unknown parameter(s) {sorted(params)} in {spec!r}")

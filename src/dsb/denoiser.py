@@ -3,16 +3,16 @@
 The model is meant for desk-scale verification of scheduling and caching
 semantics, not for generating text anyone wants to read: every weight is
 drawn from a seeded PRNG, so two models built from the same config are
-bitwise identical.  Two entry points share one forward body:
-
-* :meth:`TinyDenoiser.forward_full` runs all positions on a fresh KV store.
-* :meth:`TinyDenoiser.forward_cached` forms queries only for a requested
-  recompute set, overwrites those rows of the KV store, and serves every
-  other key/value from the store as-is; stale entries between refreshes are
-  accepted by design, and a validity vector guards slots never written.
+bitwise identical.  There is one forward, :meth:`TinyDenoiser.forward_cached`:
+it forms queries only for a requested recompute set, overwrites those rows
+of the KV store, and serves every other key/value from the store as-is;
+stale entries between refreshes are accepted by design, and a validity
+vector guards slots never written.  A decode keeps one store, and
+``nocache`` recomputes every row of it; :meth:`TinyDenoiser.forward_full`
+is the same forward on a fresh store, the tests' reference.
 
 The KV store is two ``(depth, seq_len, width)`` arrays plus that vector.
-Both entry points take an optional ``score`` subset of the recomputed rows;
+The forward takes an optional ``score`` subset of the recomputed rows;
 the last layer's query side, MLP and head run only for those, and
 :func:`confidences` turns logits row i into the scores of ``score[i]``.
 
@@ -195,10 +195,10 @@ class TinyDenoiser:
     def forward_full(
         self, tokens: Sequence[int], score: Optional[Sequence[int]] = None
     ) -> Tuple[np.ndarray, KVStore]:
-        """Logits for every position (or ``score``) plus a fully populated KV store."""
+        """:meth:`forward_cached` of every row on a fresh store; returns the logits and store."""
         tokens = self._check_tokens(tokens)
         cache = self.empty_cache(tokens.shape[0])
-        return self._forward(tokens, cache, np.arange(cache.seq_len), score), cache
+        return self.forward_cached(tokens, cache, np.arange(cache.seq_len), score), cache
 
     def forward_cached(
         self, tokens: Sequence[int], cache: KVStore, recompute: Iterable[int],
@@ -210,7 +210,10 @@ class TinyDenoiser:
         against fresh keys/values at those rows and stored (possibly stale)
         keys/values everywhere else.  Rows outside the recompute set must
         have been written before, otherwise :class:`CacheIntegrityError`.
-        Returned logits rows follow ascending position order (``score``'s order if given).
+        Each layer writes all recomputed rows before it attends, so the store
+        never depends on ``score`` (a subset of the rows, which the last layer
+        cuts to), and a full recompute ignores what the store held.  Logits
+        rows follow ascending position order (``score``'s order if given).
         """
         tokens = self._check_tokens(tokens)
         n = tokens.shape[0]
@@ -228,17 +231,6 @@ class TinyDenoiser:
         if unwritten.any():
             bad = int(np.argmax(unwritten))
             raise CacheIntegrityError(f"position {bad} was never computed but is outside the recompute set")
-        return self._forward(tokens, cache, rows, score)
-
-    def _forward(
-        self, tokens: np.ndarray, cache: KVStore, rows: np.ndarray, score: Optional[Sequence[int]]
-    ) -> np.ndarray:
-        """Recompute the sorted ``rows`` against ``cache``; one logits row per ``score`` entry.
-
-        Keys and values are written for all of ``rows``, so the store does
-        not depend on ``score``.  The last layer then cuts the rows to
-        ``score`` (a subset of ``rows``; ``None`` keeps all) for the rest.
-        """
         keep = None
         if score is not None:
             score = np.asarray(score, dtype=np.int64)

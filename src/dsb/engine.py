@@ -1,10 +1,10 @@
 """The iterative decode loop and the experiment-grid harness.
 
 Per iteration the loop runs: recompute-set selection, eligible-set
-computation, denoiser forward (full or cached) and confidences for the
-eligible positions only, commit selection, commits, window advance,
-cache-schedule update.  One :class:`StepRecord` is appended per iteration,
-so the trace replays the decode exactly.
+computation, the denoiser forward of the recompute set on the decode's one
+KV store (all rows on ``nocache``) and confidences for the eligible positions
+only, commit selection, commits, window advance, cache-schedule update.  One
+:class:`StepRecord` is appended per iteration, so the trace replays it exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import metrics
-from .configstr import reject_unknown, split_spec, take_int
+from .configstr import parse_number, reject_unknown, split_spec, take_int
 from .denoiser import TinyDenoiser, confidences, parse_denoiser_config
 from .kvcache import (
     CachePolicy,
@@ -76,6 +76,7 @@ def decode(
 ) -> DecodeResult:
     """Decode ``gen_len`` tokens after ``prompt``; returns state plus trace."""
     vocab = denoiser.vocab
+    _check_eos_id(eos_id, vocab)
     neural = hasattr(denoiser, "forward_cached")
     if not neural and not isinstance(cache, NoCache):
         raise InvalidConfiguration(
@@ -84,15 +85,11 @@ def decode(
     state = new_sequence(prompt, gen_len, vocab)
     lp = state.prompt_len
     seq_len = state.seq_len
-    if neural and seq_len > denoiser.config.max_len:
-        raise ValueError(
-            f"prompt + response length {seq_len} exceeds denoiser max_len "
-            f"{denoiser.config.max_len}"
-        )
+    # One store per decode; nocache is the policy that recomputes all of it.
+    kv = denoiser.empty_cache(seq_len) if neural else None
 
     window = init_window(scheduler, lp, gen_len)
     schedule = new_schedule(window)
-    kv = denoiser.empty_cache(seq_len) if neural and not isinstance(cache, NoCache) else None
     records: List[StepRecord] = []
     early_stopped = False
 
@@ -103,11 +100,7 @@ def decode(
         eligible = eligible_set(window, state)
         if neural:
             # Every recompute set covers the block, so each eligible position has a row.
-            tokens = state.full_tokens()
-            if kv is None:
-                logits, _ = denoiser.forward_full(tokens, eligible)
-            else:
-                logits = denoiser.forward_cached(tokens, kv, rset, eligible)
+            logits = denoiser.forward_cached(state.full_tokens(), kv, rset, eligible)
             conf = confidences(logits, eligible, vocab)
         else:
             conf = denoiser.confidence_map(state, eligible)
@@ -143,6 +136,13 @@ def decode(
                 break
 
     return DecodeResult(state=state, records=records, early_stopped=early_stopped)
+
+
+def _check_eos_id(eos_id: Optional[int], vocab: Vocab) -> None:
+    """Reject an early-stop token that no commit can ever write."""
+    if eos_id is not None and not (0 <= eos_id < vocab.size and eos_id != vocab.mask_id):
+        raise ValueError(f"eos_id {eos_id} can never be committed: it must lie in "
+                         f"[0, {vocab.size}) and differ from the mask id {vocab.mask_id}")
 
 
 def write_trace(records: Iterable[StepRecord], path: str) -> None:
@@ -268,11 +268,7 @@ def parse_grid_file(path: str) -> GridSpec:
         return items
 
     def number(kind: type, key: str, text: str):
-        try:
-            return kind(text)
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
-            raise ValueError(f"{path}: key {key!r} needs {noun}, got {text!r}") from None
+        return parse_number(kind, text, f"{path}: key {key!r}")
 
     try:
         spec = GridSpec(
@@ -302,6 +298,7 @@ def decode_row(
     ``seed`` is the grid seed (None outside a grid); ``exact_match`` is None without a truth.
     """
     metrics.check_premature_floor(premature_floor)
+    _check_eos_id(eos_id, denoiser.vocab)
     started = time.perf_counter()
     result = decode(denoiser, scheduler, sampler, cache, prompt, gen_len, eos_id=eos_id)
     elapsed = time.perf_counter() - started

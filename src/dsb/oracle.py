@@ -26,6 +26,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .configstr import parse_number
 from .metrics import check_premature_floor
 from .state import ConfidenceMap, SequenceState, StepRecord, Vocab
 
@@ -126,15 +127,6 @@ def context_fractions(
     csum = np.zeros(decoded.size + 1, dtype=np.int64)
     np.cumsum(decoded, out=csum[1:])
     return (csum[hi[idx]] - csum[lo[idx]] - decoded[idx]) / count[idx]
-
-
-def oracle_confidences(
-    profile: DifficultyProfile, state: SequenceState, vocab: Vocab,
-    positions: Optional[Sequence[int]] = None,
-) -> ConfidenceMap:
-    """Confidence map (absolute keys) for ``positions``, by default every masked
-    response position."""
-    return OracleDenoiser(profile, vocab).confidence_map(state, positions)
 
 
 class OracleDenoiser:
@@ -283,12 +275,15 @@ def load_profile(path: str) -> DifficultyProfile:
                 continue
             if "=" in line and not line[0].isdigit():
                 key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
+                header[key.strip()] = value.strip(), f"{path}:{lineno}: key {key.strip()!r}"
                 continue
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected `index delta truth`, got {line!r}")
-            rows.append((int(parts[0]), float(parts[1]), int(parts[2])))
+            where = f"{path}:{lineno}:"
+            rows.append((parse_number(int, parts[0], f"{where} index"),
+                         parse_number(float, parts[1], f"{where} delta"),
+                         parse_number(int, parts[2], f"{where} truth")))
     for key in ("gain", "radius", "seed"):
         if key not in header:
             raise ValueError(f"{path}: missing header field {key!r}")
@@ -297,8 +292,8 @@ def load_profile(path: str) -> DifficultyProfile:
         raise ValueError(f"{path}: position records must cover 0..N-1 exactly once")
     return make_profile(
         [r[1] for r in rows],
-        float(header["gain"]),
-        int(header["radius"]),
+        parse_number(float, *header["gain"]),
+        parse_number(int, *header["radius"]),
         [r[2] for r in rows],
-        int(header["seed"]),
+        parse_number(int, *header["seed"]),
     )

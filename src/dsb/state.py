@@ -160,8 +160,9 @@ def new_sequence(prompt: Sequence[int], gen_len: int, vocab: Vocab) -> SequenceS
         raise ValueError("prompt must be a non-empty 1-d sequence of token ids")
     if gen_len < 1:
         raise ValueError(f"gen_len must be >= 1, got {gen_len}")
-    if prompt_arr.min() < 0 or prompt_arr.max() >= vocab.size:
-        raise ValueError("prompt contains token ids outside the vocabulary")
+    bad = prompt_arr[(prompt_arr < 0) | (prompt_arr >= vocab.size) | (prompt_arr == vocab.mask_id)]
+    if bad.size:
+        raise ValueError(f"prompt token id {bad[0]} is outside the vocabulary or the mask id")
     response = np.full(gen_len, vocab.mask_id, dtype=np.int64)
     return SequenceState(prompt=prompt_arr, response=response, vocab=vocab)
 

@@ -195,11 +195,6 @@ class InstrumentedDenoiser:
     def empty_cache(self, seq_len):
         return self.inner.empty_cache(seq_len)
 
-    def forward_full(self, tokens, score=None):
-        logits, kv = self.inner.forward_full(tokens, score)
-        self.rsets.append(np.arange(len(tokens), dtype=np.int64))
-        return logits, kv
-
     def forward_cached(self, tokens, cache, recompute, score=None):
         rows = np.asarray(list(recompute), dtype=np.int64)
         self.rsets.append(np.sort(rows))

@@ -265,6 +265,54 @@ def test_bad_toy_value_is_a_clean_error_in_decode_and_grid(tmp_path, prompt_file
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("eos_id", ["32", "33", "-1"], ids=["mask-id", "vocab-size", "negative"])
+def test_uncommittable_eos_id_fails_before_decoding(prompt_file, monkeypatch, capsys, eos_id):
+    decodes = []
+    monkeypatch.setattr(dsb.engine, "decode", lambda *args, **kw: decodes.append(args))
+    code = main([
+        "decode",
+        "--scheduler", "naive:B=4",
+        "--sampler", "vanilla",
+        "--cache", "nocache",
+        "--denoiser", "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64",
+        "--prompt-file", prompt_file,
+        "--gen-len", "8",
+        "--eos-id", eos_id,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: eos_id {eos_id} can never be committed")
+    assert decodes == []
+
+
+@pytest.mark.parametrize(
+    "prompt, profile, where",
+    [
+        ("1 2\n3 x\n", None, "p.tok:2: token id"),
+        ("1 2 3\n", "gain=0.5\nradius=2\nseed=1\n0 0.5 4\n1 x 4\n", "profile.txt:5: delta"),
+        ("1 2 3\n", "gain=0.5\nradius=x\nseed=1\n0 0.5 4\n", "profile.txt:2: key 'radius'"),
+    ],
+    ids=["prompt-token", "profile-record", "profile-header"],
+)
+def test_non_numeric_file_value_names_the_file_and_line(tmp_path, capsys, prompt, profile, where):
+    (tmp_path / "p.tok").write_text(prompt)
+    denoiser = "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64"
+    if profile is not None:
+        (tmp_path / "profile.txt").write_text(profile)
+        denoiser = f"oracle:profile={tmp_path / 'profile.txt'}"
+    code = main([
+        "decode",
+        "--scheduler", "naive:B=2",
+        "--sampler", "vanilla",
+        "--cache", "nocache",
+        "--denoiser", denoiser,
+        "--prompt-file", str(tmp_path / "p.tok"),
+        "--gen-len", "2",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / where}") and err.rstrip().endswith("got 'x'")
+
+
 @pytest.mark.parametrize("key", ["seeds", "gen_len", "prompt_len", "premature_floor"])
 def test_non_numeric_grid_value_names_the_file_and_key(tmp_path, capsys, key):
     lines = {"gen_len": "8", "prompt_len": "2", "seeds": "0 1", "premature_floor": "0.5"}

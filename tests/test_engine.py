@@ -16,7 +16,7 @@ from dsb.engine import (
     write_trace,
 )
 from dsb.kvcache import DSBCache, DualCache, NoCache
-from dsb.oracle import OracleDenoiser, hard_easy_profile, make_profile, oracle_confidences, save_profile
+from dsb.oracle import OracleDenoiser, hard_easy_profile, make_profile, save_profile
 from dsb.samplers import ConfidenceThreshold, VanillaTop1
 from dsb.schedulers import NaiveBlock, SlidingBlock
 from dsb.state import ConfidenceMap, InvalidConfiguration, SequenceState, Vocab
@@ -67,6 +67,12 @@ class TestDecodeBasics:
         model = TinyDenoiser(TOY)
         with pytest.raises(ValueError):
             decode(model, NaiveBlock(4), VanillaTop1(), NoCache(), [1] * 10, TOY.max_len)
+
+    def test_uncommittable_eos_id_rejected(self):
+        model = TinyDenoiser(TOY)
+        for eos_id in (TOY.vocab_size - 1, TOY.vocab_size, -1):  # mask id, V, negative
+            with pytest.raises(ValueError, match="eos_id"):
+                decode(model, NaiveBlock(4), VanillaTop1(), NoCache(), [1], 8, eos_id=eos_id)
 
     def test_nfe_and_recompute_accounting(self):
         model = TinyDenoiser(TOY)
@@ -129,7 +135,7 @@ class TestReferenceEquivalence:
             )
             return {
                 pos: (cand.token, cand.confidence)
-                for pos, cand in oracle_confidences(profile, state, VOCAB).items()
+                for pos, cand in OracleDenoiser(profile, VOCAB).confidence_map(state).items()
             }
 
         expected = fixed_block_decode(conf_fn, lp, gen_len, block, tau=0.9)
@@ -156,13 +162,55 @@ class TestReferenceEquivalence:
             )
             return {
                 pos: (cand.token, cand.confidence)
-                for pos, cand in oracle_confidences(profile, state, VOCAB).items()
+                for pos, cand in OracleDenoiser(profile, VOCAB).confidence_map(state).items()
             }
 
         expected = fixed_block_decode(conf_fn, lp, gen_len, block, tau=None)
         res = decode(den, NaiveBlock(block), VanillaTop1(), NoCache(), [1] * lp, gen_len)
         got = [(rec.step, list(zip(rec.positions, rec.tokens))) for rec in res.records]
         assert got == expected
+
+
+class FullPassDenoiser:
+    """Test-only toy wrapper whose cached forward ignores the store it is
+    handed and returns a fresh full pass, as the ``nocache`` path once ran."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab = inner.vocab
+
+    def empty_cache(self, seq_len):
+        return self.inner.empty_cache(seq_len)
+
+    def forward_cached(self, tokens, cache, recompute, score=None):
+        return self.inner.forward_full(tokens, score)[0]
+
+
+@pytest.mark.parametrize("sampler", [VanillaTop1(), ConfidenceThreshold(0.9)])
+@pytest.mark.parametrize("scheduler", [NaiveBlock(8), SlidingBlock(8, 8), SlidingBlock(8, None)])
+def test_nocache_on_the_reused_store_matches_a_fresh_full_pass(scheduler, sampler):
+    """Every row is rewritten before it is read, so the one store per decode
+    gives the same trace, byte for byte, as a full pass on a fresh store."""
+    model = TinyDenoiser(TOY)
+    traces = [
+        [rec.to_json() for rec in decode(den, scheduler, sampler, NoCache(), [1, 2, 3], 40).records]
+        for den in (model, FullPassDenoiser(model))
+    ]
+    assert traces[0] == traces[1]
+
+
+def test_decode_allocates_one_store_and_never_runs_forward_full(monkeypatch):
+    calls = []
+    real_empty, real_full = TinyDenoiser.empty_cache, TinyDenoiser.forward_full
+    monkeypatch.setattr(TinyDenoiser, "empty_cache",
+                        lambda self, *a: calls.append("empty_cache") or real_empty(self, *a))
+    monkeypatch.setattr(TinyDenoiser, "forward_full",
+                        lambda self, *a: calls.append("forward_full") or real_full(self, *a))
+    for cache in (NoCache(), DualCache(), DSBCache(prefix_min=4)):
+        calls.clear()
+        res = decode(TinyDenoiser(TOY), SlidingBlock(4, 8), VanillaTop1(), cache, [1, 2, 3], 12)
+        assert res.state.decoded_count == 12
+        assert calls == ["empty_cache"], cache
 
 
 class ScalarOracle:

@@ -16,7 +16,6 @@ from dsb.oracle import (
     hard_easy_profile,
     load_profile,
     make_profile,
-    oracle_confidences,
     premature_commit_count,
     save_profile,
 )
@@ -37,7 +36,7 @@ class TestConfidenceFormula:
     def test_easy_limit(self):
         prof = profile_of([0.0] * 6, gain=0.0, radius=2)
         state = new_sequence([1], 6, VOCAB)
-        conf = oracle_confidences(prof, state, VOCAB)
+        conf = OracleDenoiser(prof, VOCAB).confidence_map(state)
         assert all(abs(c.confidence - 1.0) < 1e-12 for c in conf.values())
 
     def test_full_context_limit(self):
@@ -45,7 +44,7 @@ class TestConfidenceFormula:
         state = new_sequence([1], 5, VOCAB)
         for i in [0, 1, 3, 4]:
             state.commit(i, 2)
-        conf = oracle_confidences(prof, state, VOCAB)
+        conf = OracleDenoiser(prof, VOCAB).confidence_map(state)
         assert abs(conf[1 + 2].confidence - 1.0) < 1e-12
 
     def test_half_context_arithmetic(self):
@@ -54,7 +53,7 @@ class TestConfidenceFormula:
         state = new_sequence([1], 5, VOCAB)
         state.commit(0, 2)
         state.commit(1, 2)
-        conf = oracle_confidences(prof, state, VOCAB)
+        conf = OracleDenoiser(prof, VOCAB).confidence_map(state)
         assert abs(conf[1 + 2].confidence - 0.65) < 1e-12
 
     def test_validation(self):
@@ -163,12 +162,12 @@ def test_array_scoring_matches_scalar_reference(case, data):
     and scoring a subset of positions equals the full map restricted to it."""
     profile, vocab, state = case
     masked = (state.response == vocab.mask_id).tolist()
-    full = oracle_confidences(profile, state, vocab)
+    full = OracleDenoiser(profile, vocab).confidence_map(state)
     assert full == scalar_oracle_confidences(
         profile, masked, state.step, state.prompt_len, vocab.mask_id, vocab.size
     )
     subset = data.draw(st.sets(st.sampled_from(sorted(full)))) if full else set()
-    assert oracle_confidences(profile, state, vocab, sorted(subset)) == {p: full[p] for p in subset}
+    assert OracleDenoiser(profile, vocab).confidence_map(state, sorted(subset)) == {p: full[p] for p in subset}
 
 
 def reference_map(den, state):
@@ -273,7 +272,7 @@ def test_positions_must_be_masked_response_positions():
     state.commit(1, 4)
     for bad in ([0], [2 + 1], [2 + 6]):
         with pytest.raises(ValueError):
-            oracle_confidences(prof, state, VOCAB, bad)
+            OracleDenoiser(prof, VOCAB).confidence_map(state, bad)
 
 
 class TestDeterminism:
@@ -281,8 +280,8 @@ class TestDeterminism:
         prof = profile_of([0.4] * 8, gain=0.3, radius=2, seed=9)
         state = new_sequence([1, 2], 8, VOCAB)
         state.commit(3, 4)
-        a = oracle_confidences(prof, state, VOCAB)
-        b = oracle_confidences(prof, state, VOCAB)
+        a = OracleDenoiser(prof, VOCAB).confidence_map(state)
+        b = OracleDenoiser(prof, VOCAB).confidence_map(state)
         assert a == b
 
     def test_different_seed_changes_decoys(self):
@@ -290,7 +289,7 @@ class TestDeterminism:
         maps = []
         for seed in (1, 2):
             prof = profile_of([0.95] * 40, gain=0.0, radius=2, seed=seed)
-            maps.append(oracle_confidences(prof, state, VOCAB))
+            maps.append(OracleDenoiser(prof, VOCAB).confidence_map(state))
         tokens_a = [maps[0][k].token for k in sorted(maps[0])]
         tokens_b = [maps[1][k].token for k in sorted(maps[1])]
         assert tokens_a != tokens_b
@@ -298,7 +297,7 @@ class TestDeterminism:
     def test_tokens_never_mask_or_out_of_range(self):
         prof = profile_of([0.9] * 30, gain=0.1, radius=3, seed=5)
         state = new_sequence([1], 30, VOCAB)
-        conf = oracle_confidences(prof, state, VOCAB)
+        conf = OracleDenoiser(prof, VOCAB).confidence_map(state)
         for cand in conf.values():
             assert 0 <= cand.token < VOCAB.size
             assert cand.token != VOCAB.mask_id

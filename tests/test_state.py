@@ -43,8 +43,9 @@ class TestNewSequence:
             new_sequence([1], 0, VOCAB)
 
     def test_out_of_range_prompt_rejected(self):
-        with pytest.raises(ValueError):
-            new_sequence([1, 16], 4, VOCAB)
+        for prompt in ([1, 16], [1, 2, VOCAB.mask_id]):
+            with pytest.raises(ValueError):
+                new_sequence(prompt, 4, VOCAB)
 
 
 class TestCommit:
