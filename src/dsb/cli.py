@@ -39,7 +39,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if args.trace:
         engine.write_trace(result.records, args.trace)
     if args.csv:
-        metrics.write_csv([row], args.csv, metrics.ROW_COLUMNS)
+        metrics.write_csv([row], args.csv)
 
     print(f"steps={result.steps} commits={result.state.decoded_count} "
           f"wall_time_s={row['wall_time_s']:.4f} early_stopped={result.early_stopped}")
@@ -50,7 +50,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_grid(args: argparse.Namespace) -> int:
     spec = engine.parse_grid_file(args.config)
     rows = engine.run_grid(spec)
-    metrics.write_csv(rows, args.csv, metrics.ROW_COLUMNS)
+    metrics.write_csv(rows, args.csv)
     if args.summary:
         print(metrics.format_table(metrics.summarize(rows)), end="")
     else:

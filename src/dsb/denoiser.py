@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,29 +201,28 @@ class TinyDenoiser:
         return self.forward_cached(tokens, cache, np.arange(cache.seq_len), score), cache
 
     def forward_cached(
-        self, tokens: Sequence[int], cache: KVStore, recompute: Iterable[int],
+        self, tokens: Sequence[int], cache: KVStore, recompute: Sequence[int],
         score: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """Logits for the recompute positions (or ``score``), refreshing their KV rows.
 
-        Queries are formed solely for ``recompute``; their attention runs
-        against fresh keys/values at those rows and stored (possibly stale)
-        keys/values everywhere else.  Rows outside the recompute set must
-        have been written before, otherwise :class:`CacheIntegrityError`.
-        Each layer writes all recomputed rows before it attends, so the store
-        never depends on ``score`` (a subset of the rows, which the last layer
-        cuts to), and a full recompute ignores what the store held.  Logits
-        rows follow ascending position order (``score``'s order if given).
+        Queries are formed solely for ``recompute``, which must be strictly
+        ascending positions (else ``ValueError``); their attention runs against
+        fresh keys/values at those rows and stored (possibly stale) keys/values
+        everywhere else.  Rows outside the recompute set must have been written
+        before, otherwise :class:`CacheIntegrityError`.  Each layer writes all
+        recomputed rows before it attends, so the store never depends on
+        ``score`` (a subset of the rows, which the last layer cuts to), and a
+        full recompute ignores what the store held.  Logits rows follow
+        ascending position order (``score``'s order if given).
         """
         tokens = self._check_tokens(tokens)
         n = tokens.shape[0]
         if n != cache.seq_len:
             raise ValueError(f"cache sized for {cache.seq_len} positions, got {n} tokens")
-        if not isinstance(recompute, np.ndarray):
-            recompute = list(recompute)  # sets and other iterables
-        rows = np.unique(np.asarray(recompute, dtype=np.int64))
-        if rows.size == 0:
-            raise ValueError("recompute set is empty: no queries to form")
+        rows = np.asarray(recompute, dtype=np.int64)
+        if rows.ndim != 1 or rows.size == 0 or (np.diff(rows) <= 0).any():
+            raise ValueError(f"recompute set must be non-empty and strictly ascending, got {rows.tolist()}")
         if rows[0] < 0 or rows[-1] >= n:
             raise ValueError("recompute position outside the token buffer")
         unwritten = ~cache.valid

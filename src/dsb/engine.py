@@ -153,13 +153,8 @@ def write_trace(records: Iterable[StepRecord], path: str) -> None:
 
 
 def read_trace(path: str) -> List[StepRecord]:
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(StepRecord.from_json(line))
-    return out
+        return [StepRecord.from_json(line) for line in fh if line.strip()]
 
 
 def build_denoiser(spec: str, seed_offset: int = 0) -> Denoiser:

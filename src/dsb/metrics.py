@@ -103,9 +103,7 @@ def _formatted(value: object) -> str:
     return str(value)
 
 
-def write_csv(rows: Sequence[Dict[str, object]], path: str, columns: Optional[List[str]] = None) -> None:
-    if columns is None:
-        columns = ROW_COLUMNS if rows and "seed" in rows[0] else list(rows[0].keys())
+def write_csv(rows: Sequence[Dict[str, object]], path: str, columns: List[str] = ROW_COLUMNS) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

@@ -11,8 +11,9 @@ arrays, and one :class:`ConfidenceMap` of aligned arrays carries a step's scores
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Sequence
 
@@ -178,53 +179,29 @@ class StepRecord:
     """Trace of one decode iteration.
 
     ``positions``/``tokens``/``confidences`` run in parallel over the commits
-    of the step, positions ascending and absolute.
+    of the step, positions ascending and absolute.  A trace line is one
+    compact JSON object holding exactly these fields in declaration order:
+    the field list is the trace schema, every field is required, and reruns
+    are byte-stable.
     """
 
     step: int
     block_start: int
     block_end: int
-    positions: List[int] = field(default_factory=list)
-    tokens: List[int] = field(default_factory=list)
-    confidences: List[float] = field(default_factory=list)
-    recompute_count: int = 0
-    cache_event: str = EVENT_NONE
-    fallback: bool = False
+    positions: List[int]
+    tokens: List[int]
+    confidences: List[float]
+    recompute_count: int
+    cache_event: str
+    fallback: bool
 
     @property
     def commits(self) -> int:
         return len(self.positions)
 
     def to_json(self) -> str:
-        import json
-
-        # Field order is fixed so trace files are byte-stable across reruns.
-        payload = {
-            "step": self.step,
-            "block_start": self.block_start,
-            "block_end": self.block_end,
-            "positions": self.positions,
-            "tokens": self.tokens,
-            "confidences": self.confidences,
-            "recompute_count": self.recompute_count,
-            "cache_event": self.cache_event,
-            "fallback": self.fallback,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        return json.dumps(vars(self), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "StepRecord":
-        import json
-
-        d = json.loads(line)
-        return cls(
-            step=d["step"],
-            block_start=d["block_start"],
-            block_end=d["block_end"],
-            positions=list(d["positions"]),
-            tokens=list(d["tokens"]),
-            confidences=list(d["confidences"]),
-            recompute_count=d["recompute_count"],
-            cache_event=d["cache_event"],
-            fallback=d["fallback"],
-        )
+        return cls(**json.loads(line))

@@ -24,6 +24,7 @@ def record(step, positions, confs, recompute, event="none"):
         confidences=confs,
         recompute_count=recompute,
         cache_event=event,
+        fallback=False,
     )
 
 
@@ -137,6 +138,9 @@ class TestOutput:
         assert parsed[0] == ROW_COLUMNS
         assert len(parsed) == 2
         assert parsed[1][ROW_COLUMNS.index("exact_match")] == ""
+        write_csv([], str(path))
+        with open(path) as fh:
+            assert list(csv.reader(fh)) == [ROW_COLUMNS]
 
     def test_table_alignment(self):
         text = format_table(self.rows(), ["scheduler", "steps"])

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -133,3 +136,19 @@ def test_step_record_json_round_trip():
     again = StepRecord.from_json(rec.to_json())
     assert again == rec
     assert rec.to_json() == again.to_json()
+    assert list(json.loads(rec.to_json())) == [f.name for f in dataclasses.fields(StepRecord)]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"step":0,"block_start":0,"block_end":4,"positions":[],"tokens":[],"confidences":[],'
+        '"recompute_count":4,"cache_event":"none","fallback":false,"extra":1}',
+        '{"step":0,"block_start":0,"block_end":4,"positions":[],"tokens":[],"confidences":[],'
+        '"recompute_count":4,"cache_event":"none"}',
+    ],
+    ids=["extra-key", "missing-key"],
+)
+def test_trace_line_must_hold_exactly_the_record_fields(line):
+    with pytest.raises(TypeError):
+        StepRecord.from_json(line)
