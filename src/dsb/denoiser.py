@@ -17,14 +17,15 @@ the last layer's query side, MLP and head run only for those, and
 :func:`confidences` turns logits row i into the scores of ``score[i]``.
 
 Attention is fully bidirectional (no causal mask), positions are learned
-absolute embeddings, and all arithmetic is float32 with max-subtracted
-softmax.
+absolute embeddings, and all arithmetic is float32.  Each layer's weights
+are bound once when the model is built, with ``log2(e)/sqrt(dh)`` folded
+into the query weights and bias, so the attention softmax is ``exp2`` of the
+max-subtracted scores and its row sums come from a GEMV.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,10 +35,6 @@ from .state import CacheIntegrityError, ConfidenceMap, Vocab
 
 WEIGHT_SPAN = 0.1  # all weights ~ Uniform(-WEIGHT_SPAN, +WEIGHT_SPAN)
 LN_EPS = np.float32(1e-5)
-
-_MAGIC = b"DSBW"
-_HEADER = struct.Struct("<4sHIHHH")  # magic, version, vocab, width, heads, depth
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,15 @@ class KVStore:
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     # Bit-identical to (x - mean) / sqrt(var + eps): numpy's mean/var run these ufuncs.
+    # The tail runs in place on the centred buffer, in the same order.
     centred = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
     var = np.square(centred).sum(axis=-1, keepdims=True) / x.shape[-1]
-    return centred / np.sqrt(var + LN_EPS) * gain + bias
+    var += LN_EPS
+    np.sqrt(var, out=var)
+    centred /= var
+    centred *= gain
+    centred += bias
+    return centred
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -94,7 +97,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _param_shapes(config: DenoiserConfig) -> List[Tuple[str, Tuple[int, ...]]]:
-    """Parameter names and shapes in creation (and serialization) order."""
+    """Parameter names and shapes in creation order."""
     d = config.width
     shapes: List[Tuple[str, Tuple[int, ...]]] = [
         ("tok_emb", (config.vocab_size, d)),
@@ -128,6 +131,25 @@ def _param_shapes(config: DenoiserConfig) -> List[Tuple[str, Tuple[int, ...]]]:
     return shapes
 
 
+def _check_params(config: DenoiserConfig, params: Dict[str, np.ndarray]) -> None:
+    """Raise ``ValueError`` naming the first entry that is missing, unknown or mis-shaped."""
+    shapes = dict(_param_shapes(config))
+    for name, shape in shapes.items():
+        arr = params.get(name)
+        if arr is None:
+            raise ValueError(f"params lack {name!r}")
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.float32 or arr.shape != shape:
+            got = getattr(arr, "dtype", type(arr).__name__)
+            raise ValueError(f"params[{name!r}] must be float32 {shape}, got {got} {np.shape(arr)}")
+    for name in params:
+        if name not in shapes:
+            raise ValueError(f"unknown parameter {name!r}")
+
+
+# One block's weights, bound once per model in _param_shapes' order.
+_Layer = namedtuple("_Layer", "ln1_g ln1_b wq bq wk bk wv bv wo bo ln2_g ln2_b w_up b_up w_down b_down")
+
+
 class TinyDenoiser:
     """Seeded bidirectional transformer satisfying the denoiser contract."""
 
@@ -139,18 +161,22 @@ class TinyDenoiser:
                 name: rng.uniform(-WEIGHT_SPAN, WEIGHT_SPAN, size=shape).astype(np.float32)
                 for name, shape in _param_shapes(config)
             }
+        _check_params(config, params)
         self.params = params
+        # The forward reads these per-layer bindings, not params; wq and bq are
+        # copies that carry the score scale in log2 units, so the scores go
+        # straight into exp2.  Build a new model to change the weights.
+        scale = np.float32(np.log2(np.e) / np.sqrt(config.width // config.heads))
+        self._layers = []
+        for i in range(config.depth):
+            w = _Layer(*(params[f"l{i}.{name}"] for name in _Layer._fields))
+            self._layers.append(w._replace(wq=w.wq * scale, bq=w.bq * scale))
+        self._ones = np.ones((config.max_len, 1), dtype=np.float32)
 
     @property
     def vocab(self) -> Vocab:
         # The last vocabulary slot is the reserved mask token.
         return Vocab(size=self.config.vocab_size, mask_id=self.config.vocab_size - 1)
-
-    def checksum(self) -> str:
-        digest = hashlib.sha256()
-        for name, _ in _param_shapes(self.config):
-            digest.update(self.params[name].tobytes())
-        return digest.hexdigest()
 
     def empty_cache(self, seq_len: int) -> KVStore:
         if seq_len > self.config.max_len:
@@ -173,23 +199,24 @@ class TinyDenoiser:
         """Full bidirectional attention of queries q over all keys/values.
 
         Batched matmul over heads, so both products run as BLAS GEMMs.  The
-        1/sqrt(dh) factor scales the queries as they are copied into a
-        contiguous (h, q, dh) block, the softmax exponentiates the scores
-        buffer in place, and the row sums divide the (h, q, dh) product
-        instead of the larger (h, q, k) weights.
+        queries come from weights that already carry ``log2(e)/sqrt(dh)``, so
+        they enter the score product as an ``(h, q, dh)`` view and ``exp2`` of
+        the scores equals ``exp`` of the scaled ones.  The row maximum is still
+        subtracted first, so no score can overflow.  The row sums come from a
+        GEMV against ones and divide the ``(h, q, dh)`` product rather than
+        the larger ``(h, q, k)`` weights.
         """
         h = self.config.heads
         dh = self.config.width // h
         nq, nk = q.shape[0], keys.shape[0]
-        qh = np.empty((h, nq, dh), dtype=np.float32)
-        np.divide(q.reshape(nq, h, dh).transpose(1, 0, 2), np.sqrt(np.float32(dh)), out=qh)
+        qh = q.reshape(nq, h, dh).transpose(1, 0, 2)
         kh = keys.reshape(nk, h, dh).transpose(1, 2, 0)
         vh = values.reshape(nk, h, dh).transpose(1, 0, 2)
-        weights = np.matmul(qh, kh)  # (h, q, k)
+        weights = np.matmul(qh, kh)  # (h, q, k), in log2 units
         weights -= weights.max(axis=-1, keepdims=True)
-        np.exp(weights, out=weights)
+        np.exp2(weights, out=weights)
         out = np.matmul(weights, vh)  # (h, q, dh)
-        out /= weights.sum(axis=-1, keepdims=True)
+        out /= np.matmul(weights, self._ones[:nk])
         return out.transpose(1, 0, 2).reshape(nq, self.config.width)
 
     def forward_full(
@@ -241,73 +268,17 @@ class TinyDenoiser:
         cache.valid[rows] = True
 
         x = p["tok_emb"][tokens[rows]] + p["pos_emb"][rows]
-        for i in range(self.config.depth):
-            h = _layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            cache.keys[i, rows] = h @ p[f"l{i}.wk"] + p[f"l{i}.bk"]
-            cache.values[i, rows] = h @ p[f"l{i}.wv"] + p[f"l{i}.bv"]
+        for i, w in enumerate(self._layers):
+            h = _layer_norm(x, w.ln1_g, w.ln1_b)
+            cache.keys[i, rows] = h @ w.wk + w.bk
+            cache.values[i, rows] = h @ w.wv + w.bv
             if keep is not None and i == self.config.depth - 1:
                 x, h = x[keep], h[keep]
-            q = h @ p[f"l{i}.wq"] + p[f"l{i}.bq"]
-            x = x + self._attend(q, cache.keys[i], cache.values[i]) @ p[f"l{i}.wo"] + p[f"l{i}.bo"]
-            h2 = _layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
-            x = x + np.maximum(h2 @ p[f"l{i}.w_up"] + p[f"l{i}.b_up"], 0.0) @ p[
-                f"l{i}.w_down"
-            ] + p[f"l{i}.b_down"]
+            q = h @ w.wq + w.bq
+            x = x + self._attend(q, cache.keys[i], cache.values[i]) @ w.wo + w.bo
+            h2 = _layer_norm(x, w.ln2_g, w.ln2_b)
+            x = x + np.maximum(h2 @ w.w_up + w.b_up, 0.0) @ w.w_down + w.b_down
         return _layer_norm(x, p["ln_f_g"], p["ln_f_b"]) @ p["w_out"] + p["b_out"]
-
-    def save_weights(self, path: str) -> None:
-        """Flat little-endian float32 dump with a 16-byte header."""
-        header = _HEADER.pack(
-            _MAGIC,
-            _VERSION,
-            self.config.vocab_size,
-            self.config.width,
-            self.config.heads,
-            self.config.depth,
-        )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            for name, _ in _param_shapes(self.config):
-                fh.write(np.ascontiguousarray(self.params[name], dtype="<f4").tobytes())
-
-    @classmethod
-    def load_weights(cls, path: str) -> "TinyDenoiser":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < _HEADER.size:
-            raise ValueError("weight file too short for its header")
-        magic, version, vocab_size, width, heads, depth = _HEADER.unpack_from(blob)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r} in weight file")
-        if version != _VERSION:
-            raise ValueError(f"unsupported weight file version {version}")
-        flat = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
-        # max_len is not in the header; recover it from the float count.
-        probe = DenoiserConfig(vocab_size=vocab_size, width=width, heads=heads, depth=depth, max_len=1)
-        fixed = sum(
-            int(np.prod(shape))
-            for name, shape in _param_shapes(probe)
-            if name != "pos_emb"
-        )
-        remainder = flat.size - fixed
-        if remainder <= 0 or remainder % width != 0:
-            raise ValueError("weight file size inconsistent with its header")
-        config = DenoiserConfig(
-            vocab_size=vocab_size,
-            width=width,
-            heads=heads,
-            depth=depth,
-            max_len=remainder // width,
-        )
-        params: Dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape in _param_shapes(config):
-            count = int(np.prod(shape))
-            params[name] = flat[offset : offset + count].reshape(shape).astype(np.float32)
-            offset += count
-        if offset != flat.size:
-            raise ValueError("trailing bytes in weight file")
-        return cls(config, params)
 
 
 def confidences(logits: np.ndarray, positions: Sequence[int], vocab: Vocab) -> ConfidenceMap:

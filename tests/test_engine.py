@@ -425,7 +425,7 @@ class TestBuildDenoiser:
     def test_seed_offset_changes_weights(self):
         a = build_denoiser("toy:seed=9,v=33,d=32,h=2,layers=2,maxlen=96", seed_offset=0)
         b = build_denoiser("toy:seed=9,v=33,d=32,h=2,layers=2,maxlen=96", seed_offset=1)
-        assert a.checksum() != b.checksum()
+        assert not all(np.array_equal(a.params[name], b.params[name]) for name in a.params)
 
     def test_oracle_spec(self, tmp_path):
         profile = hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=1)
