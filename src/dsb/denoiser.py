@@ -20,7 +20,9 @@ Attention is fully bidirectional (no causal mask), positions are learned
 absolute embeddings, and all arithmetic is float32.  Each layer's weights
 are bound once when the model is built, with ``log2(e)/sqrt(dh)`` folded
 into the query weights and bias, so the attention softmax is ``exp2`` of the
-max-subtracted scores and its row sums come from a GEMV.
+scores and its row sums come from a GEMV.  Rows are shifted by their max only
+when a score lies outside ``±EXP2_SAFE`` (64); inside it every weight lies in
+[2**-64, 2**64], far from float32's overflow (2**128) and normal floor (2**-126).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .state import CacheIntegrityError, ConfidenceMap, Vocab
 
 WEIGHT_SPAN = 0.1  # all weights ~ Uniform(-WEIGHT_SPAN, +WEIGHT_SPAN)
 LN_EPS = np.float32(1e-5)
+EXP2_SAFE = 64.0  # scores (log2 units) within +-EXP2_SAFE go into exp2 unshifted
 
 
 @dataclass(frozen=True)
@@ -201,10 +204,11 @@ class TinyDenoiser:
         Batched matmul over heads, so both products run as BLAS GEMMs.  The
         queries come from weights that already carry ``log2(e)/sqrt(dh)``, so
         they enter the score product as an ``(h, q, dh)`` view and ``exp2`` of
-        the scores equals ``exp`` of the scaled ones.  The row maximum is still
-        subtracted first, so no score can overflow.  The row sums come from a
-        GEMV against ones and divide the ``(h, q, dh)`` product rather than
-        the larger ``(h, q, k)`` weights.
+        the scores equals ``exp`` of the scaled ones.  Each row's maximum is
+        subtracted only when a score lies outside ``±EXP2_SAFE``; softmax does
+        not change under a shift, so skipping it moves only rounding.  The row
+        sums come from a GEMV against ones and divide the ``(h, q, dh)``
+        product rather than the larger ``(h, q, k)`` weights.
         """
         h = self.config.heads
         dh = self.config.width // h
@@ -213,7 +217,8 @@ class TinyDenoiser:
         kh = keys.reshape(nk, h, dh).transpose(1, 2, 0)
         vh = values.reshape(nk, h, dh).transpose(1, 0, 2)
         weights = np.matmul(qh, kh)  # (h, q, k), in log2 units
-        weights -= weights.max(axis=-1, keepdims=True)
+        if weights.max() > EXP2_SAFE or weights.min() < -EXP2_SAFE:
+            weights -= weights.max(axis=-1, keepdims=True)
         np.exp2(weights, out=weights)
         out = np.matmul(weights, vh)  # (h, q, dh)
         out /= np.matmul(weights, self._ones[:nk])
@@ -252,21 +257,24 @@ class TinyDenoiser:
             raise ValueError(f"recompute set must be non-empty and strictly ascending, got {rows.tolist()}")
         if rows[0] < 0 or rows[-1] >= n:
             raise ValueError("recompute position outside the token buffer")
-        unwritten = ~cache.valid
-        unwritten[rows] = False
-        if unwritten.any():
-            bad = int(np.argmax(unwritten))
-            raise CacheIntegrityError(f"position {bad} was never computed but is outside the recompute set")
         keep = None
         if score is not None:
             score = np.asarray(score, dtype=np.int64)
             keep = np.searchsorted(rows, score)
             if not np.array_equal(rows.take(keep, mode="clip"), score):
                 raise ValueError("score positions must be a subset of the recomputed rows")
+        if rows[-1] - rows[0] + 1 == rows.size:  # contiguous: index by a slice
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        unwritten = ~cache.valid
+        unwritten[rows] = False
+        if unwritten.any():
+            bad = int(np.argmax(unwritten))
+            raise CacheIntegrityError(f"position {bad} was never computed but is outside the recompute set")
 
         p = self.params
         cache.valid[rows] = True
 
+        # x is a fresh array, so the residual updates below may run in place.
         x = p["tok_emb"][tokens[rows]] + p["pos_emb"][rows]
         for i, w in enumerate(self._layers):
             h = _layer_norm(x, w.ln1_g, w.ln1_b)
@@ -274,10 +282,15 @@ class TinyDenoiser:
             cache.values[i, rows] = h @ w.wv + w.bv
             if keep is not None and i == self.config.depth - 1:
                 x, h = x[keep], h[keep]
-            q = h @ w.wq + w.bq
-            x = x + self._attend(q, cache.keys[i], cache.values[i]) @ w.wo + w.bo
-            h2 = _layer_norm(x, w.ln2_g, w.ln2_b)
-            x = x + np.maximum(h2 @ w.w_up + w.b_up, 0.0) @ w.w_down + w.b_down
+            q = h @ w.wq
+            q += w.bq
+            x += self._attend(q, cache.keys[i], cache.values[i]) @ w.wo
+            x += w.bo
+            u = _layer_norm(x, w.ln2_g, w.ln2_b) @ w.w_up
+            u += w.b_up
+            np.maximum(u, 0.0, out=u)
+            x += u @ w.w_down
+            x += w.b_down
         return _layer_norm(x, p["ln_f_g"], p["ln_f_b"]) @ p["w_out"] + p["b_out"]
 
 

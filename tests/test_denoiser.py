@@ -2,11 +2,12 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dsb.denoiser import (
+    EXP2_SAFE,
     LN_EPS,
     DenoiserConfig,
     TinyDenoiser,
@@ -147,11 +148,14 @@ class TestForwardCached:
         with pytest.raises(CacheIntegrityError):
             model.forward_cached(toks, kv, np.array([0, 1, 2]))
 
-    def test_partial_only_touches_recompute_rows(self, model):
+    @pytest.mark.parametrize(
+        "rows", [[3, 4, 5], [2, 4, 5, 9], [4, 5, 6, 7, 8, 9, 10, 11]], ids=["contiguous", "gapped", "tail"]
+    )
+    def test_partial_only_touches_recompute_rows(self, model, rows):
         toks = tokens_for(model, 12)
         _, kv = model.forward_full(toks)
         before = [(kv.keys[i].copy(), kv.values[i].copy()) for i in range(CFG.depth)]
-        rows = np.array([3, 4, 5])
+        rows = np.array(rows)
         changed = toks.copy()
         changed[4] = (changed[4] + 7) % CFG.vocab_size
         model.forward_cached(changed, kv, rows)
@@ -188,13 +192,37 @@ def test_forward_matches_loop_reference():
 INEXACT_SCALE = DenoiserConfig(vocab_size=11, width=12, heads=4, depth=2, max_len=16, seed=5)
 
 
-def with_sharp_attention(factor):
-    """The seeded INEXACT_SCALE model with wq and wk scaled by ``factor``."""
+INEXACT_PARAMS = TinyDenoiser(INEXACT_SCALE).params
+
+
+def sharp_params(factor, sink=0.0):
+    """INEXACT_SCALE's seeded params with wq and wk scaled by ``factor``.
+
+    A nonzero ``sink`` sets the first layer's query bias to +sink and its key
+    bias to -sink in every coordinate, which lowers all of its scores by
+    about sink**2 * sqrt(dh) in natural units.
+    """
     params = {
         name: arr * np.float32(factor) if name.endswith((".wq", ".wk")) else arr
-        for name, arr in TinyDenoiser(INEXACT_SCALE).params.items()
+        for name, arr in INEXACT_PARAMS.items()
     }
-    return TinyDenoiser(INEXACT_SCALE, params)
+    if sink:
+        params["l0.bq"] = np.full_like(params["l0.bq"], sink)
+        params["l0.bk"] = np.full_like(params["l0.bk"], -sink)
+    return params
+
+
+def with_sharp_attention(factor):
+    """The seeded INEXACT_SCALE model with wq and wk scaled by ``factor``."""
+    return TinyDenoiser(INEXACT_SCALE, sharp_params(factor))
+
+
+def first_layer_scores(params, toks):
+    """The first layer's attention scores in the log2 units the kernel's guard reads."""
+    n, h, dh = len(toks), INEXACT_SCALE.heads, INEXACT_SCALE.width // INEXACT_SCALE.heads
+    x = _layer_norm(params["tok_emb"][toks] + params["pos_emb"][:n], params["l0.ln1_g"], params["l0.ln1_b"])
+    q, k = ((x @ params[f"l0.w{c}"] + params[f"l0.b{c}"]).reshape(n, h, dh) for c in "qk")
+    return np.einsum("qhd,khd->hqk", q, k) * (np.log2(np.e) / np.sqrt(dh))
 
 
 @pytest.fixture(scope="module")
@@ -231,18 +259,81 @@ def test_partial_forward_cached_matches_loop_reference(sharp_model):
 
 
 def test_scores_near_1e3_stay_finite():
-    """Scores this large overflow float32 exp unless each row's max is subtracted first."""
+    """Scores this large overflow float32 exp2 unless each row's max is subtracted first.
+
+    They lie far outside ``±EXP2_SAFE``, so the kernel must take its shifted branch.
+    """
     m = with_sharp_attention(1300.0)
-    p = m.params
     toks = tokens_for(m, 9, seed=2)
-    h = _layer_norm(p["tok_emb"][toks] + p["pos_emb"][:9], p["l0.ln1_g"], p["l0.ln1_b"])
-    q, k = ((h @ p[f"l0.w{n}"] + p[f"l0.b{n}"]).reshape(9, 4, 3) for n in "qk")
-    # the first layer's scores, as the reference scales them
-    assert np.abs(np.einsum("qhd,khd->hqk", q, k)).max() / np.sqrt(3) > 900
+    # the first layer's scores exceed 900 as the reference scales them (natural units)
+    assert np.abs(first_layer_scores(m.params, toks)).max() > 900 * np.log2(np.e)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         full, kv = m.forward_full(toks)
         part = m.forward_cached(toks, kv, np.array([1, 4, 5, 8]))
     assert np.isfinite(full).all() and np.isfinite(part).all()
+
+
+def _bisect(fn, target, lo, hi):
+    """A point of [lo, hi] where the continuous ``fn`` crosses ``target``; fn(lo) < target <= fn(hi)."""
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if fn(mid) < target else (lo, mid)
+    return hi
+
+
+# (kind, target): "peak" scales wq/wk until the first layer's largest |score|
+# is target; "sunk" lowers its biases until its highest score is -target, so
+# every row lies below exp2's normal range and needs the shift.
+SOFTMAX_CASES = [
+    ("peak", 8.0), ("peak", EXP2_SAFE - 0.1), ("peak", EXP2_SAFE + 0.5), ("peak", 150.0), ("peak", 1000.0),
+    ("sunk", 130.0), ("sunk", 170.0), ("sunk", 1000.0),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(SOFTMAX_CASES),
+    seed=st.integers(0, 2**16),
+    rows=st.lists(st.integers(0, 8), min_size=1, max_size=9, unique=True).map(sorted),
+)
+@example(case=("peak", 150.0), seed=2, rows=[1, 4, 5, 8])
+@example(case=("sunk", 170.0), seed=2, rows=[3, 4, 5])
+def test_both_softmax_branches_match_loop_reference(case, seed, rows):
+    """Scores inside, at and beyond the shift guard's bound give the reference's logits."""
+    from reference import loop_forward_reference
+
+    kind, target = case
+    toks = np.random.default_rng(seed).integers(0, INEXACT_SCALE.vocab_size, size=9)
+    if kind == "peak":
+        reach = lambda f: np.abs(first_layer_scores(sharp_params(f), toks)).max()
+        params = sharp_params(_bisect(reach, target, 1.0, 3000.0))
+        assert abs(np.abs(first_layer_scores(params, toks)).max() - target) < 0.05
+    else:
+        depth = lambda b: -first_layer_scores(sharp_params(1.0, b), toks).max()
+        params = sharp_params(1.0, _bisect(depth, target, 0.0, 40.0))
+        assert abs(first_layer_scores(params, toks).max() + target) < 0.05
+    m = TinyDenoiser(INEXACT_SCALE, params)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        full, kv = m.forward_full(toks)
+        part = m.forward_cached(toks, kv, np.array(rows))
+    assert np.isfinite(full).all() and np.isfinite(part).all()
+    slow = np.array(loop_forward_reference(m, toks.tolist()), dtype=np.float64)
+    assert max_rel_diff(full.astype(np.float64), slow) <= 1e-5
+    assert max_rel_diff(part.astype(np.float64), slow[rows]) <= 1e-5
+
+
+def test_forward_never_writes_into_its_inputs(model):
+    """The in-place residual stream must not alias params, bound weights or tokens."""
+    toks = tokens_for(model, 12, seed=6)
+    given_toks = toks.copy()
+    params = {name: arr.copy() for name, arr in model.params.items()}
+    layers = [[arr.copy() for arr in w] for w in model._layers]
+    _, kv = model.forward_full(toks)
+    model.forward_cached(toks, kv, np.arange(3, 9))  # contiguous, so slices
+    model.forward_cached(toks, kv, np.array([1, 4, 5, 11]), score=[4, 11])
+    assert np.array_equal(toks, given_toks)
+    assert all(np.array_equal(model.params[name], arr) for name, arr in params.items())
+    assert all(np.array_equal(a, b) for w, c in zip(model._layers, layers) for a, b in zip(w, c))
 
 
 @pytest.mark.parametrize("fixture", ["model", "sharp_model"])
