@@ -11,12 +11,8 @@ from .kvcache import (
     prefix_window_len,
     recompute_set,
 )
-from .oracle import (
-    DifficultyProfile,
-    OracleDenoiser,
-    hard_easy_profile,
-    premature_commit_count,
-)
+from .metrics import PREMATURE_FLOOR, premature_commit_count
+from .oracle import DifficultyProfile, OracleDenoiser, hard_easy_profile
 from .samplers import ConfidenceThreshold, VanillaTop1, select_threshold, select_top1
 from .schedulers import (
     BlockWindow,

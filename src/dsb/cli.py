@@ -33,7 +33,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         parse_cache(args.cache),
         _read_prompt(args.prompt_file),
         args.gen_len,
-        premature_floor=args.premature_floor,
         eos_id=args.eos_id,
     )
     if args.trace:
@@ -76,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--csv", help="write the metrics row here")
     dec.add_argument("--eos-id", type=int, default=None,
                      help="stop early once this token is committed with a decoded prefix")
-    dec.add_argument("--premature-floor", type=float, default=0.5)
     dec.set_defaults(func=_cmd_decode)
 
     grid = sub.add_parser("grid", help="run every cell of a grid config file")

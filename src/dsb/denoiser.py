@@ -4,12 +4,13 @@ The model is meant for desk-scale verification of scheduling and caching
 semantics, not for generating text anyone wants to read: every weight is
 drawn from a seeded PRNG, so two models built from the same config are
 bitwise identical.  There is one forward, :meth:`TinyDenoiser.forward_cached`:
-it forms queries only for a requested recompute set, overwrites those rows
-of the KV store, and serves every other key/value from the store as-is;
-stale entries between refreshes are accepted by design, and a validity
-vector guards slots never written.  A decode keeps one store, and
-``nocache`` recomputes every row of it; :meth:`TinyDenoiser.forward_full`
-is the same forward on a fresh store, the tests' reference.
+it forms queries only for a requested recompute set, a contiguous ``range``
+of positions, overwrites those rows of the KV store, and serves every other
+key/value from the store as-is; stale entries between refreshes are accepted
+by design, and a validity vector guards slots never written.  A decode keeps
+one store, and ``nocache`` recomputes every row of it;
+:meth:`TinyDenoiser.forward_full` is the same forward on a fresh store, the
+tests' reference.
 
 The KV store is two ``(depth, seq_len, width)`` arrays plus that vector.
 The forward takes an optional ``score`` subset of the recomputed rows;
@@ -230,16 +231,17 @@ class TinyDenoiser:
         """:meth:`forward_cached` of every row on a fresh store; returns the logits and store."""
         tokens = self._check_tokens(tokens)
         cache = self.empty_cache(tokens.shape[0])
-        return self.forward_cached(tokens, cache, np.arange(cache.seq_len), score), cache
+        return self.forward_cached(tokens, cache, range(cache.seq_len), score), cache
 
     def forward_cached(
-        self, tokens: Sequence[int], cache: KVStore, recompute: Sequence[int],
+        self, tokens: Sequence[int], cache: KVStore, recompute: range,
         score: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """Logits for the recompute positions (or ``score``), refreshing their KV rows.
 
-        Queries are formed solely for ``recompute``, which must be strictly
-        ascending positions (else ``ValueError``); their attention runs against
+        Queries are formed solely for ``recompute``, a non-empty step-1
+        ``range`` inside the token buffer (else ``ValueError``) that indexes
+        the tokens and the store as a slice; their attention runs against
         fresh keys/values at those rows and stored (possibly stale) keys/values
         everywhere else.  Rows outside the recompute set must have been written
         before, otherwise :class:`CacheIntegrityError`.  Each layer writes all
@@ -252,19 +254,16 @@ class TinyDenoiser:
         n = tokens.shape[0]
         if n != cache.seq_len:
             raise ValueError(f"cache sized for {cache.seq_len} positions, got {n} tokens")
-        rows = np.asarray(recompute, dtype=np.int64)
-        if rows.ndim != 1 or rows.size == 0 or (np.diff(rows) <= 0).any():
-            raise ValueError(f"recompute set must be non-empty and strictly ascending, got {rows.tolist()}")
-        if rows[0] < 0 or rows[-1] >= n:
-            raise ValueError("recompute position outside the token buffer")
+        if not (isinstance(recompute, range) and recompute.step == 1
+                and 0 <= recompute.start < recompute.stop <= n):
+            raise ValueError(f"recompute set must be a non-empty step-1 range inside [0, {n}), "
+                             f"got {recompute!r}")
+        rows = slice(recompute.start, recompute.stop)
         keep = None
         if score is not None:
-            score = np.asarray(score, dtype=np.int64)
-            keep = np.searchsorted(rows, score)
-            if not np.array_equal(rows.take(keep, mode="clip"), score):
+            keep = np.asarray(score, dtype=np.int64) - recompute.start
+            if ((keep < 0) | (keep >= len(recompute))).any():
                 raise ValueError("score positions must be a subset of the recomputed rows")
-        if rows[-1] - rows[0] + 1 == rows.size:  # contiguous: index by a slice
-            rows = slice(int(rows[0]), int(rows[-1]) + 1)
         unwritten = ~cache.valid
         unwritten[rows] = False
         if unwritten.any():

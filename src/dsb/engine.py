@@ -118,7 +118,7 @@ def decode(
                 positions=positions,
                 tokens=committed,
                 confidences=conf.confidences[chosen].tolist(),
-                recompute_count=int(len(rset)),
+                recompute_count=len(rset),
                 cache_event=event,
                 fallback=fallback,
             )
@@ -198,12 +198,10 @@ class GridSpec:
     seeds: List[int]
     gen_len: int
     prompt_len: int = 8
-    premature_floor: float = 0.5
 
     def __post_init__(self) -> None:
         # Fail on malformed axis entries and impossible pairings up front,
         # before any cell runs, rather than mid-grid.
-        metrics.check_premature_floor(self.premature_floor)
         for name in ("gen_len", "prompt_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -274,7 +272,6 @@ def parse_grid_file(path: str) -> GridSpec:
             seeds=[number(int, "seeds", s) for s in raw.pop("seeds", "0").split()],
             gen_len=number(int, "gen_len", raw.pop("gen_len")),
             prompt_len=number(int, "prompt_len", raw.pop("prompt_len", "8")),
-            premature_floor=number(float, "premature_floor", raw.pop("premature_floor", "0.5")),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing required key {exc.args[0]!r}") from None
@@ -286,13 +283,12 @@ def parse_grid_file(path: str) -> GridSpec:
 def decode_row(
     denoiser_spec: str, denoiser: Denoiser, scheduler: SchedulerKind, sampler: SamplerKind,
     cache: CachePolicy, prompt: Sequence[int], gen_len: int, *, seed: Optional[int] = None,
-    premature_floor: float = 0.5, eos_id: Optional[int] = None,
+    eos_id: Optional[int] = None,
 ) -> Tuple[DecodeResult, Dict[str, object]]:
     """Run one timed decode; returns it and its ``metrics.ROW_COLUMNS`` row.
 
     ``seed`` is the grid seed (None outside a grid); ``exact_match`` is None without a truth.
     """
-    metrics.check_premature_floor(premature_floor)
     _check_eos_id(eos_id, denoiser.vocab)
     started = time.perf_counter()
     result = decode(denoiser, scheduler, sampler, cache, prompt, gen_len, eos_id=eos_id)
@@ -301,7 +297,7 @@ def decode_row(
         scheduler=format_scheduler(scheduler), sampler=format_sampler(sampler),
         cache=format_cache(cache), denoiser=denoiser_spec, seed=seed,
     )
-    row.update(metrics.run_stats(result.records, result.state.seq_len, premature_floor))
+    row.update(metrics.run_stats(result.records, result.state.seq_len))
     row["exact_match"] = (exact_match_rate(result.records, denoiser.profile, result.state.prompt_len)
                           if isinstance(denoiser, OracleDenoiser) else None)
     row["wall_time_s"] = elapsed
@@ -316,14 +312,13 @@ def run_cell(
     seed: int,
     gen_len: int,
     prompt_len: int,
-    premature_floor: float = 0.5,
 ) -> Dict[str, object]:
     """Run one grid cell and compute its metrics row."""
     denoiser = build_denoiser(denoiser_spec, seed_offset=seed)
     prompt = make_prompt(denoiser.vocab, prompt_len, seed)
     return decode_row(
         denoiser_spec, denoiser, parse_scheduler(scheduler_spec), parse_sampler(sampler_spec),
-        parse_cache(cache_spec), prompt, gen_len, seed=seed, premature_floor=premature_floor,
+        parse_cache(cache_spec), prompt, gen_len, seed=seed,
     )[1]
 
 
@@ -335,4 +330,4 @@ def run_grid(spec: Union[GridSpec, str]) -> List[Dict[str, object]]:
     if isinstance(spec, str):
         spec = parse_grid_file(spec)
     cells = product(spec.schedulers, spec.samplers, spec.caches, spec.denoisers, spec.seeds)
-    return [run_cell(*cell, spec.gen_len, spec.prompt_len, spec.premature_floor) for cell in cells]
+    return [run_cell(*cell, spec.gen_len, spec.prompt_len) for cell in cells]

@@ -12,16 +12,14 @@ Three policies:
   fixed suffix window after it), with a full global refresh after every
   ``init_size`` committed tokens.
 
-The recompute set always covers the active block, so samplers never consume
-logits derived from stale query positions.
+The recompute set is always one contiguous ``range`` that covers the active
+block, so samplers never consume logits derived from stale query positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple, Union
-
-import numpy as np
 
 from .configstr import reject_unknown, split_spec, take_int
 from .schedulers import BlockWindow
@@ -96,26 +94,28 @@ def recompute_set(
     window: BlockWindow,
     schedule: CacheSchedule,
     seq_len: int,
-) -> Tuple[np.ndarray, str]:
+) -> Tuple[range, str]:
     """Positions to recompute this step, plus the cache event tag.
 
-    Returned positions are sorted absolute indices into [0, seq_len).
+    The positions are one step-1 ``range(lo, hi)`` of absolute indices inside
+    [0, seq_len): the whole sequence, the block, or prefix window + block +
+    suffix.
     """
     if not (0 <= window.start <= window.end <= seq_len):
         raise ValueError(f"window [{window.start}, {window.end}) outside [0, {seq_len})")
     if isinstance(policy, NoCache):
-        return np.arange(seq_len, dtype=np.int64), EVENT_NONE
+        return range(seq_len), EVENT_NONE
     if isinstance(policy, DualCache):
         if not schedule.primed or window.start - schedule.refresh_anchor >= window.init_size:
-            return np.arange(seq_len, dtype=np.int64), EVENT_REFRESH
-        return np.arange(window.start, window.end, dtype=np.int64), EVENT_PARTIAL
+            return range(seq_len), EVENT_REFRESH
+        return range(window.start, window.end), EVENT_PARTIAL
     # DSBCache
     if not schedule.primed or schedule.tokens_since_refresh >= window.init_size:
-        return np.arange(seq_len, dtype=np.int64), EVENT_REFRESH
+        return range(seq_len), EVENT_REFRESH
     pw = prefix_window_len(policy.prefix_min, window.start, schedule.prev_window_start)
     lo = max(0, window.start - pw)
     hi = min(seq_len, window.end + policy.suffix_len)
-    return np.arange(lo, hi, dtype=np.int64), EVENT_PARTIAL
+    return range(lo, hi), EVENT_PARTIAL
 
 
 def after_step(

@@ -38,25 +38,27 @@ CONFIG_KEYS = ["scheduler", "sampler", "cache", "denoiser"]
 SUMMARY_FIELDS = ["steps", "recompute_frac", "premature_commits", "exact_match"]
 
 
-def check_premature_floor(floor: float) -> None:
-    """A premature-commit floor must lie strictly inside (0, 1); at 0 or 1 it
-    counts no commit, or every one, as premature."""
+PREMATURE_FLOOR = 0.5  # a commit below this confidence counts as premature
+
+
+def premature_commit_count(records: Iterable[StepRecord], floor: float) -> int:
+    """Committed tokens whose confidence at commit time was below ``floor``.
+
+    The floor must lie strictly inside (0, 1); at 0 or 1 it counts no commit,
+    or every one, as premature.
+    """
     if not 0.0 < floor < 1.0:
-        raise ValueError(f"premature_floor must lie in (0, 1), got {floor}")
+        raise ValueError(f"premature floor must lie in (0, 1), got {floor}")
+    return sum(1 for rec in records for conf in rec.confidences if conf < floor)
 
 
-def run_stats(
-    records: Sequence[StepRecord], seq_len: int, premature_floor: float = 0.5
-) -> Dict[str, object]:
+def run_stats(records: Sequence[StepRecord], seq_len: int) -> Dict[str, object]:
     """Per-run metrics derived purely from the step records."""
     steps = len(records)
     if steps == 0:
         raise ValueError("no step records to aggregate")
     commits_total = sum(rec.commits for rec in records)
     recompute_total = sum(rec.recompute_count for rec in records)
-    premature = sum(
-        1 for rec in records for conf in rec.confidences if conf < premature_floor
-    )
     return {
         "steps": steps,
         "commits_total": commits_total,
@@ -64,7 +66,7 @@ def run_stats(
         "recompute_total": recompute_total,
         "recompute_per_step": recompute_total / steps,
         "recompute_frac": recompute_total / (steps * seq_len),
-        "premature_commits": premature,
+        "premature_commits": premature_commit_count(records, PREMATURE_FLOOR),
     }
 
 

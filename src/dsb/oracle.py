@@ -27,7 +27,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .configstr import parse_number
-from .metrics import check_premature_floor
+from .metrics import premature_commit_count  # re-exported for callers of dsb.oracle
 from .state import ConfidenceMap, SequenceState, StepRecord, Vocab
 
 _MASK64 = (1 << 64) - 1
@@ -211,14 +211,6 @@ class OracleDenoiser:
 
     def reseeded(self, seed: int) -> "OracleDenoiser":
         return OracleDenoiser(replace(self.profile, seed=seed), self.vocab)
-
-
-def premature_commit_count(records: Iterable[StepRecord], floor: float) -> int:
-    """Committed tokens whose confidence at commit time was below ``floor``."""
-    check_premature_floor(floor)
-    return sum(
-        1 for rec in records for conf in rec.confidences if conf < floor
-    )
 
 
 def exact_match_rate(records: Iterable[StepRecord], profile: DifficultyProfile, prompt_len: int) -> float:

@@ -196,12 +196,11 @@ class InstrumentedDenoiser:
         return self.inner.empty_cache(seq_len)
 
     def forward_cached(self, tokens, cache, recompute, score=None):
-        rows = np.asarray(list(recompute), dtype=np.int64)
-        self.rsets.append(np.sort(rows))
-        if rows.size != len(tokens):
-            return self.inner.forward_cached(tokens, cache, rows, score)
+        self.rsets.append(np.asarray(recompute))
+        if len(recompute) != len(tokens):
+            return self.inner.forward_cached(tokens, cache, recompute, score)
         # A global refresh: compare every row with the full pass, then score.
-        logits = self.inner.forward_cached(tokens, cache, rows)
+        logits = self.inner.forward_cached(tokens, cache, recompute)
         full, _ = self.inner.forward_full(tokens)
         self.refresh_rel_diffs.append(max_rel_diff(logits, full))
         return logits if score is None else logits[np.asarray(score, dtype=np.int64)]

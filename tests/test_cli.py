@@ -173,20 +173,18 @@ def test_bad_grid_fails_before_the_first_cell(tmp_path, monkeypatch, capsys, cac
     assert cells == [] and not out_csv.exists()
 
 
-def test_grid_with_premature_floor_outside_unit_interval_runs_no_cell(
-    tmp_path, monkeypatch, capsys
-):
+def test_grid_with_unknown_key_runs_no_cell(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(
         "gen_len = 8\nprompt_len = 2\nschedulers = naive:B=4\nsamplers = vanilla\n"
-        f"caches = nocache\ndenoisers = {TOY}\npremature_floor = 5\n"
+        f"caches = nocache\ndenoisers = {TOY}\npremature_floor = 0.5\n"
     )
     cells = []
     monkeypatch.setattr(dsb.engine, "run_cell", lambda *args, **kw: cells.append(args))
     out_csv = tmp_path / "rows.csv"
     code = main(["grid", "--config", str(cfg), "--csv", str(out_csv)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: premature_floor must lie in (0, 1)")
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: unknown key(s) ['premature_floor']")
     assert cells == [] and not out_csv.exists()
 
 
@@ -202,27 +200,6 @@ def test_bad_config_string_is_a_clean_error(prompt_file, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("floor", ["0", "1", "5.0"])
-def test_premature_floor_outside_unit_interval_fails_before_decoding(
-    prompt_file, monkeypatch, capsys, floor
-):
-    decodes = []
-    monkeypatch.setattr(dsb.engine, "decode", lambda *args, **kw: decodes.append(args))
-    code = main([
-        "decode",
-        "--scheduler", "naive:B=4",
-        "--sampler", "vanilla",
-        "--cache", "nocache",
-        "--denoiser", "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64",
-        "--prompt-file", prompt_file,
-        "--gen-len", "8",
-        "--premature-floor", floor,
-    ])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: premature_floor must lie in (0, 1)")
-    assert decodes == []
 
 
 def test_missing_prompt_file_is_a_clean_error(tmp_path, capsys):
@@ -313,9 +290,9 @@ def test_non_numeric_file_value_names_the_file_and_line(tmp_path, capsys, prompt
     assert err.startswith(f"error: {tmp_path / where}") and err.rstrip().endswith("got 'x'")
 
 
-@pytest.mark.parametrize("key", ["seeds", "gen_len", "prompt_len", "premature_floor"])
+@pytest.mark.parametrize("key", ["seeds", "gen_len", "prompt_len"])
 def test_non_numeric_grid_value_names_the_file_and_key(tmp_path, capsys, key):
-    lines = {"gen_len": "8", "prompt_len": "2", "seeds": "0 1", "premature_floor": "0.5"}
+    lines = {"gen_len": "8", "prompt_len": "2", "seeds": "0 1"}
     lines[key] = "0 x" if key == "seeds" else "x"
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(

@@ -333,15 +333,6 @@ class TestGrid:
             assert row["steps"] >= 1
             assert row["wall_time_s"] > 0
 
-    @pytest.mark.parametrize("floor", [0.0, 1.0, 5.0, -0.5, float("nan")])
-    def test_premature_floor_outside_unit_interval_rejected(self, floor):
-        with pytest.raises(ValueError, match="premature_floor must lie in"):
-            GridSpec(
-                schedulers=["naive:B=4"], samplers=["vanilla"], caches=["nocache"],
-                denoisers=["toy:seed=5,v=33,d=32,h=2,layers=2,maxlen=96"],
-                seeds=[0], gen_len=8, prompt_len=2, premature_floor=floor,
-            )
-
     @pytest.mark.parametrize(
         "denoiser, seeds, gen_len, prompt_len, match",
         [

@@ -55,26 +55,26 @@ class TestRecomputeSet:
     def test_nocache_everything(self):
         window = BlockWindow(10, 14, 4, 4)
         rset, event = recompute_set(NoCache(), window, primed_schedule(10), 20)
-        assert rset.tolist() == list(range(20))
+        assert list(rset) == list(range(20))
         assert event == EVENT_NONE
 
     def test_dsbcache_prefix_plus_block(self):
         window = BlockWindow(110, 142, 32, 32)
         rset, event = recompute_set(DSBCache(prefix_min=24), window, primed_schedule(110), 200)
-        assert rset.tolist() == list(range(86, 142))
+        assert list(rset) == list(range(86, 142))
         assert event == EVENT_PARTIAL
 
     def test_dsbcache_prefix_covers_slide(self):
         window = BlockWindow(110, 142, 32, 32)
         schedule = primed_schedule(prev_start=80)  # slid 30 > pmin 24
         rset, _ = recompute_set(DSBCache(prefix_min=24), window, schedule, 200)
-        assert rset.tolist() == list(range(80, 142))
+        assert list(rset) == list(range(80, 142))
 
     def test_dsbcache_suffix_window(self):
         window = BlockWindow(110, 142, 32, 32)
         rset, _ = recompute_set(DSBCache(prefix_min=24, suffix_len=8), window,
                                 primed_schedule(110), 200)
-        assert rset.tolist() == list(range(86, 150))
+        assert list(rset) == list(range(86, 150))
 
     def test_dsbcache_suffix_clipped_at_end(self):
         window = BlockWindow(110, 142, 32, 32)
@@ -86,7 +86,7 @@ class TestRecomputeSet:
         window = BlockWindow(110, 142, 32, 32)
         schedule = primed_schedule(110, tokens=32)
         rset, event = recompute_set(DSBCache(prefix_min=24), window, schedule, 200)
-        assert rset.size == 200
+        assert len(rset) == 200
         assert event == EVENT_REFRESH
 
     def test_dsbcache_prefix_clipped_at_zero(self):
@@ -97,21 +97,21 @@ class TestRecomputeSet:
     def test_dual_mid_block(self):
         window = BlockWindow(110, 142, 32, 32)
         rset, event = recompute_set(DualCache(), window, primed_schedule(110, anchor=110), 200)
-        assert rset.tolist() == list(range(110, 142))
+        assert list(rset) == list(range(110, 142))
         assert event == EVENT_PARTIAL
 
     def test_dual_resync_on_block_completion(self):
         window = BlockWindow(142, 174, 32, 32)
         schedule = primed_schedule(110, anchor=110)  # start jumped by one block
         rset, event = recompute_set(DualCache(), window, schedule, 200)
-        assert rset.size == 200
+        assert len(rset) == 200
         assert event == EVENT_REFRESH
 
     def test_unprimed_always_full(self):
         window = BlockWindow(10, 14, 4, 4)
         for policy in (DualCache(), DSBCache(prefix_min=4)):
             rset, event = recompute_set(policy, window, CacheSchedule(prev_window_start=10), 20)
-            assert rset.size == 20
+            assert len(rset) == 20
             assert event == EVENT_REFRESH
 
     def test_window_bounds_checked(self):
@@ -179,6 +179,7 @@ def test_coverage_and_validity_discipline_over_randomized_traces():
         written = np.zeros(seq_len, dtype=bool)
         while state.decoded_count < gen_len:
             rset, event = recompute_set(policy, window, schedule, seq_len)
+            assert isinstance(rset, range) and rset.step == 1, f"trial {trial}: {rset!r} is not a step-1 range"
             outside = np.setdiff1d(np.arange(seq_len), rset)
             assert written[outside].all(), (
                 f"trial {trial}: step would read never-written positions "

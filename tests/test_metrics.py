@@ -7,6 +7,7 @@ from dsb.engine import run_cell
 from dsb.metrics import (
     ROW_COLUMNS,
     format_table,
+    premature_commit_count,
     run_stats,
     summarize,
     write_csv,
@@ -34,7 +35,7 @@ class TestRunStats:
             record(0, [0, 1], [0.9, 0.4], 10),
             record(1, [2], [0.3], 6),
         ]
-        stats = run_stats(records, seq_len=10, premature_floor=0.5)
+        stats = run_stats(records, seq_len=10)
         assert stats["steps"] == 2
         assert "nfe" not in stats
         assert stats["commits_total"] == 3
@@ -46,6 +47,13 @@ class TestRunStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             run_stats([], seq_len=10)
+
+
+class TestPrematureCommitCount:
+    @pytest.mark.parametrize("floor", [0.0, 1.0, 5.0, -0.5, float("nan")])
+    def test_premature_floor_outside_unit_interval_rejected(self, floor):
+        with pytest.raises(ValueError, match="premature floor must lie in"):
+            premature_commit_count([], floor)
 
 
 class TestSummarize:
