@@ -2,8 +2,9 @@
 
 Decodes the scripted hard-inside/easy-outside profile under the fixed and
 sliding schedules and prints, per scheduler: total steps, premature commits
-(confidence below 0.5 at commit time), exact-match rate, and the step index
-at which the hard position and the first beyond-block positions resolved.
+(confidence below ``metrics.PREMATURE_FLOOR``, 0.5, at commit time),
+exact-match rate, and the step index at which the hard position and the
+first beyond-block positions resolved.
 
 Usage: python scripts/fig1_demo.py [--seeds 100] [--gen-len 64] [--block 8]
 """
@@ -12,6 +13,7 @@ import argparse
 
 from dsb.engine import decode
 from dsb.kvcache import NoCache
+from dsb.metrics import PREMATURE_FLOOR
 from dsb.oracle import (
     OracleDenoiser,
     exact_match_rate,
@@ -61,7 +63,7 @@ def main():
                          prompt, args.gen_len)
             agg = totals[name]
             agg["steps"] += res.steps
-            agg["premature"] += premature_commit_count(res.records, 0.5)
+            agg["premature"] += premature_commit_count(res.records, PREMATURE_FLOOR)
             agg["match"] += exact_match_rate(res.records, profile, lp)
             agg["hard_step"] += first_commit_step(res.records, lp + hard)
             agg["edge_step"] += first_commit_step(res.records, lp + args.block)

@@ -14,16 +14,16 @@ tests' reference.
 
 The KV store is two ``(depth, seq_len, width)`` arrays plus that vector.
 The forward takes an optional ``score`` subset of the recomputed rows;
-the last layer's query side, MLP and head run only for those, and
+the last layer's attention, MLP and head run only for those, and
 :func:`confidences` turns logits row i into the scores of ``score[i]``.
 
-Attention is fully bidirectional (no causal mask), positions are learned
-absolute embeddings, and all arithmetic is float32.  Each layer's weights
-are bound once when the model is built, with ``log2(e)/sqrt(dh)`` folded
-into the query weights and bias, so the attention softmax is ``exp2`` of the
-scores and its row sums come from a GEMV.  Rows are shifted by their max only
-when a score lies outside ``±EXP2_SAFE`` (64); inside it every weight lies in
-[2**-64, 2**64], far from float32's overflow (2**128) and normal floor (2**-126).
+Attention is bidirectional (no causal mask), positions are learned absolute
+embeddings, and arithmetic is float32.  Each layer norm's gain and bias are
+folded into the projection that reads it, and ``log2(e)/sqrt(dh)`` into the
+query columns, so a layer runs one Q/K/V GEMM of rows normalised with GEMV
+mean and variance, and attention is ``exp2`` with GEMV row sums.  Rows are
+shifted by their max only when a score lies outside ``±EXP2_SAFE`` (64): inside
+it every weight is in [2**-64, 2**64], far from float32's 2**128 and 2**-126.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ class DenoiserConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.width % self.heads != 0:
-            raise ValueError(
-                f"width {self.width} is not divisible by {self.heads} heads"
-            )
+            raise ValueError(f"width {self.width} is not divisible by {self.heads} heads")
 
 
 class KVStore:
@@ -81,17 +79,20 @@ class KVStore:
         self.valid = np.zeros(seq_len, dtype=bool)
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    # Bit-identical to (x - mean) / sqrt(var + eps): numpy's mean/var run these ufuncs.
-    # The tail runs in place on the centred buffer, in the same order.
-    centred = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
-    var = np.square(centred).sum(axis=-1, keepdims=True) / x.shape[-1]
+def _normalise(x: np.ndarray, avg: np.ndarray) -> np.ndarray:
+    """``(x - mean) / sqrt(var + eps)`` per row; ``avg`` is the (width, 1) column of 1/width."""
+    centred = x - x @ avg
+    var = np.square(centred) @ avg
     var += LN_EPS
     np.sqrt(var, out=var)
     centred /= var
-    centred *= gain
-    centred += bias
     return centred
+
+
+def _fold(gain, bias, w, b) -> Tuple[np.ndarray, np.ndarray]:
+    """``(w', b')`` taking ``_normalise(x)`` where ``(w, b)`` took ``LN(x; gain, bias)``."""
+    w = w.astype(np.float64)  # each folded entry is rounded to float32 once
+    return (gain[:, None] * w).astype(np.float32), (bias @ w + b).astype(np.float32)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -150,8 +151,9 @@ def _check_params(config: DenoiserConfig, params: Dict[str, np.ndarray]) -> None
             raise ValueError(f"unknown parameter {name!r}")
 
 
-# One block's weights, bound once per model in _param_shapes' order.
-_Layer = namedtuple("_Layer", "ln1_g ln1_b wq bq wk bk wv bv wo bo ln2_g ln2_b w_up b_up w_down b_down")
+# One block's folded weights: wqkv/bqkv carry ln1 and the [wq*s | wk | wv] columns
+# and biases, s = log2(e)/sqrt(dh) (scores in exp2's log2 units); w_up/b_up carry ln2.
+_Layer = namedtuple("_Layer", "wqkv bqkv wo bo w_up b_up w_down b_down")
 
 
 class TinyDenoiser:
@@ -167,14 +169,17 @@ class TinyDenoiser:
             }
         _check_params(config, params)
         self.params = params
-        # The forward reads these per-layer bindings, not params; wq and bq are
-        # copies that carry the score scale in log2 units, so the scores go
-        # straight into exp2.  Build a new model to change the weights.
-        scale = np.float32(np.log2(np.e) / np.sqrt(config.width // config.heads))
+        # The forward reads only these folded bindings; build a new model to change the weights.
+        scale = np.log2(np.e) / np.sqrt(config.width // config.heads)
         self._layers = []
         for i in range(config.depth):
-            w = _Layer(*(params[f"l{i}.{name}"] for name in _Layer._fields))
-            self._layers.append(w._replace(wq=w.wq * scale, bq=w.bq * scale))
+            l = {n.partition(".")[2]: a for n, a in params.items() if n.startswith(f"l{i}.")}
+            qkv = _fold(l["ln1_g"], l["ln1_b"], np.hstack([l["wq"] * scale, l["wk"], l["wv"]]),
+                        np.hstack([l["bq"] * scale, l["bk"], l["bv"]]))
+            up = _fold(l["ln2_g"], l["ln2_b"], l["w_up"], l["b_up"])
+            self._layers.append(_Layer(*qkv, l["wo"], l["bo"], *up, l["w_down"], l["b_down"]))
+        self._head = _fold(params["ln_f_g"], params["ln_f_b"], params["w_out"], params["b_out"])
+        self._avg = np.full((config.width, 1), 1 / config.width, dtype=np.float32)
         self._ones = np.ones((config.max_len, 1), dtype=np.float32)
 
     @property
@@ -192,9 +197,7 @@ class TinyDenoiser:
         if tokens.ndim != 1 or tokens.shape[0] < 1:
             raise ValueError("tokens must be a non-empty 1-d array")
         if tokens.shape[0] > self.config.max_len:
-            raise ValueError(
-                f"sequence of length {tokens.shape[0]} exceeds max_len {self.config.max_len}"
-            )
+            raise ValueError(f"sequence of length {tokens.shape[0]} exceeds max_len {self.config.max_len}")
         if tokens.min() < 0 or tokens.max() >= self.config.vocab_size:
             raise ValueError("token id outside the vocabulary")
         return tokens
@@ -202,14 +205,11 @@ class TinyDenoiser:
     def _attend(self, q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Full bidirectional attention of queries q over all keys/values.
 
-        Batched matmul over heads, so both products run as BLAS GEMMs.  The
-        queries come from weights that already carry ``log2(e)/sqrt(dh)``, so
-        they enter the score product as an ``(h, q, dh)`` view and ``exp2`` of
-        the scores equals ``exp`` of the scaled ones.  Each row's maximum is
-        subtracted only when a score lies outside ``±EXP2_SAFE``; softmax does
-        not change under a shift, so skipping it moves only rounding.  The row
-        sums come from a GEMV against ones and divide the ``(h, q, dh)``
-        product rather than the larger ``(h, q, k)`` weights.
+        Batched matmul over heads, so both products are BLAS GEMMs.  The queries
+        carry ``log2(e)/sqrt(dh)``, so ``exp2`` of the scores is the softmax's
+        ``exp``.  Each row's max is subtracted only when a score lies outside
+        ``±EXP2_SAFE``; a shift moves only rounding.  The row sums are a GEMV
+        against ones and divide the ``(h, q, dh)`` product, not the weights.
         """
         h = self.config.heads
         dh = self.config.width // h
@@ -270,27 +270,27 @@ class TinyDenoiser:
             bad = int(np.argmax(unwritten))
             raise CacheIntegrityError(f"position {bad} was never computed but is outside the recompute set")
 
-        p = self.params
         cache.valid[rows] = True
 
         # x is a fresh array, so the residual updates below may run in place.
-        x = p["tok_emb"][tokens[rows]] + p["pos_emb"][rows]
+        x = self.params["tok_emb"][tokens[rows]] + self.params["pos_emb"][rows]
+        d = self.config.width
         for i, w in enumerate(self._layers):
-            h = _layer_norm(x, w.ln1_g, w.ln1_b)
-            cache.keys[i, rows] = h @ w.wk + w.bk
-            cache.values[i, rows] = h @ w.wv + w.bv
+            qkv = _normalise(x, self._avg) @ w.wqkv
+            qkv += w.bqkv
+            cache.keys[i, rows] = qkv[:, d:2 * d]
+            cache.values[i, rows] = qkv[:, 2 * d:]
+            q = qkv[:, :d]
             if keep is not None and i == self.config.depth - 1:
-                x, h = x[keep], h[keep]
-            q = h @ w.wq
-            q += w.bq
+                x, q = x[keep], q[keep]
             x += self._attend(q, cache.keys[i], cache.values[i]) @ w.wo
             x += w.bo
-            u = _layer_norm(x, w.ln2_g, w.ln2_b) @ w.w_up
+            u = _normalise(x, self._avg) @ w.w_up
             u += w.b_up
             np.maximum(u, 0.0, out=u)
             x += u @ w.w_down
             x += w.b_down
-        return _layer_norm(x, p["ln_f_g"], p["ln_f_b"]) @ p["w_out"] + p["b_out"]
+        return _normalise(x, self._avg) @ self._head[0] + self._head[1]
 
 
 def confidences(logits: np.ndarray, positions: Sequence[int], vocab: Vocab) -> ConfidenceMap:
