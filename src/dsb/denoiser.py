@@ -12,10 +12,13 @@ one store, and ``nocache`` recomputes every row of it;
 :meth:`TinyDenoiser.forward_full` is the same forward on a fresh store, the
 tests' reference.
 
-The KV store is two ``(depth, seq_len, width)`` arrays plus that vector.
-The forward takes an optional ``score`` subset of the recomputed rows;
-the last layer's attention, MLP and head run only for those, and
-:func:`confidences` turns logits row i into the scores of ``score[i]``.
+The KV store is head-major, laid out as attention reads it: keys
+``(depth, heads, dh, seq_len)``, values ``(depth, heads, seq_len, dh)``, plus
+that vector and the decode's scratch buffers, so the forward allocates no
+score, Q/K/V or MLP-hidden block per call.  The forward takes an optional
+``score`` subset of the recomputed rows; the last layer's attention, MLP and
+head run only for those, and :func:`confidences` turns logits row i into the
+scores of ``score[i]``.
 
 Attention is bidirectional (no causal mask), positions are learned absolute
 embeddings, and arithmetic is float32.  Each layer norm's gain and bias are
@@ -67,16 +70,24 @@ class DenoiserConfig:
 class KVStore:
     """All layers' KV rows for one decode; single-owner, mutated in place.
 
-    ``keys`` and ``values`` are float32 ``(depth, seq_len, width)`` arrays, so
-    layer i's rows are the C-contiguous slices ``keys[i]`` and ``values[i]``.
-    ``valid`` marks the positions written; every write covers all layers.
+    ``keys`` is float32 ``(depth, heads, dh, seq_len)`` and ``values``
+    ``(depth, heads, seq_len, dh)``, so layer i's ``keys[i]`` and ``values[i]``
+    are the contiguous operands of the score and value GEMMs; position p is
+    ``keys[i][..., p]`` and ``values[i][:, p]``.  ``valid`` marks the positions
+    written; every write covers all layers.  ``scores`` (flat, ``heads·seq_len²``),
+    ``qkv`` ``(seq_len, 3·width)`` and ``hidden`` ``(seq_len, 4·width)`` are
+    scratch the forward overwrites on every call and never returns.
     """
 
-    def __init__(self, seq_len: int, width: int, depth: int):
+    def __init__(self, seq_len: int, width: int, heads: int, depth: int):
+        dh = width // heads
         self.seq_len = seq_len
-        self.keys = np.zeros((depth, seq_len, width), dtype=np.float32)
-        self.values = np.zeros((depth, seq_len, width), dtype=np.float32)
+        self.keys = np.zeros((depth, heads, dh, seq_len), dtype=np.float32)
+        self.values = np.zeros((depth, heads, seq_len, dh), dtype=np.float32)
         self.valid = np.zeros(seq_len, dtype=bool)
+        self.scores = np.empty(heads * seq_len * seq_len, dtype=np.float32)
+        self.qkv = np.empty((seq_len, 3 * width), dtype=np.float32)
+        self.hidden = np.empty((seq_len, 4 * width), dtype=np.float32)
 
 
 def _normalise(x: np.ndarray, avg: np.ndarray) -> np.ndarray:
@@ -190,7 +201,7 @@ class TinyDenoiser:
     def empty_cache(self, seq_len: int) -> KVStore:
         if seq_len > self.config.max_len:
             raise ValueError(f"seq_len {seq_len} exceeds max_len {self.config.max_len}")
-        return KVStore(seq_len, self.config.width, self.config.depth)
+        return KVStore(seq_len, self.config.width, self.config.heads, self.config.depth)
 
     def _check_tokens(self, tokens: Sequence[int]) -> np.ndarray:
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -202,26 +213,25 @@ class TinyDenoiser:
             raise ValueError("token id outside the vocabulary")
         return tokens
 
-    def _attend(self, q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Full bidirectional attention of queries q over all keys/values.
+    def _attend(self, q: np.ndarray, keys: np.ndarray, values: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+        """Full bidirectional attention of queries q over head-major keys/values.
 
-        Batched matmul over heads, so both products are BLAS GEMMs.  The queries
-        carry ``log2(e)/sqrt(dh)``, so ``exp2`` of the scores is the softmax's
-        ``exp``.  Each row's max is subtracted only when a score lies outside
-        ``±EXP2_SAFE``; a shift moves only rounding.  The row sums are a GEMV
-        against ones and divide the ``(h, q, dh)`` product, not the weights.
+        Batched matmul over heads, so both products are BLAS GEMMs; the scores
+        go into a contiguous ``(h, q, k)`` prefix of the flat ``scratch``.  The
+        queries carry ``log2(e)/sqrt(dh)``, so ``exp2`` of the scores is the
+        softmax's ``exp``.  Each row's max is subtracted only when a score lies
+        outside ``±EXP2_SAFE``; a shift moves only rounding.  The row sums are a
+        GEMV against ones and divide the ``(h, q, dh)`` product, not the weights.
         """
-        h = self.config.heads
-        dh = self.config.width // h
-        nq, nk = q.shape[0], keys.shape[0]
+        h, dh, nk = keys.shape
+        nq = q.shape[0]
         qh = q.reshape(nq, h, dh).transpose(1, 0, 2)
-        kh = keys.reshape(nk, h, dh).transpose(1, 2, 0)
-        vh = values.reshape(nk, h, dh).transpose(1, 0, 2)
-        weights = np.matmul(qh, kh)  # (h, q, k), in log2 units
+        weights = np.matmul(qh, keys, out=scratch[:h * nq * nk].reshape(h, nq, nk))  # log2 units
         if weights.max() > EXP2_SAFE or weights.min() < -EXP2_SAFE:
             weights -= weights.max(axis=-1, keepdims=True)
         np.exp2(weights, out=weights)
-        out = np.matmul(weights, vh)  # (h, q, dh)
+        out = np.matmul(weights, values)  # (h, q, dh)
         out /= np.matmul(weights, self._ones[:nk])
         return out.transpose(1, 0, 2).reshape(nq, self.config.width)
 
@@ -274,18 +284,20 @@ class TinyDenoiser:
 
         # x is a fresh array, so the residual updates below may run in place.
         x = self.params["tok_emb"][tokens[rows]] + self.params["pos_emb"][rows]
-        d = self.config.width
+        d, h = self.config.width, self.config.heads
+        qkv = cache.qkv[:len(recompute)]
+        split = (len(recompute), h, d // h)  # Q/K/V column block -> (rows, heads, dh)
         for i, w in enumerate(self._layers):
-            qkv = _normalise(x, self._avg) @ w.wqkv
+            np.matmul(_normalise(x, self._avg), w.wqkv, out=qkv)
             qkv += w.bqkv
-            cache.keys[i, rows] = qkv[:, d:2 * d]
-            cache.values[i, rows] = qkv[:, 2 * d:]
+            cache.keys[i][..., rows] = qkv[:, d:2 * d].reshape(split).transpose(1, 2, 0)
+            cache.values[i][:, rows] = qkv[:, 2 * d:].reshape(split).transpose(1, 0, 2)
             q = qkv[:, :d]
             if keep is not None and i == self.config.depth - 1:
                 x, q = x[keep], q[keep]
-            x += self._attend(q, cache.keys[i], cache.values[i]) @ w.wo
+            x += self._attend(q, cache.keys[i], cache.values[i], cache.scores) @ w.wo
             x += w.bo
-            u = _normalise(x, self._avg) @ w.w_up
+            u = np.matmul(_normalise(x, self._avg), w.w_up, out=cache.hidden[:len(x)])
             u += w.b_up
             np.maximum(u, 0.0, out=u)
             x += u @ w.w_down

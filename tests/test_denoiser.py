@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,9 +162,9 @@ class TestForwardCached:
         model.forward_cached(changed, kv, rows)
         untouched = np.setdiff1d(np.arange(12), rows)
         for i, (k0, v0) in enumerate(before):
-            assert np.array_equal(kv.keys[i][untouched], k0[untouched])
-            assert np.array_equal(kv.values[i][untouched], v0[untouched])
-            assert not np.array_equal(kv.keys[i][rows], k0[rows])
+            assert np.array_equal(kv.keys[i][..., untouched], k0[..., untouched])
+            assert np.array_equal(kv.values[i][:, untouched], v0[:, untouched])
+            assert not np.array_equal(kv.keys[i][..., rows], k0[..., rows])
 
     def test_logits_rows_follow_position_order(self, model):
         toks = tokens_for(model, 12)
@@ -338,6 +339,59 @@ def test_forward_never_writes_into_its_inputs(model):
     assert np.array_equal(toks, given_toks)
     assert all(np.array_equal(model.params[name], arr) for name, arr in params.items())
     assert all(np.array_equal(a, b) for w, c in zip(bound, copies) for a, b in zip(w, c))
+
+
+@pytest.mark.parametrize("rows", [264, 32], ids=["full", "partial"])
+def test_forward_allocates_less_than_one_score_tensor(rows):
+    """Scores, Q/K/V and the MLP hidden block live in the store's scratch, not per call.
+
+    The bound is one float32 ``(heads, rows, n)`` score tensor, which a call
+    that allocated its own scores would exceed by itself.
+    """
+    m = TinyDenoiser(parse_denoiser_config("toy:seed=42"))
+    n = 264
+    toks = tokens_for(m, n, seed=8)
+    recompute = range(n - rows, n)
+    kv = m.empty_cache(n)
+    m.forward_cached(toks, kv, range(n))
+    m.forward_cached(toks, kv, recompute)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        m.forward_cached(toks, kv, recompute)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.config.heads * rows * n * 4
+
+
+@pytest.mark.parametrize("factor", [None, 1300.0], ids=["unshifted", "shifted"])
+def test_scratch_never_leaks_into_results(model, factor):
+    """Whatever the scratch holds before a call, logits and K/V come out the same,
+    and logits a call returned stay put through the next call on the store.
+
+    At 1300x the scores leave ``±EXP2_SAFE``, so the kernel's shifted branch runs too.
+    """
+    m = model if factor is None else with_sharp_attention(factor)
+    toks = tokens_for(m, 12, seed=9)
+    changed = toks.copy()
+    changed[[2, 7]] = (changed[[2, 7]] + 3) % m.config.vocab_size
+    _, nan_kv = m.forward_full(toks)
+    zero_kv = copy.deepcopy(nan_kv)
+    calls = [(range(3, 9), [4, 8]), (range(3, 9), None), (range(12), None)]
+    runs = []
+    for kv, fill in ((nan_kv, np.nan), (zero_kv, 0.0)):
+        runs.append([])
+        for rows, score in calls:
+            for buf in (kv.scores, kv.qkv, kv.hidden):
+                buf.fill(fill)
+            got = m.forward_cached(changed, kv, rows, score)
+            runs[-1].append((got, got.copy()))
+    for (a, a_then), (b, b_then) in zip(*runs):
+        assert np.array_equal(a, b) and np.isfinite(a).all()
+        assert np.array_equal(a, a_then) and np.array_equal(b, b_then)
+    assert np.array_equal(nan_kv.keys, zero_kv.keys)
+    assert np.array_equal(nan_kv.values, zero_kv.values)
 
 
 def layer_norm64(x, gain, bias):
