@@ -13,13 +13,8 @@ import argparse
 
 from dsb.engine import decode
 from dsb.kvcache import NoCache
-from dsb.metrics import PREMATURE_FLOOR
-from dsb.oracle import (
-    OracleDenoiser,
-    exact_match_rate,
-    hard_easy_profile,
-    premature_commit_count,
-)
+from dsb.metrics import PREMATURE_FLOOR, exact_match_rate, premature_commit_count
+from dsb.oracle import OracleDenoiser, hard_easy_profile
 from dsb.samplers import ConfidenceThreshold
 from dsb.schedulers import NaiveBlock, SlidingBlock
 from dsb.state import Vocab
@@ -64,7 +59,7 @@ def main():
             agg = totals[name]
             agg["steps"] += res.steps
             agg["premature"] += premature_commit_count(res.records, PREMATURE_FLOOR)
-            agg["match"] += exact_match_rate(res.records, profile, lp)
+            agg["match"] += exact_match_rate(res.records, den.truth, lp)
             agg["hard_step"] += first_commit_step(res.records, lp + hard)
             agg["edge_step"] += first_commit_step(res.records, lp + args.block)
 

@@ -25,7 +25,6 @@ from .schedulers import (
 )
 from .state import (
     CacheIntegrityError,
-    Candidate,
     ConfidenceMap,
     IllegalTransition,
     InvalidConfiguration,

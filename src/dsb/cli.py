@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--trace", help="write one JSON step record per line here")
     dec.add_argument("--csv", help="write the metrics row here")
     dec.add_argument("--eos-id", type=int, default=None,
-                     help="stop early once this token is committed with a decoded prefix")
+                     help="stop early once the first committed copy of this token has no "
+                          "masked position before it")
     dec.set_defaults(func=_cmd_decode)
 
     grid = sub.add_parser("grid", help="run every cell of a grid config file")

@@ -170,6 +170,9 @@ _Layer = namedtuple("_Layer", "wqkv bqkv wo bo w_up b_up w_down b_down")
 class TinyDenoiser:
     """Seeded bidirectional transformer satisfying the denoiser contract."""
 
+    supports_kv = True
+    truth: Optional[np.ndarray] = None  # response-indexed tokens to score commits against
+
     def __init__(self, config: DenoiserConfig, params: Optional[Dict[str, np.ndarray]] = None):
         self.config = config
         if params is None:
@@ -197,6 +200,11 @@ class TinyDenoiser:
     def vocab(self) -> Vocab:
         # The last vocabulary slot is the reserved mask token.
         return Vocab(size=self.config.vocab_size, mask_id=self.config.vocab_size - 1)
+
+    def check_lengths(self, prompt_len: int, gen_len: int) -> None:
+        if prompt_len + gen_len > self.config.max_len:
+            raise ValueError(f"prompt + response length {prompt_len + gen_len} "
+                             f"exceeds max_len {self.config.max_len}")
 
     def empty_cache(self, seq_len: int) -> KVStore:
         if seq_len > self.config.max_len:

@@ -28,7 +28,7 @@ from .kvcache import (
     parse_cache,
     recompute_set,
 )
-from .oracle import OracleDenoiser, exact_match_rate, load_profile
+from .oracle import OracleDenoiser, load_profile
 from .samplers import SamplerKind, format_sampler, parse_sampler, select
 from .schedulers import (
     SchedulerKind,
@@ -46,6 +46,9 @@ from .state import (
     new_sequence,
 )
 
+# The denoiser contract: ``vocab``, ``supports_kv``, ``truth`` (a response-indexed
+# array, or None) and ``check_lengths(prompt_len, gen_len)``; KV denoisers score
+# through ``empty_cache`` and ``forward_cached``, the others through ``confidence_map``.
 Denoiser = Union[TinyDenoiser, OracleDenoiser]
 
 
@@ -77,16 +80,12 @@ def decode(
     """Decode ``gen_len`` tokens after ``prompt``; returns state plus trace."""
     vocab = denoiser.vocab
     _check_eos_id(eos_id, vocab)
-    neural = hasattr(denoiser, "forward_cached")
-    if not neural and not isinstance(cache, NoCache):
-        raise InvalidConfiguration(
-            "cache policies other than nocache need a denoiser with KV support"
-        )
     state = new_sequence(prompt, gen_len, vocab)
     lp = state.prompt_len
     seq_len = state.seq_len
+    _check_fits(denoiser, cache, lp, gen_len)
     # One store per decode; nocache is the policy that recomputes all of it.
-    kv = denoiser.empty_cache(seq_len) if neural else None
+    kv = denoiser.empty_cache(seq_len) if denoiser.supports_kv else None
 
     window = init_window(scheduler, lp, gen_len)
     schedule = new_schedule(window)
@@ -98,7 +97,7 @@ def decode(
             raise RuntimeError("decode failed to make progress")
         rset, event = recompute_set(cache, window, schedule, seq_len)
         eligible = eligible_set(window, state)
-        if neural:
+        if kv is not None:
             # Every recompute set covers the block, so each eligible position has a row.
             logits = denoiser.forward_cached(state.full_tokens(), kv, rset, eligible)
             conf = confidences(logits, eligible, vocab)
@@ -129,13 +128,24 @@ def decode(
         after_step(schedule, len(positions), event, start_used)
         state.step += 1
 
-        if eos_id is not None and eos_id in committed:
-            first = positions[committed.index(eos_id)] - lp  # positions ascend
-            if not state.masked_positions(0, first).size:
+        if eos_id is not None:
+            # Stop once the first EOS has no masked position before it, whichever
+            # step committed it.
+            eos = np.flatnonzero(state.response == eos_id)
+            if eos.size and not state.masked_positions(0, int(eos[0])).size:
                 early_stopped = True
                 break
 
     return DecodeResult(state=state, records=records, early_stopped=early_stopped)
+
+
+def _check_fits(denoiser: Denoiser, cache: CachePolicy, prompt_len: int, gen_len: int) -> None:
+    """Raise unless ``denoiser`` can decode ``gen_len`` tokens after ``prompt_len`` with ``cache``."""
+    if not (denoiser.supports_kv or isinstance(cache, NoCache)):
+        raise InvalidConfiguration(
+            "cache policies other than nocache need a denoiser with KV support"
+        )
+    denoiser.check_lengths(prompt_len, gen_len)
 
 
 def _check_eos_id(eos_id: Optional[int], vocab: Vocab) -> None:
@@ -159,14 +169,8 @@ def read_trace(path: str) -> List[StepRecord]:
 
 def build_denoiser(spec: str, seed_offset: int = 0) -> Denoiser:
     """Build `toy:...` or `oracle:profile=PATH` denoisers from config strings."""
-    name, _ = split_spec(spec)
-    if name == "toy":
-        config = parse_denoiser_config(spec)
-        if seed_offset:
-            config = replace(config, seed=config.seed + seed_offset)
-        return TinyDenoiser(config)
+    name, params = split_spec(spec)
     if name == "oracle":
-        _, params = split_spec(spec)
         try:
             path = params.pop("profile")
         except KeyError:
@@ -177,7 +181,10 @@ def build_denoiser(spec: str, seed_offset: int = 0) -> Denoiser:
         vocab = Vocab(size=vocab_size, mask_id=vocab_size - 1)
         oracle = OracleDenoiser(profile, vocab)
         return oracle.reseeded(profile.seed + seed_offset) if seed_offset else oracle
-    raise ValueError(f"unknown denoiser {name!r} in {spec!r}")
+    config = parse_denoiser_config(spec)  # rejects every name but `toy`
+    if seed_offset:
+        config = replace(config, seed=config.seed + seed_offset)
+    return TinyDenoiser(config)
 
 
 def make_prompt(vocab: Vocab, prompt_len: int, seed: int) -> np.ndarray:
@@ -212,27 +219,14 @@ class GridSpec:
             parse_scheduler(s)
         for s in self.samplers:
             parse_sampler(s)
-        kv_caches = [c for c in self.caches if not isinstance(parse_cache(c), NoCache)]
-        seq_len = self.prompt_len + self.gen_len
+        caches = [parse_cache(c) for c in self.caches]
         for d in self.denoisers:
-            if split_spec(d)[0] == "toy":
-                max_len = parse_denoiser_config(d).max_len  # weights are built per cell
-                if seq_len > max_len:
-                    raise ValueError(
-                        f"prompt + response length {seq_len} exceeds max_len {max_len} of {d!r}"
-                    )
-                continue
-            profile = build_denoiser(d).profile
-            if kv_caches:
-                raise InvalidConfiguration(
-                    f"denoiser {d!r} has no KV support, so it cannot run with cache "
-                    f"{kv_caches[0]!r}; use nocache"
-                )
-            if profile.gen_len != self.gen_len:
-                raise ValueError(
-                    f"profile of {d!r} is scripted for length {profile.gen_len}, "
-                    f"the grid has gen_len {self.gen_len}"
-                )
+            denoiser = build_denoiser(d)  # cells build their own, with the grid seed added
+            for c, cache in zip(self.caches, caches):
+                try:
+                    _check_fits(denoiser, cache, self.prompt_len, self.gen_len)
+                except (ValueError, InvalidConfiguration) as exc:
+                    raise type(exc)(f"denoiser {d!r} with cache {c!r}: {exc}") from None
 
 
 def parse_grid_file(path: str) -> GridSpec:
@@ -298,8 +292,8 @@ def decode_row(
         cache=format_cache(cache), denoiser=denoiser_spec, seed=seed,
     )
     row.update(metrics.run_stats(result.records, result.state.seq_len))
-    row["exact_match"] = (exact_match_rate(result.records, denoiser.profile, result.state.prompt_len)
-                          if isinstance(denoiser, OracleDenoiser) else None)
+    row["exact_match"] = (None if denoiser.truth is None else
+                          metrics.exact_match_rate(result.records, denoiser.truth, result.state.prompt_len))
     row["wall_time_s"] = elapsed
     return result, row
 

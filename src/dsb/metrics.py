@@ -52,6 +52,15 @@ def premature_commit_count(records: Iterable[StepRecord], floor: float) -> int:
     return sum(1 for rec in records for conf in rec.confidences if conf < floor)
 
 
+def exact_match_rate(records: Iterable[StepRecord], truth: np.ndarray, prompt_len: int) -> float:
+    """Fraction of committed tokens equal to ``truth`` (response-indexed) at their position."""
+    total = hits = 0
+    for rec in records:
+        total += rec.commits
+        hits += sum(int(truth[pos - prompt_len]) == tok for pos, tok in zip(rec.positions, rec.tokens))
+    return hits / total if total else 0.0
+
+
 def run_stats(records: Sequence[StepRecord], seq_len: int) -> Dict[str, object]:
     """Per-run metrics derived purely from the step records."""
     steps = len(records)

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .configstr import parse_number
 from .metrics import premature_commit_count  # re-exported for callers of dsb.oracle
-from .state import ConfidenceMap, SequenceState, StepRecord, Vocab
+from .state import ConfidenceMap, SequenceState, Vocab
 
 _MASK64 = (1 << 64) - 1
 # splitmix64 constants as 0-d uint64 arrays, which numpy combines with arrays
@@ -133,7 +133,10 @@ class OracleDenoiser:
     """Adapter that lets the decode loop drive a difficulty profile.
 
     Carries no KV state, so it only composes with the no-cache policy.
+    ``truth`` is the profile's scripted tokens as a response-indexed array.
     """
+
+    supports_kv = False
 
     def __init__(self, profile: DifficultyProfile, vocab: Vocab):
         if vocab.size < 3:
@@ -145,7 +148,7 @@ class OracleDenoiser:
         self.profile = profile
         self.vocab = vocab
         self._ease = 1.0 - np.array(profile.base_difficulty, dtype=np.float64)
-        self._truth = truth
+        self.truth = truth
         # One-element arrays: numpy warns when uint64 scalars wrap, not arrays.
         self._seed_hash = _splitmix64(np.array([profile.seed & _MASK64], dtype=np.uint64))
         self._index = np.arange(profile.gen_len, dtype=np.uint64)
@@ -174,6 +177,10 @@ class OracleDenoiser:
         decoy += decoy >= self._skip_hi
         self._block_key, self._u, self._decoy = key, u, decoy
 
+    def check_lengths(self, prompt_len: int, gen_len: int) -> None:
+        if gen_len != self.profile.gen_len:
+            raise ValueError(f"profile scripted for length {self.profile.gen_len}, got gen_len {gen_len}")
+
     def confidence_map(
         self, state: SequenceState, positions: Optional[Sequence[int]] = None
     ) -> ConfidenceMap:
@@ -186,11 +193,8 @@ class OracleDenoiser:
         gathered from the hashed block of 32 steps that holds ``state.step``,
         which is hashed first if the denoiser holds another block.
         """
+        self.check_lengths(state.prompt_len, state.gen_len)
         profile, vocab = self.profile, self.vocab
-        if profile.gen_len != state.gen_len:
-            raise ValueError(
-                f"profile scripted for length {profile.gen_len}, state has {state.gen_len}"
-            )
         lp = state.prompt_len
         decoded = state.response != vocab.mask_id
         if positions is None:
@@ -206,23 +210,11 @@ class OracleDenoiser:
         if step >> _BLOCK_BITS != self._block_key:
             self._hash_block(step >> _BLOCK_BITS)
         row = step & (_BLOCK - 1)
-        tokens = np.where(self._u[row][idx] < c, self._truth[idx], self._decoy[row][idx])
+        tokens = np.where(self._u[row][idx] < c, self.truth[idx], self._decoy[row][idx])
         return ConfidenceMap(idx + lp, tokens, c)
 
     def reseeded(self, seed: int) -> "OracleDenoiser":
         return OracleDenoiser(replace(self.profile, seed=seed), self.vocab)
-
-
-def exact_match_rate(records: Iterable[StepRecord], profile: DifficultyProfile, prompt_len: int) -> float:
-    """Fraction of committed tokens equal to the scripted ground truth."""
-    total = 0
-    hits = 0
-    for rec in records:
-        for pos, tok in zip(rec.positions, rec.tokens):
-            total += 1
-            if profile.truth[pos - prompt_len] == tok:
-                hits += 1
-    return hits / total if total else 0.0
 
 
 def hard_easy_profile(

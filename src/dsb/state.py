@@ -12,10 +12,8 @@ arrays, and one :class:`ConfidenceMap` of aligned arrays carries a step's scores
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, NamedTuple, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -52,21 +50,13 @@ class Vocab:
             )
 
 
-class Candidate(NamedTuple):
-    """Best non-mask token at a masked position and its probability."""
-
-    token: int
-    confidence: float
-
-
-class ConfidenceMap(Mapping):
+class ConfidenceMap:
     """One step's scores: three aligned arrays over ascending absolute positions.
 
     ``positions`` (int64, each currently masked), ``tokens`` (int64, the best
     non-mask token there) and ``confidences`` (float64, so that tau tests and
-    trace values are exact); samplers return indices into them.  As a
-    read-only mapping it answers ``len(m)``, ``pos in m`` and ``m[pos] ->
-    Candidate`` by absolute position, and equals the dict it stands for.
+    trace values are exact); samplers return indices into them.  ``len(m)``
+    counts the entries and ``pos in m`` tests an absolute position.
     """
 
     def __init__(self, positions, tokens, confidences) -> None:
@@ -74,26 +64,12 @@ class ConfidenceMap(Mapping):
         self.tokens = np.asarray(tokens, dtype=np.int64)
         self.confidences = np.asarray(confidences, dtype=np.float64)
 
-    @cached_property
-    def _index(self) -> Dict[int, int]:
-        """``{position: array index}``, built on the first lookup by position."""
-        return dict(zip(self.positions.tolist(), range(self.positions.size)))
-
-    def __contains__(self, pos) -> bool:
-        return pos in self._index
-
-    def __getitem__(self, pos) -> Candidate:
-        i = self._index[pos]
-        return Candidate(int(self.tokens[i]), float(self.confidences[i]))
-
     def __len__(self) -> int:
         return self.positions.size
 
-    def __iter__(self):
-        return iter(self.positions.tolist())
-
-    def __repr__(self) -> str:
-        return f"ConfidenceMap({dict(self)!r})"
+    def __contains__(self, pos) -> bool:
+        i = self.positions.searchsorted(pos)
+        return bool(i < self.positions.size and self.positions[i] == pos)
 
 
 @dataclass

@@ -236,6 +236,14 @@ def scalar_oracle_confidences(
     return out
 
 
+def triples(scores) -> List[Tuple[int, int, float]]:
+    """``(position, token, confidence)`` per entry of a score map, in its array
+    order, or of a ``{position: (token, confidence)}`` dict, by position."""
+    if isinstance(scores, dict):
+        return [(pos, tok, conf) for pos, (tok, conf) in sorted(scores.items())]
+    return list(zip(scores.positions.tolist(), scores.tokens.tolist(), scores.confidences.tolist()))
+
+
 def select_reference(
     conf: Dict[int, Tuple[int, float]], tau: Optional[float]
 ) -> Tuple[List[Tuple[int, int]], bool]:

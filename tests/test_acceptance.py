@@ -179,8 +179,11 @@ def test_criterion_3_vanilla_step_identity():
 class InstrumentedDenoiser:
     """Wraps the toy model to log recompute sets and check refresh steps."""
 
+    supports_kv = True
+
     def __init__(self, inner: TinyDenoiser):
         self.inner = inner
+        self.check_lengths = inner.check_lengths
         self.rsets: List[np.ndarray] = []
         self.refresh_rel_diffs: List[float] = []
 

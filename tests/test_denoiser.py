@@ -19,6 +19,8 @@ from dsb.denoiser import (
 )
 from dsb.state import CacheIntegrityError, Vocab
 
+from reference import triples
+
 CFG = DenoiserConfig(vocab_size=33, width=32, heads=4, depth=3, max_len=64, seed=42)
 
 
@@ -508,37 +510,44 @@ def test_softmax_leaves_its_input_alone():
 class TestConfidences:
     def test_uniform_logits_split_over_non_mask_tokens(self):
         vocab = Vocab(size=4, mask_id=3)
-        out = confidences(np.zeros((2, 4), dtype=np.float32), [0, 1], vocab)
-        assert set(out) == {0, 1}
-        for cand in out.values():
-            assert cand.token != vocab.mask_id
-            assert abs(cand.confidence - 1 / 3) < 1e-6
+        out = triples(confidences(np.zeros((2, 4), dtype=np.float32), [0, 1], vocab))
+        assert [pos for pos, _, _ in out] == [0, 1]
+        for _, tok, conf in out:
+            assert tok != vocab.mask_id
+            assert abs(conf - 1 / 3) < 1e-6
 
     def test_one_hot_logit(self):
         vocab = Vocab(size=8, mask_id=7)
         row = np.zeros((1, 8), dtype=np.float32)
         row[0, 2] = 50.0
-        out = confidences(row, [0], vocab)
-        assert out[0].token == 2
-        assert abs(out[0].confidence - 1.0) < 1e-6
+        ((pos, tok, conf),) = triples(confidences(row, [0], vocab))
+        assert (pos, tok) == (0, 2)
+        assert abs(conf - 1.0) < 1e-6
 
     def test_empty_masked_set(self):
         vocab = Vocab(size=4, mask_id=3)
-        assert confidences(np.zeros((0, 4), dtype=np.float32), [], vocab) == {}
+        out = confidences(np.zeros((0, 4), dtype=np.float32), [], vocab)
+        assert triples(out) == [] and len(out) == 0 and 0 not in out
 
     def test_mask_never_wins(self):
         vocab = Vocab(size=4, mask_id=3)
         row = np.zeros((1, 4), dtype=np.float32)
         row[0, 3] = 99.0
-        out = confidences(row, [0], vocab)
-        assert out[0].token != 3
+        ((_, tok, _),) = triples(confidences(row, [0], vocab))
+        assert tok != 3
 
     def test_position_remapping(self):
         vocab = Vocab(size=4, mask_id=3)
         logits = np.zeros((2, 4), dtype=np.float32)
         logits[1, 0] = 9.0
         out = confidences(logits, [17, 20], vocab)
-        assert out[20].token == 0
+        (p0, _, c0), (p1, t1, c1) = triples(out)
+        assert (p0, p1, t1) == (17, 20, 0) and c1 > c0
+        # ``in`` by absolute position, as int or numpy int: below, between and past the entries.
+        for pos in (17, 20):
+            assert pos in out and np.int64(pos) in out
+        for pos in (0, 16, 18, 19, 21, 99):
+            assert pos not in out and np.int64(pos) not in out
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_row_count_must_match_positions(self, rows):

@@ -8,6 +8,7 @@ from dsb.engine import (
     GridSpec,
     build_denoiser,
     decode,
+    decode_row,
     make_prompt,
     parse_grid_file,
     read_trace,
@@ -19,9 +20,10 @@ from dsb.kvcache import DSBCache, DualCache, NoCache
 from dsb.oracle import OracleDenoiser, hard_easy_profile, make_profile, save_profile
 from dsb.samplers import ConfidenceThreshold, VanillaTop1
 from dsb.schedulers import NaiveBlock, SlidingBlock
+from dsb.metrics import exact_match_rate
 from dsb.state import ConfidenceMap, InvalidConfiguration, SequenceState, Vocab
 
-from reference import fixed_block_decode, scalar_oracle_confidences
+from reference import fixed_block_decode, scalar_oracle_confidences, triples
 
 VOCAB = Vocab(size=16, mask_id=15)
 TOY = DenoiserConfig(vocab_size=33, width=32, heads=2, depth=2, max_len=96, seed=5)
@@ -104,6 +106,20 @@ class TestDecodeBasics:
         assert res.early_stopped
         assert res.steps < gen_len
 
+    def test_early_stop_once_the_prefix_before_an_earlier_eos_fills(self):
+        """The EOS at index 8 commits in step 0 with index 2 still masked; step 1
+        fills index 2 (a fallback commit) and the decode must stop there, although
+        that step commits no EOS."""
+        gen_len = 16
+        delta = [0.95 if i == 2 or i >= 12 else 0.0 for i in range(gen_len)]
+        truth = [7 if i == 8 else 3 for i in range(gen_len)]
+        den = OracleDenoiser(make_profile(delta, 0.5, 2, truth, 0), VOCAB)
+        res = decode(den, SlidingBlock(16, None), ConfidenceThreshold(0.9), NoCache(),
+                     [1, 2], gen_len, eos_id=7)
+        assert 2 + 8 in res.records[0].positions and 2 + 2 in res.records[1].positions
+        assert res.early_stopped and res.steps == 2
+        assert (res.response[12:] == VOCAB.mask_id).all()
+
     def test_suffix_window_composes(self):
         model = TinyDenoiser(TOY)
         res = decode(model, SlidingBlock(4, 8), ConfidenceThreshold(0.9),
@@ -133,10 +149,8 @@ class TestReferenceEquivalence:
                 decoded_count=sum(1 for m in masked_flags if not m),
                 step=step,
             )
-            return {
-                pos: (cand.token, cand.confidence)
-                for pos, cand in OracleDenoiser(profile, VOCAB).confidence_map(state).items()
-            }
+            return {pos: (tok, conf) for pos, tok, conf in
+                    triples(OracleDenoiser(profile, VOCAB).confidence_map(state))}
 
         expected = fixed_block_decode(conf_fn, lp, gen_len, block, tau=0.9)
         res = decode(den, NaiveBlock(block), ConfidenceThreshold(0.9), NoCache(), [1] * lp, gen_len)
@@ -160,10 +174,8 @@ class TestReferenceEquivalence:
                 decoded_count=sum(1 for m in masked_flags if not m),
                 step=step,
             )
-            return {
-                pos: (cand.token, cand.confidence)
-                for pos, cand in OracleDenoiser(profile, VOCAB).confidence_map(state).items()
-            }
+            return {pos: (tok, conf) for pos, tok, conf in
+                    triples(OracleDenoiser(profile, VOCAB).confidence_map(state))}
 
         expected = fixed_block_decode(conf_fn, lp, gen_len, block, tau=None)
         res = decode(den, NaiveBlock(block), VanillaTop1(), NoCache(), [1] * lp, gen_len)
@@ -175,9 +187,12 @@ class FullPassDenoiser:
     """Test-only toy wrapper whose cached forward ignores the store it is
     handed and returns a fresh full pass, as the ``nocache`` path once ran."""
 
+    supports_kv = True
+
     def __init__(self, inner):
         self.inner = inner
         self.vocab = inner.vocab
+        self.check_lengths = inner.check_lengths
 
     def empty_cache(self, seq_len):
         return self.inner.empty_cache(seq_len)
@@ -220,9 +235,12 @@ class ScalarOracle:
     and returns the positions the engine asked for.
     """
 
+    supports_kv = False
+
     def __init__(self, profile, vocab):
         self.profile = profile
         self.vocab = vocab
+        self.check_lengths = OracleDenoiser(profile, vocab).check_lengths
 
     def confidence_map(self, state, positions):
         masked = (state.response == self.vocab.mask_id).tolist()
@@ -368,6 +386,31 @@ class TestGrid:
         assert 0.0 <= row["exact_match"] <= 1.0
         assert row["premature_commits"] >= 0
 
+    @pytest.mark.parametrize("owner, denoiser", [
+        (TinyDenoiser, "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=9"),
+        (OracleDenoiser, "oracle:profile={path}"),
+    ], ids=["toy-over-maxlen", "oracle-wrong-length"])
+    def test_grid_length_errors_come_from_the_denoiser(self, tmp_path, monkeypatch, owner, denoiser):
+        path = tmp_path / "short.txt"
+        save_profile(hard_easy_profile(6, 2, Vocab(65, 64), radius=2, seed=3), str(path))
+        denoiser = denoiser.format(path=path)
+        raised = []
+        real = owner.check_lengths
+
+        def spy(self, prompt_len, gen_len):
+            try:
+                real(self, prompt_len, gen_len)
+            except ValueError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(owner, "check_lengths", spy)
+        with pytest.raises(ValueError) as info:
+            GridSpec(schedulers=["naive:B=4"], samplers=["vanilla"], caches=["nocache"],
+                     denoisers=[denoiser], seeds=[0], gen_len=8, prompt_len=2)
+        assert len(raised) == 1
+        assert repr(denoiser) in str(info.value) and str(raised[0]) in str(info.value)
+
     def test_parse_grid_file(self, tmp_path):
         path = tmp_path / "grid.cfg"
         path.write_text(
@@ -405,6 +448,18 @@ class TestGrid:
         )
         with pytest.raises(ValueError):
             parse_grid_file(str(path))
+
+
+def test_decode_row_scores_exact_match_for_any_denoiser_with_a_truth():
+    model = TinyDenoiser(TOY)
+    args = (NaiveBlock(4), ConfidenceThreshold(0.9), NoCache(), [1, 2], 8)
+    res, row = decode_row("toy", model, *args)
+    assert model.truth is None and row["exact_match"] is None
+    truth = res.response.copy()
+    truth[:3] = (truth[:3] + 1) % model.vocab.mask_id  # three wrong, still non-mask
+    model.truth = truth
+    res, row = decode_row("toy", model, *args)
+    assert row["exact_match"] == exact_match_rate(res.records, truth, 2) == 5 / 8
 
 
 class TestBuildDenoiser:

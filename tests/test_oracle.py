@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsb.engine import decode
+from dsb.metrics import exact_match_rate
 from dsb.kvcache import NoCache
 from dsb.oracle import (
     DifficultyProfile,
     OracleDenoiser,
     context_fractions,
-    exact_match_rate,
     hard_easy_profile,
     load_profile,
     make_profile,
@@ -23,7 +23,7 @@ from dsb.samplers import ConfidenceThreshold, VanillaTop1, parse_sampler
 from dsb.schedulers import NaiveBlock, SlidingBlock, parse_scheduler
 from dsb.state import new_sequence, Vocab
 
-from reference import context_fraction, scalar_oracle_confidences
+from reference import context_fraction, scalar_oracle_confidences, triples
 
 VOCAB = Vocab(size=16, mask_id=15)
 
@@ -37,15 +37,15 @@ class TestConfidenceFormula:
         prof = profile_of([0.0] * 6, gain=0.0, radius=2)
         state = new_sequence([1], 6, VOCAB)
         conf = OracleDenoiser(prof, VOCAB).confidence_map(state)
-        assert all(abs(c.confidence - 1.0) < 1e-12 for c in conf.values())
+        assert all(abs(c - 1.0) < 1e-12 for _, _, c in triples(conf))
 
     def test_full_context_limit(self):
         prof = profile_of([1.0] * 5, gain=1.0, radius=2)
         state = new_sequence([1], 5, VOCAB)
         for i in [0, 1, 3, 4]:
             state.commit(i, 2)
-        conf = OracleDenoiser(prof, VOCAB).confidence_map(state)
-        assert abs(conf[1 + 2].confidence - 1.0) < 1e-12
+        ((pos, _, c),) = triples(OracleDenoiser(prof, VOCAB).confidence_map(state))
+        assert pos == 1 + 2 and abs(c - 1.0) < 1e-12
 
     def test_half_context_arithmetic(self):
         # delta=0.6, gain=0.5, half of the neighbors decoded -> 0.4 + 0.25
@@ -53,8 +53,8 @@ class TestConfidenceFormula:
         state = new_sequence([1], 5, VOCAB)
         state.commit(0, 2)
         state.commit(1, 2)
-        conf = OracleDenoiser(prof, VOCAB).confidence_map(state)
-        assert abs(conf[1 + 2].confidence - 0.65) < 1e-12
+        conf = dict((p, c) for p, _, c in triples(OracleDenoiser(prof, VOCAB).confidence_map(state)))
+        assert abs(conf[1 + 2] - 0.65) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -162,19 +162,20 @@ def test_array_scoring_matches_scalar_reference(case, data):
     and scoring a subset of positions equals the full map restricted to it."""
     profile, vocab, state = case
     masked = (state.response == vocab.mask_id).tolist()
-    full = OracleDenoiser(profile, vocab).confidence_map(state)
-    assert full == scalar_oracle_confidences(
+    full = triples(OracleDenoiser(profile, vocab).confidence_map(state))
+    assert full == triples(scalar_oracle_confidences(
         profile, masked, state.step, state.prompt_len, vocab.mask_id, vocab.size
-    )
-    subset = data.draw(st.sets(st.sampled_from(sorted(full)))) if full else set()
-    assert OracleDenoiser(profile, vocab).confidence_map(state, sorted(subset)) == {p: full[p] for p in subset}
+    ))
+    subset = data.draw(st.sets(st.sampled_from(full))) if full else set()
+    assert triples(OracleDenoiser(profile, vocab).confidence_map(state, [p for p, _, _ in sorted(subset)])) \
+        == sorted(subset)
 
 
 def reference_map(den, state):
     masked = (state.response == den.vocab.mask_id).tolist()
-    return scalar_oracle_confidences(
+    return triples(scalar_oracle_confidences(
         den.profile, masked, state.step, state.prompt_len, den.vocab.mask_id, den.vocab.size
-    )
+    ))
 
 
 def coin_flip_case(seed=7):
@@ -199,7 +200,7 @@ def test_one_denoiser_scores_block_edges_like_the_reference():
     den, state = coin_flip_case()
     for step in BLOCK_EDGE_STEPS:
         state.step = step
-        assert den.confidence_map(state) == reference_map(den, state), step
+        assert triples(den.confidence_map(state)) == reference_map(den, state), step
 
 
 @settings(max_examples=100, deadline=None)
@@ -219,18 +220,19 @@ def test_one_denoiser_scores_any_step_order_like_the_reference(case, steps):
     den = OracleDenoiser(profile, vocab)
     for step in steps:
         state.step = step
-        assert den.confidence_map(state) == reference_map(den, state)
+        assert triples(den.confidence_map(state)) == reference_map(den, state)
 
 
 def test_reseeded_copy_shares_no_hashed_block():
     den, state = coin_flip_case(seed=7)
     state.step = 40
-    before = den.confidence_map(state)
+    before = triples(den.confidence_map(state))
     copy = den.reseeded(8)
     fresh = OracleDenoiser(replace(den.profile, seed=8), VOCAB)
-    assert copy.confidence_map(state) == fresh.confidence_map(state) == reference_map(fresh, state)
-    assert copy.confidence_map(state) != before
-    assert den.confidence_map(state) == before
+    assert triples(copy.confidence_map(state)) == triples(fresh.confidence_map(state)) \
+        == reference_map(fresh, state)
+    assert triples(copy.confidence_map(state)) != before
+    assert triples(den.confidence_map(state)) == before
 
 
 # sha256 of each trace (one JSON line per step, as write_trace writes it) of the
@@ -282,7 +284,7 @@ class TestDeterminism:
         state.commit(3, 4)
         a = OracleDenoiser(prof, VOCAB).confidence_map(state)
         b = OracleDenoiser(prof, VOCAB).confidence_map(state)
-        assert a == b
+        assert triples(a) == triples(b)
 
     def test_different_seed_changes_decoys(self):
         state = new_sequence([1, 2], 40, VOCAB)
@@ -290,17 +292,17 @@ class TestDeterminism:
         for seed in (1, 2):
             prof = profile_of([0.95] * 40, gain=0.0, radius=2, seed=seed)
             maps.append(OracleDenoiser(prof, VOCAB).confidence_map(state))
-        tokens_a = [maps[0][k].token for k in sorted(maps[0])]
-        tokens_b = [maps[1][k].token for k in sorted(maps[1])]
+        tokens_a = [tok for _, tok, _ in triples(maps[0])]
+        tokens_b = [tok for _, tok, _ in triples(maps[1])]
         assert tokens_a != tokens_b
 
     def test_tokens_never_mask_or_out_of_range(self):
         prof = profile_of([0.9] * 30, gain=0.1, radius=3, seed=5)
         state = new_sequence([1], 30, VOCAB)
         conf = OracleDenoiser(prof, VOCAB).confidence_map(state)
-        for cand in conf.values():
-            assert 0 <= cand.token < VOCAB.size
-            assert cand.token != VOCAB.mask_id
+        for _, tok, _ in triples(conf):
+            assert 0 <= tok < VOCAB.size
+            assert tok != VOCAB.mask_id
 
     def test_vocab_too_small_for_decoys(self):
         prof = profile_of([0.5] * 4, gain=0.5, radius=2)
@@ -359,8 +361,9 @@ def test_boundary_positions_decode_earlier_hard_later():
 
 def test_exact_match_rate_counts_truth_hits():
     prof = profile_of([0.0] * 8, gain=0.0, radius=2)  # confidence 1: always truth
-    res = decode(OracleDenoiser(prof, VOCAB), NaiveBlock(4), VanillaTop1(), NoCache(), [1], 8)
-    assert exact_match_rate(res.records, prof, 1) == 1.0
+    den = OracleDenoiser(prof, VOCAB)
+    res = decode(den, NaiveBlock(4), VanillaTop1(), NoCache(), [1], 8)
+    assert exact_match_rate(res.records, den.truth, 1) == 1.0
 
 
 class TestProfileFile:
