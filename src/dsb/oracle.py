@@ -12,17 +12,19 @@ with probability c_i and a seeded decoy otherwise; draws are keyed by
 Committed token values are deliberately ignored: only the mask/decoded
 status feeds back, which keeps scheduler comparisons analyzable.
 
-Because the draws never depend on the decode history, each denoiser hashes
-them ahead of time for a block of 32 consecutive steps at every response
-position in one vectorised pass, and scoring a step only gathers from that
-block.  The denoiser holds one block and replaces it when the step leaves it.
+Since c_i depends only on i and the integer count k of decoded neighbors,
+each denoiser tabulates it once as ``table[i, k]``; a step takes one
+cumulative sum over the mask and gathers from the table.  The draws never
+depend on the decode history either, so they are hashed ahead of time for a
+block of 32 consecutive steps, over the contiguous span of response columns
+the block's steps score.  The span widens, with 32 columns of slack, when a
+step scores outside it, and a step that leaves the block starts a new one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +42,13 @@ _GOLDEN_U, _MIX1_U, _MIX2_U = (
 # Last chain link per (step, position): plane 0 is the truth-or-decoy coin,
 # plane 1 the decoy draw.
 _STREAMS = np.array([1, 2], dtype=np.uint64).reshape(2, 1, 1)
-# Draws are hashed for 2**_BLOCK_BITS consecutive steps at a time.
+# Draws are hashed for 2**_BLOCK_BITS consecutive steps at a time, over a
+# column span that widens by _SLACK columns past the columns a step scores.
 _BLOCK_BITS = 5
 _BLOCK = 1 << _BLOCK_BITS
+_SLACK = 32
+# The header fields of a profile file, each required once.
+_HEADER_KEYS = ("gain", "radius", "seed")
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -103,32 +109,6 @@ def make_profile(
     )
 
 
-@lru_cache(maxsize=32)
-def _neighbourhood(n: int, radius: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per index: neighbour bounds [lo, hi) within ``radius`` and the count (self excluded, >= 1)."""
-    idx = np.arange(n)
-    lo = np.maximum(0, idx - radius)
-    hi = np.minimum(n, idx + radius + 1)
-    bounds = lo, hi, np.maximum(hi - lo - 1, 1)
-    for a in bounds:
-        a.flags.writeable = False  # the cache hands the same arrays to every call
-    return bounds
-
-
-def context_fractions(
-    profile: DifficultyProfile, decoded: np.ndarray, idx: Union[slice, np.ndarray] = slice(None)
-) -> np.ndarray:
-    """f_i at the response indices ``idx`` (by default every one) given the decoded mask.
-
-    One cumulative sum over the mask, gathered at ``idx`` only.  A lone
-    position has nothing decoded near it and divides 0 by 1.
-    """
-    lo, hi, count = _neighbourhood(profile.gen_len, profile.radius)
-    csum = np.zeros(decoded.size + 1, dtype=np.int64)
-    np.cumsum(decoded, out=csum[1:])
-    return (csum[hi[idx]] - csum[lo[idx]] - decoded[idx]) / count[idx]
-
-
 class OracleDenoiser:
     """Adapter that lets the decode loop drive a difficulty profile.
 
@@ -147,35 +127,61 @@ class OracleDenoiser:
             raise ValueError(f"ground-truth token {bad[0]} invalid for the vocabulary")
         self.profile = profile
         self.vocab = vocab
-        self._ease = 1.0 - np.array(profile.base_difficulty, dtype=np.float64)
         self.truth = truth
+        n = profile.gen_len
+        # table[i, k]: c_i with k of its neighbors in [lo_i, hi_i) decoded (self
+        # excluded, so the count is >= 1).  ease, gain and k / count are >= 0,
+        # so only the upper clip can bind.
+        i = np.arange(n)
+        self._bounds = np.stack([np.maximum(0, i - profile.radius), np.minimum(n, i + profile.radius + 1)])
+        count = np.maximum(self._bounds[1] - self._bounds[0] - 1, 1)[:, None]
+        ease = 1.0 - np.array(profile.base_difficulty, dtype=np.float64)[:, None]
+        self._table = np.minimum(1.0, ease + profile.context_gain * (np.arange(count.max() + 1) / count))
+        self._csum = np.zeros(n + 1, dtype=np.int64)
         # One-element arrays: numpy warns when uint64 scalars wrap, not arrays.
         self._seed_hash = _splitmix64(np.array([profile.seed & _MASK64], dtype=np.uint64))
-        self._index = np.arange(profile.gen_len, dtype=np.uint64)
+        self._index = np.arange(n, dtype=np.uint64)
         # Decoys are held in the narrowest unsigned dtype for every token id
         # and skip past both reserved ids: the truth and the mask.
         decoy_dtype = np.min_scalar_type(vocab.size - 1)
         self._skip_lo = np.minimum(truth, vocab.mask_id).astype(decoy_dtype)
         self._skip_hi = np.maximum(truth, vocab.mask_id).astype(decoy_dtype)
-        # The hashed block: its key (step >> _BLOCK_BITS), coin thresholds and decoys.
-        self._block_key: Optional[int] = None
-        self._u = self._decoy = None
+        # The hashed block: its key (step >> _BLOCK_BITS), step links, the
+        # columns [lo, hi) hashed so far, and coin thresholds and decoys by (row, column).
+        self._block_key, self._prefix, self._span = None, None, (0, 0)
+        self._u = np.zeros((_BLOCK, n), dtype=np.float64)
+        self._decoy = np.zeros((_BLOCK, n), dtype=decoy_dtype)
 
-    def _hash_block(self, key: int) -> None:
-        """Draw the coin and decoy of steps [key * 32, key * 32 + 32) at every
-        response index: one splitmix64 link for the step, one for the index,
-        then the coin and decoy streams, as (32, gen_len) tables."""
-        steps = np.arange(_BLOCK, dtype=np.uint64)
-        steps += np.uint64(key << _BLOCK_BITS)
-        prefix = _splitmix64(steps ^ self._seed_hash)
-        h = _splitmix64(prefix[:, None] ^ self._index)
+    def _hash_columns(self, lo: int, hi: int) -> None:
+        """Draw the coin and decoy of the held block's 32 steps at response
+        indices [lo, hi): the block's step links, one splitmix64 link for the
+        index, then the coin and decoy streams."""
+        h = _splitmix64(self._prefix ^ self._index[lo:hi])
         coin, draw = _splitmix64(h ^ _STREAMS)
-        u = coin.astype(np.float64)
-        u /= 2.0**64
-        decoy = (draw % np.uint64(self.vocab.size - 2)).astype(self._skip_lo.dtype)
-        decoy += decoy >= self._skip_lo
-        decoy += decoy >= self._skip_hi
-        self._block_key, self._u, self._decoy = key, u, decoy
+        self._u[:, lo:hi] = coin / 2.0**64
+        decoy = (draw % np.uint64(self.vocab.size - 2)).astype(self._decoy.dtype)
+        decoy += decoy >= self._skip_lo[lo:hi]
+        decoy += decoy >= self._skip_hi[lo:hi]
+        self._decoy[:, lo:hi] = decoy
+
+    def _cover(self, key: int, lo: int, hi: int) -> None:
+        """Hold block ``key`` (steps [key * 32, key * 32 + 32)) hashed over at
+        least the columns [lo, hi)."""
+        if key != self._block_key:
+            steps = np.arange(_BLOCK, dtype=np.uint64)
+            steps += np.uint64(key << _BLOCK_BITS)
+            self._prefix = _splitmix64(steps ^ self._seed_hash)[:, None]
+            self._block_key, self._span = key, (lo, lo)
+        a, b = self._span
+        if lo < a:
+            lo = max(0, lo - _SLACK)
+            self._hash_columns(lo, a)
+            a = lo
+        if hi > b:
+            hi = min(self.profile.gen_len, hi + _SLACK)
+            self._hash_columns(b, hi)
+            b = hi
+        self._span = a, b
 
     def check_lengths(self, prompt_len: int, gen_len: int) -> None:
         if gen_len != self.profile.gen_len:
@@ -191,26 +197,29 @@ class OracleDenoiser:
         index i the truth-or-decoy coin hashes (seed, step, i, 1) and the decoy
         hashes (seed, step, i, 2), each through one splitmix64 chain.  Both are
         gathered from the hashed block of 32 steps that holds ``state.step``,
-        which is hashed first if the denoiser holds another block.
+        whose column span is first widened over the scored indices if needed.
         """
         self.check_lengths(state.prompt_len, state.gen_len)
-        profile, vocab = self.profile, self.vocab
         lp = state.prompt_len
-        decoded = state.response != vocab.mask_id
+        decoded = state.response != self.vocab.mask_id
         if positions is None:
             idx = np.flatnonzero(~decoded)
         else:
-            idx = np.sort(np.asarray(positions, dtype=np.int64)) - lp
+            idx = np.array(positions, dtype=np.int64)  # a copy, sorted in place
+            idx.sort()
+            idx -= lp
             if idx.size and (idx[0] < 0 or idx[-1] >= state.gen_len or decoded[idx].any()):
                 raise ValueError("oracle positions must be masked response positions")
-        c = self._ease[idx] + profile.context_gain * context_fractions(profile, decoded, idx)
-        c = np.minimum(1.0, np.maximum(0.0, c))
+        # No scored index is decoded, so its decoded-neighbor count is hi - lo.
+        decoded.cumsum(out=self._csum[1:])
+        lo, hi = self._csum[self._bounds[:, idx]]
+        c = self._table[idx, hi - lo]
 
         step = state.step & _MASK64
-        if step >> _BLOCK_BITS != self._block_key:
-            self._hash_block(step >> _BLOCK_BITS)
+        if idx.size:
+            self._cover(step >> _BLOCK_BITS, int(idx[0]), int(idx[-1]) + 1)
         row = step & (_BLOCK - 1)
-        tokens = np.where(self._u[row][idx] < c, self.truth[idx], self._decoy[row][idx])
+        tokens = np.where(self._u[row, idx] < c, self.truth[idx], self._decoy[row, idx])
         return ConfidenceMap(idx + lp, tokens, c)
 
     def reseeded(self, seed: int) -> "OracleDenoiser":
@@ -240,13 +249,14 @@ def hard_easy_profile(
 
 
 def save_profile(profile: DifficultyProfile, path: str) -> None:
-    """One header block then one `index delta truth` record per position."""
+    """One header block then one `index delta truth` record per position;
+    floats are written as ``repr``, so they reload exactly."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"gain={profile.context_gain:g}\n")
+        fh.write(f"gain={profile.context_gain!r}\n")
         fh.write(f"radius={profile.radius}\n")
         fh.write(f"seed={profile.seed}\n")
         for i, (d, t) in enumerate(zip(profile.base_difficulty, profile.truth)):
-            fh.write(f"{i} {d:g} {t}\n")
+            fh.write(f"{i} {d!r} {t}\n")
 
 
 def load_profile(path: str) -> DifficultyProfile:
@@ -259,7 +269,11 @@ def load_profile(path: str) -> DifficultyProfile:
                 continue
             if "=" in line and not line[0].isdigit():
                 key, _, value = line.partition("=")
-                header[key.strip()] = value.strip(), f"{path}:{lineno}: key {key.strip()!r}"
+                key = key.strip()
+                if key in header or key not in _HEADER_KEYS:
+                    problem = "duplicate" if key in header else "unknown"
+                    raise ValueError(f"{path}:{lineno}: {problem} header key {key!r}")
+                header[key] = value.strip(), f"{path}:{lineno}: key {key!r}"
                 continue
             parts = line.split()
             if len(parts) != 3:
@@ -268,7 +282,7 @@ def load_profile(path: str) -> DifficultyProfile:
             rows.append((parse_number(int, parts[0], f"{where} index"),
                          parse_number(float, parts[1], f"{where} delta"),
                          parse_number(int, parts[2], f"{where} truth")))
-    for key in ("gain", "radius", "seed"):
+    for key in _HEADER_KEYS:
         if key not in header:
             raise ValueError(f"{path}: missing header field {key!r}")
     rows.sort()

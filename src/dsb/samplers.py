@@ -39,7 +39,7 @@ def select_top1(conf: ConfidenceMap) -> np.ndarray:
     maximum, so ties go to the lowest position."""
     if not len(conf):
         raise NoCandidates("no eligible position has a confidence entry")
-    return np.argmax(conf.confidences, keepdims=True)
+    return conf.confidences.argmax(keepdims=True)
 
 
 def select_threshold(conf: ConfidenceMap, tau: float) -> Tuple[np.ndarray, bool]:

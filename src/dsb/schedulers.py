@@ -86,7 +86,9 @@ def init_window(kind: SchedulerKind, prompt_len: int, gen_len: int) -> BlockWind
 def eligible_set(window: BlockWindow, state: SequenceState) -> np.ndarray:
     """Masked absolute positions inside the active block, ascending (int64)."""
     lp = state.prompt_len
-    return lp + state.masked_positions(max(window.start, lp) - lp, max(window.end, lp) - lp)
+    out = state.masked_positions(max(window.start, lp) - lp, max(window.end, lp) - lp)
+    out += lp
+    return out
 
 
 def advance_naive(window: BlockWindow, state: SequenceState) -> BlockWindow:

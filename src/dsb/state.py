@@ -12,7 +12,7 @@ arrays, and one :class:`ConfidenceMap` of aligned arrays carries a step's scores
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
@@ -78,7 +78,8 @@ class SequenceState:
 
     ``decoded_count`` always equals the number of response slots that no
     longer hold the mask id; a slot never reverts to masked.  The state is
-    single-owner: only the decode loop mutates it, via :meth:`commit`.
+    single-owner: only the decode loop mutates it, via :meth:`commit`.  The
+    lengths are read once, at construction; the buffers never change size.
     """
 
     prompt: np.ndarray
@@ -86,18 +87,14 @@ class SequenceState:
     vocab: Vocab
     decoded_count: int = 0
     step: int = 0
+    prompt_len: int = field(init=False)
+    gen_len: int = field(init=False)
+    seq_len: int = field(init=False)
 
-    @property
-    def prompt_len(self) -> int:
-        return int(self.prompt.shape[0])
-
-    @property
-    def gen_len(self) -> int:
-        return int(self.response.shape[0])
-
-    @property
-    def seq_len(self) -> int:
-        return self.prompt_len + self.gen_len
+    def __post_init__(self) -> None:
+        self.prompt_len = int(self.prompt.shape[0])
+        self.gen_len = int(self.response.shape[0])
+        self.seq_len = self.prompt_len + self.gen_len
 
     def full_tokens(self) -> np.ndarray:
         """Concatenated prompt + response buffer (absolute coordinates)."""
@@ -127,7 +124,9 @@ class SequenceState:
             raise ValueError(
                 f"range [{start}, {stop}) not contained in [0, {self.gen_len})"
             )
-        return start + (self.response[start:stop] == self.vocab.mask_id).nonzero()[0]
+        out = (self.response[start:stop] == self.vocab.mask_id).nonzero()[0]
+        out += start
+        return out
 
 
 def new_sequence(prompt: Sequence[int], gen_len: int, vocab: Vocab) -> SequenceState:

@@ -12,7 +12,6 @@ from dsb.kvcache import NoCache
 from dsb.oracle import (
     DifficultyProfile,
     OracleDenoiser,
-    context_fractions,
     hard_easy_profile,
     load_profile,
     make_profile,
@@ -67,19 +66,31 @@ class TestConfidenceFormula:
             make_profile([0.5], 0.5, 2, [1, 2], 0)
 
 
+def context_case(decoded, radius):
+    """An oracle with difficulty 1 and gain 1, whose confidence table reads the
+    context fraction itself, and a state (prompt length 1) with ``decoded`` committed."""
+    den = OracleDenoiser(profile_of([1.0] * len(decoded), gain=1.0, radius=radius), VOCAB)
+    state = new_sequence([1], len(decoded), VOCAB)
+    for i in np.flatnonzero(decoded):
+        state.commit(int(i), 2)
+    return den, state
+
+
+def context_map(decoded, radius):
+    """Context fraction per masked response index, read through the oracle."""
+    den, state = context_case(decoded, radius)
+    return {p - 1: c for p, _, c in triples(den.confidence_map(state))}
+
+
 class TestContextFractions:
     def test_counts_neighbors_not_self(self):
-        prof = profile_of([0.5] * 5, gain=0.5, radius=1)
-        decoded = np.array([True, False, True, False, False])
-        f = context_fractions(prof, decoded)
+        f = context_map([True, False, True, False, False], radius=1)
         assert f[1] == 1.0  # both neighbors decoded
         assert f[3] == 0.5
         assert f[4] == 0.0
 
     def test_edges_have_fewer_neighbors(self):
-        prof = profile_of([0.5] * 4, gain=0.5, radius=2)
-        decoded = np.array([False, True, False, False])
-        f = context_fractions(prof, decoded)
+        f = context_map([False, True, False, False], radius=2)
         assert f[0] == 0.5  # neighbors {1, 2}, one decoded
 
 
@@ -90,15 +101,15 @@ class TestContextFractions:
     data=st.data(),
 )
 def test_fractions_match_reference_in_full_and_gathered(decoded, radius, data):
-    """The oracle's one cumsum equals the per-position neighbour count, both
-    over every index and gathered at a subset of indices."""
-    prof = profile_of([0.5] * len(decoded), gain=0.5, radius=radius)
-    decoded = np.array(decoded)
-    masked = (~decoded).tolist()
-    full = context_fractions(prof, decoded)
-    assert full.tolist() == [context_fraction(masked, i, radius) for i in range(len(masked))]
-    idx = np.array(sorted(data.draw(st.sets(st.integers(0, len(masked) - 1)))), dtype=np.int64)
-    assert context_fractions(prof, decoded, idx).tolist() == full[idx].tolist()
+    """The table read at one cumsum's neighbour counts equals the per-position
+    neighbour count, both over every masked index and gathered at a subset."""
+    masked = [not d for d in decoded]
+    full = context_map(decoded, radius)
+    assert full == {i: context_fraction(masked, i, radius) for i in range(len(masked)) if masked[i]}
+    subset = sorted(data.draw(st.sets(st.sampled_from(sorted(full)))) if full else set())
+    den, state = context_case(decoded, radius)
+    gathered = den.confidence_map(state, [1 + i for i in subset])
+    assert gathered.confidences.tolist() == [full[i] for i in subset]
 
 
 @settings(max_examples=150, deadline=None)
@@ -113,18 +124,18 @@ def test_monotone_context_benefit(gen_len, radius, gain, data):
     deltas = data.draw(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=gen_len, max_size=gen_len)
     )
-    prof = profile_of(deltas, gain=gain, radius=radius)
+    den = OracleDenoiser(profile_of(deltas, gain=gain, radius=radius), VOCAB)
     decoded = data.draw(st.lists(st.booleans(), min_size=gen_len, max_size=gen_len))
-    decoded = np.array(decoded)
+    state = new_sequence([1], gen_len, VOCAB)
+    for i in np.flatnonzero(decoded):
+        state.commit(int(i), 2)
     still_masked = [i for i in range(gen_len) if not decoded[i]]
     if len(still_masked) < 2:
         return
-    target = still_masked[0]
-    extra = still_masked[-1]
-    base = context_fractions(prof, decoded)[target]
-    decoded[extra] = True
-    grown = context_fractions(prof, decoded)[target]
-    assert grown >= base
+    target = 1 + still_masked[0]
+    base = den.confidence_map(state, [target]).confidences[0]
+    state.commit(still_masked[-1], 2)
+    assert den.confidence_map(state, [target]).confidences[0] >= base
 
 
 @st.composite
@@ -221,6 +232,44 @@ def test_one_denoiser_scores_any_step_order_like_the_reference(case, steps):
     for step in steps:
         state.step = step
         assert triples(den.confidence_map(state)) == reference_map(den, state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gen_len=st.integers(min_value=1, max_value=120),
+    radius=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    first=st.one_of(
+        st.integers(min_value=0, max_value=64),
+        st.integers(min_value=2**64 - 64, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    ),
+    data=st.data(),
+)
+def test_one_denoiser_scores_moving_column_spans_like_the_reference(gen_len, radius, seed, first, data):
+    """One denoiser scores random position subsets that move left and right,
+    over step sequences that stay inside a 32-step block, revisit it and cross
+    its edges (wrapping past 2**64 - 1), so the hashed column span widens both
+    ways and restarts; every map equals the per-position hash loop."""
+    vocab = Vocab(size=65, mask_id=64)
+    truth = data.draw(st.lists(st.integers(0, 63), min_size=gen_len, max_size=gen_len))
+    deltas = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=gen_len, max_size=gen_len))
+    den = OracleDenoiser(make_profile(deltas, 0.5, radius, truth, seed), vocab)
+    state = new_sequence([1, 2, 3], gen_len, vocab)
+    step = first
+    for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
+        step = (step + data.draw(st.integers(min_value=-8, max_value=40))) % 2**64
+        state.step = step
+        state.response[:] = vocab.mask_id
+        for i in np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=gen_len, max_size=gen_len))):
+            state.response[i] = 5
+        lo = data.draw(st.integers(0, gen_len - 1))
+        hi = data.draw(st.integers(lo + 1, gen_len))
+        window = [i for i in range(lo, hi) if state.response[i] == vocab.mask_id]
+        subset = data.draw(st.sets(st.sampled_from(window))) if window else set()
+        positions = [3 + i for i in subset]  # any order: the map ascends
+        expected = [t for t in reference_map(den, state) if t[0] in positions]
+        assert triples(den.confidence_map(state, positions)) == expected, step
 
 
 def test_reseeded_copy_shares_no_hashed_block():
@@ -385,6 +434,33 @@ class TestProfileFile:
         path.write_text("gain=0.5\nradius=2\nseed=1\n0 0.5\n")
         with pytest.raises(ValueError, match="bad.txt:4"):
             load_profile(str(path))
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("gain=0.5\nradius=2\ngain=0.7\nseed=1\n0 0.5 1\n", "bad.txt:3: duplicate header key 'gain'"),
+            ("gain=0.5\nradus=9\nradius=2\nseed=1\n0 0.5 1\n", "bad.txt:2: unknown header key 'radus'"),
+        ],
+        ids=["duplicate", "unknown"],
+    )
+    def test_bad_header_key_reports_line(self, tmp_path, text, where):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            load_profile(str(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        deltas=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
+        gain=st.floats(min_value=0.0, max_value=1.0),
+        radius=st.integers(min_value=1, max_value=100),
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+    )
+    def test_round_trip_keeps_every_float(self, tmp_path_factory, deltas, gain, radius, seed):
+        prof = make_profile(deltas, gain, radius, [(7 * i) % 15 for i in range(len(deltas))], seed)
+        path = tmp_path_factory.mktemp("profile") / "profile.txt"
+        save_profile(prof, str(path))
+        assert load_profile(str(path)) == prof
 
     def test_gapped_positions_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
