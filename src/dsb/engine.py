@@ -163,8 +163,15 @@ def write_trace(records: Iterable[StepRecord], path: str) -> None:
 
 
 def read_trace(path: str) -> List[StepRecord]:
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [StepRecord.from_json(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    records.append(StepRecord.from_json(line))
+                except (TypeError, ValueError) as exc:  # not JSON, not an object, a missing or unknown field
+                    raise ValueError(f"{path}:{lineno}: not a step record: {exc}") from None
+    return records
 
 
 def build_denoiser(spec: str, seed_offset: int = 0) -> Denoiser:

@@ -133,10 +133,11 @@ class OracleDenoiser:
         # excluded, so the count is >= 1).  ease, gain and k / count are >= 0,
         # so only the upper clip can bind.
         i = np.arange(n)
-        self._bounds = np.stack([np.maximum(0, i - profile.radius), np.minimum(n, i + profile.radius + 1)])
-        count = np.maximum(self._bounds[1] - self._bounds[0] - 1, 1)[:, None]
+        self._lo, self._hi = np.maximum(0, i - profile.radius), np.minimum(n, i + profile.radius + 1)
+        count = np.maximum(self._hi - self._lo - 1, 1)[:, None]
         ease = 1.0 - np.array(profile.base_difficulty, dtype=np.float64)[:, None]
         self._table = np.minimum(1.0, ease + profile.context_gain * (np.arange(count.max() + 1) / count))
+        self._decoded = np.zeros(n, dtype=bool)  # step scratch, like _csum: no returned map views either
         self._csum = np.zeros(n + 1, dtype=np.int64)
         # One-element arrays: numpy warns when uint64 scalars wrap, not arrays.
         self._seed_hash = _splitmix64(np.array([profile.seed & _MASK64], dtype=np.uint64))
@@ -201,25 +202,25 @@ class OracleDenoiser:
         """
         self.check_lengths(state.prompt_len, state.gen_len)
         lp = state.prompt_len
-        decoded = state.response != self.vocab.mask_id
+        decoded = np.not_equal(state.response, self.vocab.mask_id, out=self._decoded)
         if positions is None:
-            idx = np.flatnonzero(~decoded)
+            idx = (~decoded).nonzero()[0]
         else:
             idx = np.array(positions, dtype=np.int64)  # a copy, sorted in place
             idx.sort()
             idx -= lp
-            if idx.size and (idx[0] < 0 or idx[-1] >= state.gen_len or decoded[idx].any()):
+            if idx.size and (idx[0] < 0 or idx[-1] >= state.gen_len or np.count_nonzero(decoded[idx])):
                 raise ValueError("oracle positions must be masked response positions")
-        # No scored index is decoded, so its decoded-neighbor count is hi - lo.
-        decoded.cumsum(out=self._csum[1:])
-        lo, hi = self._csum[self._bounds[:, idx]]
-        c = self._table[idx, hi - lo]
+        # No scored index is decoded, so its decoded-neighbor count is csum[hi] - csum[lo].
+        np.add.accumulate(decoded.view(np.uint8), dtype=np.int64, out=self._csum[1:])
+        c = self._table[idx, self._csum[self._hi[idx]] - self._csum[self._lo[idx]]]
 
         step = state.step & _MASK64
         if idx.size:
             self._cover(step >> _BLOCK_BITS, int(idx[0]), int(idx[-1]) + 1)
+        # A row view, then a gather: cheaper to dispatch than the mixed [row, idx] form.
         row = step & (_BLOCK - 1)
-        tokens = np.where(self._u[row, idx] < c, self.truth[idx], self._decoy[row, idx])
+        tokens = np.where(self._u[row][idx] < c, self.truth[idx], self._decoy[row][idx])
         return ConfidenceMap(idx + lp, tokens, c)
 
     def reseeded(self, seed: int) -> "OracleDenoiser":

@@ -48,7 +48,7 @@ def select_threshold(conf: ConfidenceMap, tau: float) -> Tuple[np.ndarray, bool]
     Returns ``(indices, fallback)`` where ``fallback`` marks that nothing
     cleared tau and the top-1 position was chosen instead.
     """
-    chosen = np.flatnonzero(conf.confidences >= tau)
+    chosen = (conf.confidences >= tau).nonzero()[0]
     if chosen.size:
         return chosen, False
     return select_top1(conf), True

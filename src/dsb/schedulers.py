@@ -57,8 +57,8 @@ SchedulerKind = Union[NaiveBlock, SlidingBlock]
 class BlockWindow:
     """Active block [start, end) plus the schedule parameters that grew it.
 
-    ``start`` and ``end`` are absolute indices and never decrease over the
-    course of one decode.
+    ``start`` and ``end`` are absolute indices, never before the response,
+    and never decrease over the course of one decode.
     """
 
     start: int
@@ -93,30 +93,31 @@ def eligible_set(window: BlockWindow, state: SequenceState) -> np.ndarray:
 
 def advance_naive(window: BlockWindow, state: SequenceState) -> BlockWindow:
     """Move to the next fixed block once the current one is fully decoded."""
-    if eligible_set(window, state).size:
+    lp = state.prompt_len
+    if np.count_nonzero(state.response[window.start - lp:window.end - lp] == state.vocab.mask_id):
         return window
-    limit = state.prompt_len + state.gen_len
-    start = window.end
-    end = min(start + window.init_size, limit)
-    return BlockWindow(start, end, window.init_size, window.max_size)
+    end = min(window.end + window.init_size, lp + state.gen_len)
+    return BlockWindow(window.end, end, window.init_size, window.max_size)
 
 
 def advance_sliding(window: BlockWindow, state: SequenceState) -> BlockWindow:
     """Post-step boundary update for the sliding schedule.
 
     The left boundary becomes the first masked position of the old window, or
-    the old right boundary when the window is clear.  The right boundary is
+    the old right boundary when the window is clear: a scan from the old left
+    boundary over decoded slots, amortised O(1) per step since neither that
+    boundary nor a decoded slot ever goes back.  The right boundary is
     min(prompt_len + init_size + decoded_count, start + max_size), clamped to
     the end of the response buffer.
     """
     lp = state.prompt_len
-    limit = lp + state.gen_len
-    remaining = eligible_set(window, state)
-    start = int(remaining[0]) if remaining.size else window.end
+    start = window.start
+    while start < window.end and state.response[start - lp] != state.vocab.mask_id:
+        start += 1
     end = lp + window.init_size + state.decoded_count
     if window.max_size is not None:
         end = min(end, start + window.max_size)
-    end = min(end, limit)
+    end = min(end, lp + state.gen_len)
     return BlockWindow(start, max(start, end), window.init_size, window.max_size)
 
 

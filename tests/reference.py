@@ -60,6 +60,29 @@ class SlidingBoundaryInterpreter:
         return self.start, self.end
 
 
+def advance_reference(kind, window, masked: List[bool], prompt_len: int) -> Tuple[int, int]:
+    """One boundary update of either schedule, from the masked flags of the
+    response: ``(start, end)`` of the next window.
+
+    ``kind`` and ``window`` are read by attribute only: a kind with a
+    ``block_size`` is the fixed schedule, any other the sliding one.  The fixed
+    schedule keeps its block while any of it is masked, then moves to the next
+    ``init_size`` positions.  The sliding schedule follows
+    :class:`SlidingBoundaryInterpreter`'s update.
+    """
+    limit = prompt_len + len(masked)
+    left = [p for p in range(window.start, window.end) if masked[p - prompt_len]]
+    if hasattr(kind, "block_size"):
+        if left:
+            return window.start, window.end
+        return window.end, min(window.end + window.init_size, limit)
+    start = left[0] if left else window.end
+    end = prompt_len + window.init_size + masked.count(False)
+    if window.max_size is not None:
+        end = min(end, start + window.max_size)
+    return start, max(start, min(end, limit))
+
+
 def loop_forward_reference(model, tokens) -> "list":
     """Re-derive the toy transformer's full forward pass with explicit
     position and head loops (no einsum, no reshaping tricks).

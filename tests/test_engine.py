@@ -333,6 +333,21 @@ class TestTraceIO:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("spoil", [
+        lambda good: "{" + good[good.index(",") + 1:],  # the first field dropped
+        lambda good: good[:-1] + ',"extra":0}',
+        lambda good: "[1, 2]",
+        lambda good: good[:-1],
+    ], ids=["missing-field", "unknown-field", "not-an-object", "invalid-json"])
+    def test_bad_line_reports_its_location(self, tmp_path, spoil):
+        res = decode(easy_oracle(8), SlidingBlock(4, 4), VanillaTop1(), NoCache(), [1], 8)
+        good = res.records[0].to_json()
+        path = tmp_path / "bad.trace"
+        path.write_text(f"{good}\n\n{spoil(good)}\n{good}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_trace(str(path))
+        assert str(err.value).startswith(f"{path}:3: ")
+
 
 class TestGrid:
     def test_cartesian_row_count(self, tmp_path):

@@ -272,6 +272,29 @@ def test_one_denoiser_scores_moving_column_spans_like_the_reference(gen_len, rad
         assert triples(den.confidence_map(state, positions)) == expected, step
 
 
+def test_kept_maps_share_no_scratch_with_later_calls():
+    """Maps kept from alternating calls on two states, across 32-step block
+    edges and with and without positions, still equal the per-position hash
+    loop once every call has run: no map holds a view of the denoiser's
+    per-step scratch."""
+    den, first = coin_flip_case()
+    second = new_sequence([1, 2], 40, VOCAB)
+    for i in range(1, 40, 3):
+        second.commit(i, 4)
+    kept = []
+    for n, step in enumerate([29, 31, 32, 33, 63, 64, 96, 5, 127, 128]):
+        for state in (first, second):
+            state.step = step
+            masked = (state.response == VOCAB.mask_id).tolist()
+            scored = [2 + i for i, m in enumerate(masked) if m]
+            positions = None if n % 2 else scored[n % 3::2]
+            kept.append((den.confidence_map(state, positions), masked, step, positions or scored))
+            state.commit(scored[n] - 2, 4)
+    for conf, masked, step, positions in kept:
+        expected = triples(scalar_oracle_confidences(den.profile, masked, step, 2, VOCAB.mask_id, VOCAB.size))
+        assert triples(conf) == [t for t in expected if t[0] in positions], step
+
+
 def test_reseeded_copy_shares_no_hashed_block():
     den, state = coin_flip_case(seed=7)
     state.step = 40

@@ -7,6 +7,7 @@ from dsb.schedulers import (
     BlockWindow,
     NaiveBlock,
     SlidingBlock,
+    advance,
     advance_naive,
     advance_sliding,
     eligible_set,
@@ -16,6 +17,8 @@ from dsb.schedulers import (
 )
 from dsb.state import Vocab, new_sequence
 
+from reference import advance_reference
+
 VOCAB = Vocab(size=16, mask_id=15)
 
 
@@ -24,6 +27,14 @@ def make_state(prompt_len, gen_len, decoded=()):
     for pos in decoded:
         state.commit(pos, 2)
     return state
+
+
+def advance_checked(kind, window, state):
+    """``advance``, asserted equal to the brute-force reference on both boundaries."""
+    new = advance(kind, window, state)
+    masked = (state.response == VOCAB.mask_id).tolist()
+    assert (new.start, new.end) == advance_reference(kind, window, masked, state.prompt_len)
+    return new
 
 
 class TestParse:
@@ -162,7 +173,7 @@ def test_sliding_invariants_over_random_traces(data, prompt_len, gen_len, init_s
         for pos in chosen:
             state.commit(pos - prompt_len, 2)
         leftover = sorted(eligible_set(window, state))
-        new = advance_sliding(window, state)
+        new = advance_checked(kind, window, state)
         assert new.start >= window.start and new.end >= window.end
         assert new.start <= new.end
         if max_size is not None:
@@ -184,15 +195,16 @@ def test_sliding_invariants_over_random_traces(data, prompt_len, gen_len, init_s
 )
 def test_naive_invariants_over_random_traces(prompt_len, gen_len, block_size, seed):
     rng = np.random.default_rng(seed)
+    kind = NaiveBlock(block_size)
     state = make_state(prompt_len, gen_len)
-    window = init_window(NaiveBlock(block_size), prompt_len, gen_len)
+    window = init_window(kind, prompt_len, gen_len)
     while state.decoded_count < gen_len:
         eligible = sorted(eligible_set(window, state))
         assert eligible
         take = rng.choice(eligible, size=rng.integers(1, len(eligible) + 1), replace=False)
         for pos in take:
             state.commit(int(pos) - prompt_len, 2)
-        new = advance_naive(window, state)
+        new = advance_checked(kind, window, state)
         assert new.start >= window.start and new.end >= window.end
         assert new.width <= block_size
         window = new
