@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from dsb.engine import GridSpec, run_grid
-from dsb.metrics import ROW_COLUMNS, format_table, summarize, write_csv
+from dsb.metrics import format_table, summarize, write_csv
 from dsb.oracle import make_profile, save_profile
 from dsb.state import Vocab
 
@@ -64,7 +64,7 @@ def main():
         prompt_len=args.prompt_len,
     )
     rows = run_grid(spec)
-    write_csv(rows, args.csv, ROW_COLUMNS)
+    write_csv(rows, args.csv)
     print(format_table(summarize(rows)), end="")
     print(f"\nwrote {len(rows)} rows to {args.csv}")
 

@@ -9,7 +9,7 @@ Usage: python scripts/sweep_prefix_min.py [--csv out.csv]
 import argparse
 
 from dsb.engine import GridSpec, run_grid
-from dsb.metrics import ROW_COLUMNS, format_table, summarize, write_csv
+from dsb.metrics import format_table, summarize, write_csv
 
 PMINS = [4, 8, 16, 24, 32]
 
@@ -37,7 +37,7 @@ def main():
         prompt_len=args.prompt_len,
     )
     rows = run_grid(spec)
-    write_csv(rows, args.csv, ROW_COLUMNS)
+    write_csv(rows, args.csv)
     print(format_table(summarize(rows)), end="")
     print(f"\nwrote {len(rows)} rows to {args.csv}")
 

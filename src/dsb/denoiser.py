@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .configstr import Kinds, parse_spec
 from .state import CacheIntegrityError, ConfidenceMap, Vocab
 
 WEIGHT_SPAN = 0.1  # all weights ~ Uniform(-WEIGHT_SPAN, +WEIGHT_SPAN)
@@ -65,6 +66,13 @@ class DenoiserConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} is not divisible by {self.heads} heads")
+
+
+TOY: Kinds = {
+    "toy": (DenoiserConfig, {"seed": ("seed", int, 0), "v": ("vocab_size", int, 65),
+                             "d": ("width", int, 64), "h": ("heads", int, 4),
+                             "layers": ("depth", int, 4), "maxlen": ("max_len", int, 512)}),
+}
 
 
 class KVStore:
@@ -336,21 +344,4 @@ def confidences(logits: np.ndarray, positions: Sequence[int], vocab: Vocab) -> C
 
 def parse_denoiser_config(spec: str) -> DenoiserConfig:
     """Parse `toy:seed=42` with optional v/d/h/layers/maxlen overrides."""
-    from .configstr import reject_unknown, split_spec, take_int
-
-    name, params = split_spec(spec)
-    if name != "toy":
-        raise ValueError(f"unknown denoiser {name!r} in {spec!r}")
-    fields = {
-        "seed": take_int(params, "seed", spec, 0),
-        "vocab_size": take_int(params, "v", spec, 65),
-        "width": take_int(params, "d", spec, 64),
-        "heads": take_int(params, "h", spec, 4),
-        "depth": take_int(params, "layers", spec, 4),
-        "max_len": take_int(params, "maxlen", spec, 512),
-    }
-    reject_unknown(params, spec)
-    try:
-        return DenoiserConfig(**fields)
-    except ValueError as exc:
-        raise ValueError(f"{exc} in {spec!r}") from None
+    return parse_spec(spec, TOY, "denoiser")

@@ -17,8 +17,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import metrics
-from .configstr import parse_number, reject_unknown, split_spec, take_int
-from .denoiser import TinyDenoiser, confidences, parse_denoiser_config
+from .configstr import parse_number, parse_spec
+from .denoiser import TOY, DenoiserConfig, TinyDenoiser, confidences
 from .kvcache import (
     CachePolicy,
     NoCache,
@@ -28,7 +28,7 @@ from .kvcache import (
     parse_cache,
     recompute_set,
 )
-from .oracle import OracleDenoiser, load_profile
+from .oracle import ORACLE, OracleDenoiser, load_profile
 from .samplers import SamplerKind, format_sampler, parse_sampler, select
 from .schedulers import (
     SchedulerKind,
@@ -176,22 +176,12 @@ def read_trace(path: str) -> List[StepRecord]:
 
 def build_denoiser(spec: str, seed_offset: int = 0) -> Denoiser:
     """Build `toy:...` or `oracle:profile=PATH` denoisers from config strings."""
-    name, params = split_spec(spec)
-    if name == "oracle":
-        try:
-            path = params.pop("profile")
-        except KeyError:
-            raise ValueError(f"missing required parameter 'profile' in {spec!r}") from None
-        vocab_size = take_int(params, "v", spec, 65)
-        reject_unknown(params, spec)
-        profile = load_profile(path)
-        vocab = Vocab(size=vocab_size, mask_id=vocab_size - 1)
-        oracle = OracleDenoiser(profile, vocab)
-        return oracle.reseeded(profile.seed + seed_offset) if seed_offset else oracle
-    config = parse_denoiser_config(spec)  # rejects every name but `toy`
-    if seed_offset:
-        config = replace(config, seed=config.seed + seed_offset)
-    return TinyDenoiser(config)
+    config = parse_spec(spec, {**TOY, **ORACLE}, "denoiser")
+    if isinstance(config, DenoiserConfig):
+        return TinyDenoiser(replace(config, seed=config.seed + seed_offset))
+    profile = load_profile(config.profile)
+    oracle = OracleDenoiser(profile, Vocab(size=config.vocab_size, mask_id=config.vocab_size - 1))
+    return oracle.reseeded(profile.seed + seed_offset) if seed_offset else oracle
 
 
 def make_prompt(vocab: Vocab, prompt_len: int, seed: int) -> np.ndarray:
@@ -290,7 +280,6 @@ def decode_row(
 
     ``seed`` is the grid seed (None outside a grid); ``exact_match`` is None without a truth.
     """
-    _check_eos_id(eos_id, denoiser.vocab)
     started = time.perf_counter()
     result = decode(denoiser, scheduler, sampler, cache, prompt, gen_len, eos_id=eos_id)
     elapsed = time.perf_counter() - started

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .configstr import reject_unknown, split_spec, take_int
+from .configstr import REQUIRED, Kinds, format_spec, parse_spec
 from .schedulers import BlockWindow
 from .state import EVENT_NONE, EVENT_PARTIAL, EVENT_REFRESH
 
@@ -51,6 +51,11 @@ class DSBCache:
 
 
 CachePolicy = Union[NoCache, DualCache, DSBCache]
+CACHES: Kinds = {
+    "nocache": (NoCache, {}),
+    "dual": (DualCache, {}),
+    "dsbcache": (DSBCache, {"pmin": ("prefix_min", int, REQUIRED), "suffix": ("suffix_len", int, 0)}),
+}
 
 
 @dataclass
@@ -138,24 +143,8 @@ def after_step(
 
 def parse_cache(spec: str) -> CachePolicy:
     """Parse `nocache`, `dual`, or `dsbcache:pmin=24,suffix=0`."""
-    name, params = split_spec(spec)
-    if name == "nocache":
-        reject_unknown(params, spec)
-        return NoCache()
-    if name == "dual":
-        reject_unknown(params, spec)
-        return DualCache()
-    if name == "dsbcache":
-        pmin = take_int(params, "pmin", spec)
-        suffix = take_int(params, "suffix", spec, 0)
-        reject_unknown(params, spec)
-        return DSBCache(pmin, suffix)
-    raise ValueError(f"unknown cache policy {name!r} in {spec!r}")
+    return parse_spec(spec, CACHES, "cache policy")
 
 
 def format_cache(policy: CachePolicy) -> str:
-    if isinstance(policy, NoCache):
-        return "nocache"
-    if isinstance(policy, DualCache):
-        return "dual"
-    return f"dsbcache:pmin={policy.prefix_min},suffix={policy.suffix_len}"
+    return format_spec(policy, CACHES)

@@ -114,12 +114,13 @@ def _formatted(value: object) -> str:
     return str(value)
 
 
-def write_csv(rows: Sequence[Dict[str, object]], path: str, columns: List[str] = ROW_COLUMNS) -> None:
+def write_csv(rows: Sequence[Dict[str, object]], path: str) -> None:
+    """One ``ROW_COLUMNS`` header line, then one line per row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(ROW_COLUMNS)
         for row in rows:
-            writer.writerow([_formatted(row.get(col)) for col in columns])
+            writer.writerow([_formatted(row.get(col)) for col in ROW_COLUMNS])
 
 
 def format_table(rows: Sequence[Dict[str, object]], columns: Optional[List[str]] = None) -> str:

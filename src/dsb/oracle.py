@@ -23,12 +23,13 @@ step scores outside it, and a step that leaves the block starts a new one.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .configstr import parse_number
+from .configstr import REQUIRED, Kinds, parse_number
 from .metrics import premature_commit_count  # re-exported for callers of dsb.oracle
 from .state import ConfidenceMap, SequenceState, Vocab
 
@@ -91,6 +92,13 @@ class DifficultyProfile:
     @property
     def gen_len(self) -> int:
         return len(self.base_difficulty)
+
+
+# An `oracle:` spec: a profile file, and a vocabulary whose last id is the mask.
+OracleConfig = namedtuple("OracleConfig", "profile vocab_size")
+ORACLE: Kinds = {
+    "oracle": (OracleConfig, {"profile": ("profile", str, REQUIRED), "v": ("vocab_size", int, 65)}),
+}
 
 
 def make_profile(

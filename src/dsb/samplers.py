@@ -7,7 +7,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .configstr import reject_unknown, split_spec
+from .configstr import REQUIRED, Kinds, format_spec, parse_spec
 from .state import ConfidenceMap, NoCandidates
 
 
@@ -32,6 +32,10 @@ class ConfidenceThreshold:
 
 
 SamplerKind = Union[VanillaTop1, ConfidenceThreshold]
+SAMPLERS: Kinds = {
+    "vanilla": (VanillaTop1, {}),
+    "threshold": (ConfidenceThreshold, {"tau": ("tau", float, REQUIRED)}),
+}
 
 
 def select_top1(conf: ConfidenceMap) -> np.ndarray:
@@ -63,23 +67,8 @@ def select(kind: SamplerKind, conf: ConfidenceMap) -> Tuple[np.ndarray, bool]:
 
 def parse_sampler(spec: str) -> SamplerKind:
     """Parse `vanilla` or `threshold:tau=0.9`."""
-    name, params = split_spec(spec)
-    if name == "vanilla":
-        reject_unknown(params, spec)
-        return VanillaTop1()
-    if name == "threshold":
-        try:
-            tau = float(params.pop("tau"))
-        except KeyError:
-            raise ValueError(f"missing required parameter 'tau' in {spec!r}") from None
-        except ValueError:
-            raise ValueError(f"parameter 'tau' in {spec!r} is not a number") from None
-        reject_unknown(params, spec)
-        return ConfidenceThreshold(tau)
-    raise ValueError(f"unknown sampler {name!r} in {spec!r}")
+    return parse_spec(spec, SAMPLERS, "sampler")
 
 
 def format_sampler(kind: SamplerKind) -> str:
-    if isinstance(kind, VanillaTop1):
-        return "vanilla"
-    return f"threshold:tau={kind.tau:g}"
+    return format_spec(kind, SAMPLERS)

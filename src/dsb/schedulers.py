@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .configstr import reject_unknown, split_spec, take_int
+from .configstr import REQUIRED, Kinds, SameAs, format_spec, int_or_unbounded, parse_spec
 from .state import SequenceState
 
 
@@ -51,6 +51,11 @@ class SlidingBlock:
 
 
 SchedulerKind = Union[NaiveBlock, SlidingBlock]
+SCHEDULERS: Kinds = {
+    "naive": (NaiveBlock, {"B": ("block_size", int, REQUIRED)}),
+    "dsb": (SlidingBlock, {"init": ("init_size", int, REQUIRED),
+                           "max": ("max_size", int_or_unbounded, SameAs("init_size"))}),
+}
 
 
 @dataclass(frozen=True)
@@ -129,30 +134,8 @@ def advance(kind: SchedulerKind, window: BlockWindow, state: SequenceState) -> B
 
 def parse_scheduler(spec: str) -> SchedulerKind:
     """Parse `naive:B=32`, `dsb:init=32,max=32` or `dsb:init=32,max=unbounded`."""
-    name, params = split_spec(spec)
-    if name == "naive":
-        size = take_int(params, "B", spec)
-        reject_unknown(params, spec)
-        return NaiveBlock(size)
-    if name == "dsb":
-        init = take_int(params, "init", spec)
-        raw_max = params.pop("max", None)
-        reject_unknown(params, spec)
-        if raw_max is None or raw_max == str(init):
-            max_size: Optional[int] = init
-        elif raw_max == "unbounded":
-            max_size = None
-        else:
-            try:
-                max_size = int(raw_max)
-            except ValueError:
-                raise ValueError(f"bad max value {raw_max!r} in {spec!r}") from None
-        return SlidingBlock(init, max_size)
-    raise ValueError(f"unknown scheduler {name!r} in {spec!r}")
+    return parse_spec(spec, SCHEDULERS, "scheduler")
 
 
 def format_scheduler(kind: SchedulerKind) -> str:
-    if isinstance(kind, NaiveBlock):
-        return f"naive:B={kind.block_size}"
-    max_part = "unbounded" if kind.max_size is None else str(kind.max_size)
-    return f"dsb:init={kind.init_size},max={max_part}"
+    return format_spec(kind, SCHEDULERS)

@@ -83,7 +83,7 @@ def test_decode_csv_row_equals_the_grid_cell_row(tmp_path):
     ])
     assert code == 0
     cell_csv = tmp_path / "cell.csv"
-    write_csv([cell], str(cell_csv), ROW_COLUMNS)
+    write_csv([cell], str(cell_csv))
     rows = []
     for path in (decoded_csv, cell_csv):
         with open(path) as fh:
@@ -244,8 +244,9 @@ def test_bad_toy_value_is_a_clean_error_in_decode_and_grid(tmp_path, prompt_file
 
 @pytest.mark.parametrize("eos_id", ["32", "33", "-1"], ids=["mask-id", "vocab-size", "negative"])
 def test_uncommittable_eos_id_fails_before_decoding(prompt_file, monkeypatch, capsys, eos_id):
+    # decode checks the eos id first; new_sequence is the first work after it.
     decodes = []
-    monkeypatch.setattr(dsb.engine, "decode", lambda *args, **kw: decodes.append(args))
+    monkeypatch.setattr(dsb.engine, "new_sequence", lambda *args, **kw: decodes.append(args))
     code = main([
         "decode",
         "--scheduler", "naive:B=4",

@@ -20,7 +20,7 @@ from dsb.kvcache import DSBCache, DualCache, NoCache
 from dsb.oracle import OracleDenoiser, hard_easy_profile, make_profile, save_profile
 from dsb.samplers import ConfidenceThreshold, VanillaTop1
 from dsb.schedulers import NaiveBlock, SlidingBlock
-from dsb.metrics import exact_match_rate
+from dsb.metrics import exact_match_rate, summarize
 from dsb.state import ConfidenceMap, InvalidConfiguration, SequenceState, Vocab
 
 from reference import fixed_block_decode, scalar_oracle_confidences, triples
@@ -365,6 +365,16 @@ class TestGrid:
         for row in rows:
             assert row["steps"] >= 1
             assert row["wall_time_s"] > 0
+
+    def test_taus_that_differ_past_six_digits_stay_two_groups(self):
+        rows = run_grid(GridSpec(
+            schedulers=["naive:B=4"], samplers=["threshold:tau=0.9", "threshold:tau=0.9000001"],
+            caches=["nocache"], denoisers=["toy:seed=5,v=33,d=32,h=2,layers=2,maxlen=96"],
+            seeds=[0], gen_len=8, prompt_len=2,
+        ))
+        groups = summarize(rows)
+        assert [g["sampler"] for g in groups] == ["threshold:tau=0.9", "threshold:tau=0.9000001"]
+        assert [g["n_runs"] for g in groups] == [1, 1]
 
     @pytest.mark.parametrize(
         "denoiser, seeds, gen_len, prompt_len, match",

@@ -140,7 +140,7 @@ class TestOutput:
 
     def test_csv_has_header_and_row(self, tmp_path):
         path = tmp_path / "rows.csv"
-        write_csv(self.rows(), str(path), ROW_COLUMNS)
+        write_csv(self.rows(), str(path))
         with open(path) as fh:
             parsed = list(csv.reader(fh))
         assert parsed[0] == ROW_COLUMNS
