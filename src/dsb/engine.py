@@ -105,7 +105,7 @@ def decode(
             conf = denoiser.confidence_map(state, eligible)
         chosen, fallback = select(sampler, conf)
         positions = conf.positions[chosen].tolist()
-        committed = conf.tokens[chosen].tolist()
+        committed = conf.tokens_at(chosen)
         for pos, tok in zip(positions, committed):
             state.commit(pos - lp, tok)
 
@@ -180,7 +180,10 @@ def build_denoiser(spec: str, seed_offset: int = 0) -> Denoiser:
     if isinstance(config, DenoiserConfig):
         return TinyDenoiser(replace(config, seed=config.seed + seed_offset))
     profile = load_profile(config.profile)
-    oracle = OracleDenoiser(profile, Vocab(size=config.vocab_size, mask_id=config.vocab_size - 1))
+    try:
+        oracle = OracleDenoiser(profile, Vocab(size=config.vocab_size, mask_id=config.vocab_size - 1))
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {spec!r}") from None
     return oracle.reseeded(profile.seed + seed_offset) if seed_offset else oracle
 
 

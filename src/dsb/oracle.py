@@ -14,17 +14,17 @@ status feeds back, which keeps scheduler comparisons analyzable.
 
 Since c_i depends only on i and the integer count k of decoded neighbors,
 each denoiser tabulates it once as ``table[i, k]``; a step takes one
-cumulative sum over the mask and gathers from the table.  The draws never
-depend on the decode history either, so they are hashed ahead of time for a
-block of 32 consecutive steps, over the contiguous span of response columns
-the block's steps score.  The span widens, with 32 columns of slack, when a
-step scores outside it, and a step that leaves the block starts a new one.
+cumulative sum over the mask and gathers from the table.  A step's tokens are
+not drawn while it is scored: its map holds a draw bound to the step, the
+scored indices and their confidences, and hashes the truth-or-decoy coin only
+for the entries a sampler chooses.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -34,33 +34,16 @@ from .metrics import premature_commit_count  # re-exported for callers of dsb.or
 from .state import ConfidenceMap, SequenceState, Vocab
 
 _MASK64 = (1 << 64) - 1
-# splitmix64 constants as 0-d uint64 arrays, which numpy combines with arrays
-# faster than uint64 scalars.
-_GOLDEN_U, _MIX1_U, _MIX2_U = (
-    np.array(c, dtype=np.uint64)
-    for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
-)
-# Last chain link per (step, position): plane 0 is the truth-or-decoy coin,
-# plane 1 the decoy draw.
-_STREAMS = np.array([1, 2], dtype=np.uint64).reshape(2, 1, 1)
-# Draws are hashed for 2**_BLOCK_BITS consecutive steps at a time, over a
-# column span that widens by _SLACK columns past the columns a step scores.
-_BLOCK_BITS = 5
-_BLOCK = 1 << _BLOCK_BITS
-_SLACK = 32
 # The header fields of a profile file, each required once.
 _HEADER_KEYS = ("gain", "radius", "seed")
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finaliser, element-wise; uint64 arithmetic wraps mod 2**64."""
-    x = x + _GOLDEN_U
-    x ^= x >> 30
-    x *= _MIX1_U
-    x ^= x >> 27
-    x *= _MIX2_U
-    x ^= x >> 31
-    return x
+def _chain(h: int, part: int) -> int:
+    """One splitmix64 link on Python ints: fold the 64-bit ``part`` into ``h``."""
+    x = ((h ^ part) + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
 @dataclass(frozen=True)
@@ -88,6 +71,8 @@ class DifficultyProfile:
             raise ValueError(f"context_gain must lie in [0, 1], got {self.context_gain}")
         if self.radius < 1:
             raise ValueError(f"radius must be >= 1, got {self.radius}")
+        if not self.truth:
+            raise ValueError("a profile needs at least one position")
 
     @property
     def gen_len(self) -> int:
@@ -129,68 +114,25 @@ class OracleDenoiser:
     def __init__(self, profile: DifficultyProfile, vocab: Vocab):
         if vocab.size < 3:
             raise ValueError("oracle decoys need at least two non-mask tokens")
-        truth = np.array(profile.truth, dtype=np.int64)
-        bad = truth[(truth < 0) | (truth >= vocab.size) | (truth == vocab.mask_id)]
-        if bad.size:
+        bad = [t for t in profile.truth if not 0 <= t < vocab.size or t == vocab.mask_id]
+        if bad:
             raise ValueError(f"ground-truth token {bad[0]} invalid for the vocabulary")
         self.profile = profile
         self.vocab = vocab
-        self.truth = truth
+        self.truth = np.array(profile.truth, dtype=np.int64)
         n = profile.gen_len
         # table[i, k]: c_i with k of its neighbors in [lo_i, hi_i) decoded (self
         # excluded, so the count is >= 1).  ease, gain and k / count are >= 0,
-        # so only the upper clip can bind.
-        i = np.arange(n)
-        self._lo, self._hi = np.maximum(0, i - profile.radius), np.minimum(n, i + profile.radius + 1)
+        # so only the upper clip can bind.  A radius past n reaches as far as n.
+        i, radius = np.arange(n), min(profile.radius, n)
+        self._lo, self._hi = np.maximum(0, i - radius), np.minimum(n, i + radius + 1)
         count = np.maximum(self._hi - self._lo - 1, 1)[:, None]
         ease = 1.0 - np.array(profile.base_difficulty, dtype=np.float64)[:, None]
         self._table = np.minimum(1.0, ease + profile.context_gain * (np.arange(count.max() + 1) / count))
         self._decoded = np.zeros(n, dtype=bool)  # step scratch, like _csum: no returned map views either
         self._csum = np.zeros(n + 1, dtype=np.int64)
-        # One-element arrays: numpy warns when uint64 scalars wrap, not arrays.
-        self._seed_hash = _splitmix64(np.array([profile.seed & _MASK64], dtype=np.uint64))
-        self._index = np.arange(n, dtype=np.uint64)
-        # Decoys are held in the narrowest unsigned dtype for every token id
-        # and skip past both reserved ids: the truth and the mask.
-        decoy_dtype = np.min_scalar_type(vocab.size - 1)
-        self._skip_lo = np.minimum(truth, vocab.mask_id).astype(decoy_dtype)
-        self._skip_hi = np.maximum(truth, vocab.mask_id).astype(decoy_dtype)
-        # The hashed block: its key (step >> _BLOCK_BITS), step links, the
-        # columns [lo, hi) hashed so far, and coin thresholds and decoys by (row, column).
-        self._block_key, self._prefix, self._span = None, None, (0, 0)
-        self._u = np.zeros((_BLOCK, n), dtype=np.float64)
-        self._decoy = np.zeros((_BLOCK, n), dtype=decoy_dtype)
-
-    def _hash_columns(self, lo: int, hi: int) -> None:
-        """Draw the coin and decoy of the held block's 32 steps at response
-        indices [lo, hi): the block's step links, one splitmix64 link for the
-        index, then the coin and decoy streams."""
-        h = _splitmix64(self._prefix ^ self._index[lo:hi])
-        coin, draw = _splitmix64(h ^ _STREAMS)
-        self._u[:, lo:hi] = coin / 2.0**64
-        decoy = (draw % np.uint64(self.vocab.size - 2)).astype(self._decoy.dtype)
-        decoy += decoy >= self._skip_lo[lo:hi]
-        decoy += decoy >= self._skip_hi[lo:hi]
-        self._decoy[:, lo:hi] = decoy
-
-    def _cover(self, key: int, lo: int, hi: int) -> None:
-        """Hold block ``key`` (steps [key * 32, key * 32 + 32)) hashed over at
-        least the columns [lo, hi)."""
-        if key != self._block_key:
-            steps = np.arange(_BLOCK, dtype=np.uint64)
-            steps += np.uint64(key << _BLOCK_BITS)
-            self._prefix = _splitmix64(steps ^ self._seed_hash)[:, None]
-            self._block_key, self._span = key, (lo, lo)
-        a, b = self._span
-        if lo < a:
-            lo = max(0, lo - _SLACK)
-            self._hash_columns(lo, a)
-            a = lo
-        if hi > b:
-            hi = min(self.profile.gen_len, hi + _SLACK)
-            self._hash_columns(b, hi)
-            b = hi
-        self._span = a, b
+        self._truth = self.truth.tolist()
+        self._seed_hash = _chain(0, profile.seed & _MASK64)
 
     def check_lengths(self, prompt_len: int, gen_len: int) -> None:
         if gen_len != self.profile.gen_len:
@@ -202,11 +144,10 @@ class OracleDenoiser:
         """Scores for the absolute ``positions`` (any order; the map ascends),
         or every masked response position.
 
-        Each scored position must be a masked response position.  At response
-        index i the truth-or-decoy coin hashes (seed, step, i, 1) and the decoy
-        hashes (seed, step, i, 2), each through one splitmix64 chain.  Both are
-        gathered from the hashed block of 32 steps that holds ``state.step``,
-        whose column span is first widened over the scored indices if needed.
+        Each scored position must be a masked response position.  The map's
+        tokens are drawn on demand by :meth:`_draw`, bound to this call's step,
+        scored indices and confidences, so a map kept past later steps, commits
+        and calls still draws this step's tokens.
         """
         self.check_lengths(state.prompt_len, state.gen_len)
         lp = state.prompt_len
@@ -222,14 +163,30 @@ class OracleDenoiser:
         # No scored index is decoded, so its decoded-neighbor count is csum[hi] - csum[lo].
         np.add.accumulate(decoded.view(np.uint8), dtype=np.int64, out=self._csum[1:])
         c = self._table[idx, self._csum[self._hi[idx]] - self._csum[self._lo[idx]]]
+        return ConfidenceMap(idx + lp, partial(self._draw, state.step & _MASK64, idx, c), c)
 
-        step = state.step & _MASK64
-        if idx.size:
-            self._cover(step >> _BLOCK_BITS, int(idx[0]), int(idx[-1]) + 1)
-        # A row view, then a gather: cheaper to dispatch than the mixed [row, idx] form.
-        row = step & (_BLOCK - 1)
-        tokens = np.where(self._u[row][idx] < c, self.truth[idx], self._decoy[row][idx])
-        return ConfidenceMap(idx + lp, tokens, c)
+    def _draw(self, step: int, idx: np.ndarray, c: np.ndarray, chosen) -> List[int]:
+        """Tokens of the ``chosen`` entries (indices into ``idx``) of a map scored
+        at ``step`` over response indices ``idx`` with confidences ``c``.
+
+        At index i the coin hashes (seed, step, i, 1) through one splitmix64
+        chain: the truth when coin / 2**64 < c_i, else the decoy hashed from
+        (seed, step, i, 2), taken over the V - 2 ids left after skipping the
+        truth and the mask id.
+        """
+        at_step = _chain(self._seed_hash, step)
+        mask, decoys, truth = self.vocab.mask_id, self.vocab.size - 2, self._truth
+        out = []
+        for i, ci in zip(idx[chosen].tolist(), c[chosen].tolist()):
+            h = _chain(at_step, i)
+            t = truth[i]
+            if _chain(h, 1) / 2.0**64 < ci:
+                out.append(t)
+            else:
+                d = _chain(h, 2) % decoys
+                d += d >= min(t, mask)
+                out.append(d + (d >= max(t, mask)))
+        return out
 
     def reseeded(self, seed: int) -> "OracleDenoiser":
         return OracleDenoiser(replace(self.profile, seed=seed), self.vocab)
@@ -288,8 +245,10 @@ def load_profile(path: str) -> DifficultyProfile:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected `index delta truth`, got {line!r}")
             where = f"{path}:{lineno}:"
-            rows.append((parse_number(int, parts[0], f"{where} index"),
-                         parse_number(float, parts[1], f"{where} delta"),
+            delta = parse_number(float, parts[1], f"{where} delta")
+            if not 0.0 <= delta <= 1.0:
+                raise ValueError(f"{where} delta must lie in [0, 1], got {delta}")
+            rows.append((parse_number(int, parts[0], f"{where} index"), delta,
                          parse_number(int, parts[2], f"{where} truth")))
     for key in _HEADER_KEYS:
         if key not in header:
@@ -297,10 +256,10 @@ def load_profile(path: str) -> DifficultyProfile:
     rows.sort()
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: position records must cover 0..N-1 exactly once")
-    return make_profile(
-        [r[1] for r in rows],
-        parse_number(float, *header["gain"]),
-        parse_number(int, *header["radius"]),
-        [r[2] for r in rows],
-        parse_number(int, *header["seed"]),
-    )
+    gain = parse_number(float, *header["gain"])
+    radius = parse_number(int, *header["radius"])
+    seed = parse_number(int, *header["seed"])
+    try:
+        return make_profile([r[1] for r in rows], gain, radius, [r[2] for r in rows], seed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -51,18 +51,34 @@ class Vocab:
 
 
 class ConfidenceMap:
-    """One step's scores: three aligned arrays over ascending absolute positions.
+    """One step's scores: two aligned arrays over ascending absolute positions,
+    and the token at each.
 
-    ``positions`` (int64, each currently masked), ``tokens`` (int64, the best
-    non-mask token there) and ``confidences`` (float64, so that tau tests and
-    trace values are exact); samplers return indices into them.  ``len(m)``
-    counts the entries and ``pos in m`` tests an absolute position.
+    ``positions`` (int64, each currently masked) and ``confidences`` (float64,
+    so that tau tests and trace values are exact); samplers return indices
+    into them.  The tokens (the best non-mask token at each entry) are either
+    an array or a draw, a callable from entry indices to a list of tokens that
+    produces them on demand.  ``tokens`` gives every entry's token as int64 and
+    :meth:`tokens_at` those of the chosen entries only.  ``len(m)`` counts the
+    entries and ``pos in m`` tests an absolute position.
     """
 
     def __init__(self, positions, tokens, confidences) -> None:
         self.positions = np.asarray(positions, dtype=np.int64)
-        self.tokens = np.asarray(tokens, dtype=np.int64)
         self.confidences = np.asarray(confidences, dtype=np.float64)
+        self._tokens = tokens if callable(tokens) else np.asarray(tokens, dtype=np.int64)
+
+    @property
+    def tokens(self) -> np.ndarray:
+        if callable(self._tokens):
+            return np.array(self._tokens(slice(None)), dtype=np.int64)
+        return self._tokens
+
+    def tokens_at(self, chosen) -> List[int]:
+        """The tokens of the entries ``chosen`` (indices into the arrays), as ints."""
+        if callable(self._tokens):
+            return self._tokens(chosen)
+        return self._tokens[chosen].tolist()
 
     def __len__(self) -> int:
         return self.positions.size

@@ -3,6 +3,7 @@ import pytest
 
 import dsb.engine
 
+from dsb.cli import main
 from dsb.denoiser import DenoiserConfig, TinyDenoiser
 from dsb.engine import (
     GridSpec,
@@ -516,6 +517,29 @@ class TestBuildDenoiser:
         spec = f"oracle:profile={path},v=x"
         with pytest.raises(ValueError, match="parameter 'v' in .* is not an integer"):
             build_denoiser(spec)
+
+    @pytest.mark.parametrize(
+        "v, truth, message",
+        [
+            (2, 0, "oracle decoys need at least two non-mask tokens"),
+            (1, 0, "vocab size must be >= 2, got 1"),
+            (3, 2, "ground-truth token 2 invalid for the vocabulary"),  # 2 is the mask id
+            (65, 10**20, f"ground-truth token {10**20} invalid for the vocabulary"),
+        ],
+        ids=["v2", "v1", "truth-is-mask", "truth-past-int64"],
+    )
+    def test_oracle_vocabulary_errors_name_the_spec(self, tmp_path, capsys, v, truth, message):
+        path = tmp_path / "p.txt"
+        save_profile(make_profile([0.5] * 8, 0.5, 2, [truth] * 8, 1), str(path))
+        spec = f"oracle:profile={path},v={v}"
+        with pytest.raises(ValueError) as info:
+            build_denoiser(spec)
+        assert str(info.value) == f"{message} in {spec!r}"
+        prompt = tmp_path / "prompt.tok"
+        prompt.write_text("0 0\n")
+        code = main(["decode", "--scheduler", "naive:B=4", "--sampler", "vanilla", "--cache", "nocache",
+                     "--denoiser", spec, "--prompt-file", str(prompt), "--gen-len", "8"])
+        assert code == 2 and repr(spec) in capsys.readouterr().err
 
 
 def test_run_grid_accepts_a_config_path(tmp_path):

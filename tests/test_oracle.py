@@ -170,13 +170,17 @@ def oracle_cases(draw):
 @given(case=oracle_cases(), data=st.data())
 def test_array_scoring_matches_scalar_reference(case, data):
     """The vectorised oracle equals the per-position hash loop, bit for bit,
-    and scoring a subset of positions equals the full map restricted to it."""
+    drawing the tokens of a chosen subset of entries gives theirs, and scoring
+    a subset of positions equals the full map restricted to it."""
     profile, vocab, state = case
     masked = (state.response == vocab.mask_id).tolist()
-    full = triples(OracleDenoiser(profile, vocab).confidence_map(state))
+    scores = OracleDenoiser(profile, vocab).confidence_map(state)
+    full = triples(scores)
     assert full == triples(scalar_oracle_confidences(
         profile, masked, state.step, state.prompt_len, vocab.mask_id, vocab.size
     ))
+    chosen = sorted(data.draw(st.sets(st.integers(0, len(full) - 1)))) if full else []
+    assert scores.tokens_at(np.array(chosen, dtype=np.int64)) == [full[j][1] for j in chosen]
     subset = data.draw(st.sets(st.sampled_from(full))) if full else set()
     assert triples(OracleDenoiser(profile, vocab).confidence_map(state, [p for p, _, _ in sorted(subset)])) \
         == sorted(subset)
@@ -201,13 +205,13 @@ def coin_flip_case(seed=7):
     return OracleDenoiser(prof, VOCAB), state
 
 
-# Both sides of the 32-step block edges, revisits, and the end of the uint64 step range.
+# Both sides of multiples of 32, revisits, and the end of the 64-bit step range.
 BLOCK_EDGE_STEPS = [0, 31, 32, 33, 5, 2**63, 2**64 - 33, 2**64 - 32, 2**64 - 1]
 
 
 def test_one_denoiser_scores_block_edges_like_the_reference():
-    """One denoiser, so the hashed block it holds is reused and replaced
-    across steps; every map equals the per-position hash loop."""
+    """One denoiser scores each step in turn; every map equals the
+    per-position hash loop."""
     den, state = coin_flip_case()
     for step in BLOCK_EDGE_STEPS:
         state.step = step
@@ -248,9 +252,8 @@ def test_one_denoiser_scores_any_step_order_like_the_reference(case, steps):
 )
 def test_one_denoiser_scores_moving_column_spans_like_the_reference(gen_len, radius, seed, first, data):
     """One denoiser scores random position subsets that move left and right,
-    over step sequences that stay inside a 32-step block, revisit it and cross
-    its edges (wrapping past 2**64 - 1), so the hashed column span widens both
-    ways and restarts; every map equals the per-position hash loop."""
+    over step sequences that revisit steps and cross multiples of 32 (wrapping
+    past 2**64 - 1); every map equals the per-position hash loop."""
     vocab = Vocab(size=65, mask_id=64)
     truth = data.draw(st.lists(st.integers(0, 63), min_size=gen_len, max_size=gen_len))
     deltas = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=gen_len, max_size=gen_len))
@@ -273,8 +276,8 @@ def test_one_denoiser_scores_moving_column_spans_like_the_reference(gen_len, rad
 
 
 def test_kept_maps_share_no_scratch_with_later_calls():
-    """Maps kept from alternating calls on two states, across 32-step block
-    edges and with and without positions, still equal the per-position hash
+    """Maps kept from alternating calls on two states, across multiples of
+    32 and with and without positions, still equal the per-position hash
     loop once every call has run: no map holds a view of the denoiser's
     per-step scratch."""
     den, first = coin_flip_case()
@@ -295,6 +298,33 @@ def test_kept_maps_share_no_scratch_with_later_calls():
         assert triples(conf) == [t for t in expected if t[0] in positions], step
 
 
+def test_kept_maps_draw_their_scoring_steps_tokens_for_any_chosen_entries():
+    """Maps scored at steps 0, 31, 32, 2**63 and 2**64 - 1 are kept while the
+    state moves to the next step, commits and is scored again.  Each then draws,
+    for any chosen subset of its entries, the tokens the per-position hash loop
+    gives at the step it was scored at.  The mask id sits mid-vocabulary with
+    truths on both sides, so both reserved-id shifts move decoys."""
+    vocab = Vocab(size=16, mask_id=7)
+    gen_len = 40
+    truth = [t + (t >= 7) for t in ((5 * i + 2) % 15 for i in range(gen_len))]
+    den = OracleDenoiser(make_profile([0.5] * gen_len, 0.2, 2, truth, 7), vocab)
+    state = new_sequence([1, 2], gen_len, vocab)
+    kept = []
+    for n, step in enumerate([0, 31, 32, 2**63, 2**64 - 1]):
+        state.step = step
+        kept.append((den.confidence_map(state), reference_map(den, state)))
+        state.commit(7 * n, 3)
+        state.step += 1
+        den.confidence_map(state)
+    rng = np.random.default_rng(0)
+    for scores, expected in kept:
+        assert triples(scores) == expected
+        for _ in range(20):
+            chosen = np.flatnonzero(rng.random(len(scores)) < 0.3)
+            assert scores.tokens_at(chosen) == [expected[j][1] for j in chosen] \
+                == scores.tokens[chosen].tolist()
+
+
 def test_reseeded_copy_shares_no_hashed_block():
     den, state = coin_flip_case(seed=7)
     state.step = 40
@@ -309,8 +339,7 @@ def test_reseeded_copy_shares_no_hashed_block():
 
 # sha256 of each trace (one JSON line per step, as write_trace writes it) of the
 # golden profile below.  Recorded from the oracle that hashed its draws one step
-# at a time, before it hashed them in blocks of 32 steps; the block-hashed draws
-# must replay those traces byte for byte.
+# at a time; every later way of drawing them must replay those traces byte for byte.
 GOLDEN_TRACE_DIGESTS = {
     ("naive:B=16", "vanilla"):
         "fc6e0cd3589a64cf80794362084af5479b6944b580a3edca36e5b33b0d547980",
@@ -338,6 +367,13 @@ def test_oracle_traces_match_the_golden_digests():
                      [1, 2, 3, 4], n)
         trace = "".join(rec.to_json() + "\n" for rec in res.records)
         assert hashlib.sha256(trace.encode()).hexdigest() == digest, (sched, sampler)
+
+
+def test_radius_past_the_response_reaches_the_whole_response():
+    state = new_sequence([1], 6, VOCAB)
+    state.commit(2, 3)
+    wide, whole = (OracleDenoiser(profile_of([0.5] * 6, gain=0.5, radius=r), VOCAB) for r in (10**20, 6))
+    assert triples(wide.confidence_map(state)) == triples(whole.confidence_map(state))
 
 
 def test_positions_must_be_masked_response_positions():
@@ -490,3 +526,58 @@ class TestProfileFile:
         path.write_text("gain=0.5\nradius=2\nseed=1\n0 0.5 1\n2 0.5 1\n")
         with pytest.raises(ValueError):
             load_profile(str(path))
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("gain=5\nradius=2\nseed=1\n0 0.5 1\n", "bad.txt: context_gain must lie in [0, 1], got 5.0"),
+            ("gain=0.5\nradius=-2\nseed=1\n0 0.5 1\n", "bad.txt: radius must be >= 1, got -2"),
+            ("gain=0.5\nradius=2\nseed=1\n0 0.5 1\n1 3 1\n", "bad.txt:5: delta must lie in [0, 1], got 3.0"),
+            ("gain=0.5\nradius=2\nseed=1\n", "bad.txt: a profile needs at least one position"),
+        ],
+        ids=["gain", "radius", "delta", "no-records"],
+    )
+    def test_range_error_names_the_file(self, tmp_path, text, where):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_profile(str(path))
+        assert str(info.value) == f"{tmp_path}/{where}"
+
+
+# Header and record lines of a profile file, valid and not, and pieces to splice into lines.
+PROFILE_LINES = [
+    "gain=0.5", "radius=2", "seed=7", "gain=", "radius=x", "gain=5", "gain=nan", "seed=-3",
+    "seed=99999999999999999999999", "radius=0", "radius=99999999999999999999", "# comment", "",
+    "0 0.5 1", "1 0.25 3", "2 1.0 14", "0 nan 1", "3 1e999 2", "-1 0.5 2", "1 0.5", "1 0.5 1 9",
+    "99999999999999999999 0.5 1", "1 0.5 99999999999999999999", "1 -0.5 2", "x y z",
+]
+PROFILE_PIECES = ["-", "9", "e9", "x", "=", " ", "\t", "0", ".", "#", "nan", "1e999", "gain=", "1 "]
+
+
+@settings(max_examples=300, deadline=None)
+@given(gen_len=st.integers(min_value=1, max_value=4), data=st.data())
+def test_mutated_profile_file_loads_or_names_its_path(tmp_path_factory, gen_len, data):
+    """A saved profile with header and record lines inserted or put in place
+    of others, lines deleted and pieces spliced into lines either loads or
+    raises a ValueError whose message names the file."""
+    path = tmp_path_factory.mktemp("profile") / "profile.txt"
+    save_profile(profile_of([0.5] * gen_len, gain=0.5, radius=2, seed=7), str(path))
+    lines = path.read_text().splitlines()
+    for op in data.draw(st.lists(st.sampled_from(["insert", "replace", "delete", "splice"]), max_size=6)):
+        if op == "insert":
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(PROFILE_LINES)))
+        elif lines:
+            at = data.draw(st.integers(0, len(lines) - 1))
+            if op == "replace":
+                lines[at] = data.draw(st.sampled_from(PROFILE_LINES))
+            elif op == "delete":
+                del lines[at]
+            else:
+                cut = data.draw(st.integers(0, len(lines[at])))
+                lines[at] = lines[at][:cut] + data.draw(st.sampled_from(PROFILE_PIECES)) + lines[at][cut:]
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        load_profile(str(path))
+    except ValueError as exc:
+        assert str(path) in str(exc)
