@@ -7,7 +7,7 @@ import sys
 from typing import List, Optional
 
 from . import engine, metrics
-from .configstr import parse_number
+from .configstr import parse_number, read_lines
 from .kvcache import parse_cache
 from .samplers import parse_sampler
 from .schedulers import parse_scheduler
@@ -15,10 +15,8 @@ from .state import CacheIntegrityError, InvalidConfiguration, NoCandidates
 
 
 def _read_prompt(path: str) -> List[int]:
-    tokens: List[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens += [parse_number(int, part, f"{path}:{lineno}: token id") for part in line.split()]
+    tokens = [parse_number(int, part, f"{path}:{lineno}: token id")
+              for lineno, line in read_lines(path) for part in line.split()]
     if not tokens:
         raise ValueError(f"prompt file {path} contains no token ids")
     return tokens

@@ -8,11 +8,13 @@ absent key takes ``default``, which is ``REQUIRED``, a value, or
 :func:`format_spec` are the only reader and writer.  Every error names the
 spec; the writer gives every key in table order as ``str(value)``, which
 round-trips floats exactly, and a ``None`` field as ``unbounded``.
+Line files (profiles, prompts, grids, traces) are read by :func:`read_lines`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 REQUIRED = object()
 UNBOUNDED = "unbounded"
@@ -89,3 +91,13 @@ def parse_number(kind: type, text: str, where: str):
         return kind(text)
     except ValueError:
         raise ValueError(f"{where} needs {_NOUN[kind]}, got {text!r}") from None
+
+
+def read_lines(path: str) -> Iterator[Tuple[int, str]]:
+    """Numbered (from 1), stripped lines of a UTF-8 text file; a byte that is
+    not UTF-8 raises ``ValueError`` naming ``path:line``."""
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            yield lineno, raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import metrics
-from .configstr import parse_number, parse_spec
+from .configstr import parse_number, parse_spec, read_lines
 from .denoiser import TOY, DenoiserConfig, TinyDenoiser, confidences
 from .kvcache import (
     CachePolicy,
@@ -164,13 +164,12 @@ def write_trace(records: Iterable[StepRecord], path: str) -> None:
 
 def read_trace(path: str) -> List[StepRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    records.append(StepRecord.from_json(line))
-                except (TypeError, ValueError) as exc:  # not JSON, not an object, a missing or unknown field
-                    raise ValueError(f"{path}:{lineno}: not a step record: {exc}") from None
+    for lineno, line in read_lines(path):
+        if line:
+            try:
+                records.append(StepRecord.from_json(line))
+            except (TypeError, ValueError) as exc:  # not JSON, not an object, a missing or unknown field
+                raise ValueError(f"{path}:{lineno}: not a step record: {exc}") from None
     return records
 
 
@@ -232,23 +231,17 @@ class GridSpec:
 def parse_grid_file(path: str) -> GridSpec:
     """Line-oriented `key = value` config; list values separated by `;`."""
     raw: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            key, sep, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not value or not key.replace("_", "").isalnum():
-                raise ValueError(f"{path}:{lineno}: expected `key = value`, got {text!r}")
-            if key in raw:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value
+    for lineno, line in read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or not value or not key.replace("_", "").isalnum():
+            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
+        if key in raw:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value
 
-    def str_list(key: str) -> List[str]:
-        if key not in raw:
-            raise ValueError(f"{path}: missing required key {key!r}")
+    def str_list(key: str) -> List[str]:  # a missing key raises KeyError, caught below
         items = [item.strip() for item in raw.pop(key).split(";") if item.strip()]
         if not items:
             raise ValueError(f"{path}: key {key!r} has no entries")

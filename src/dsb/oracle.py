@@ -13,8 +13,8 @@ Committed token values are deliberately ignored: only the mask/decoded
 status feeds back, which keeps scheduler comparisons analyzable.
 
 Since c_i depends only on i and the integer count k of decoded neighbors,
-each denoiser tabulates it once as ``table[i, k]``; a step takes one
-cumulative sum over the mask and gathers from the table.  A step's tokens are
+each denoiser tabulates it once as ``table[i, k]``, kept flat; a step takes
+one cumulative sum over the mask and one 1-D gather.  A step's tokens are
 not drawn while it is scored: its map holds a draw bound to the step, the
 scored indices and their confidences, and hashes the truth-or-decoy coin only
 for the entries a sampler chooses.
@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .configstr import REQUIRED, Kinds, parse_number
+from .configstr import REQUIRED, Kinds, parse_number, read_lines
 from .metrics import premature_commit_count  # re-exported for callers of dsb.oracle
 from .state import ConfidenceMap, SequenceState, Vocab
 
@@ -121,15 +121,17 @@ class OracleDenoiser:
         self.vocab = vocab
         self.truth = np.array(profile.truth, dtype=np.int64)
         n = profile.gen_len
-        # table[i, k]: c_i with k of its neighbors in [lo_i, hi_i) decoded (self
-        # excluded, so the count is >= 1).  ease, gain and k / count are >= 0,
-        # so only the upper clip can bind.  A radius past n reaches as far as n.
+        # table[i, k] = _flat[_rowbase[i] + k]: c_i with k of its neighbors in
+        # [lo_i, hi_i) decoded (self excluded, so the count is >= 1).  ease, gain
+        # and k / count are >= 0, so only the upper clip can bind.  A radius past
+        # n reaches as far as n.
         i, radius = np.arange(n), min(profile.radius, n)
         self._lo, self._hi = np.maximum(0, i - radius), np.minimum(n, i + radius + 1)
         count = np.maximum(self._hi - self._lo - 1, 1)[:, None]
         ease = 1.0 - np.array(profile.base_difficulty, dtype=np.float64)[:, None]
-        self._table = np.minimum(1.0, ease + profile.context_gain * (np.arange(count.max() + 1) / count))
-        self._decoded = np.zeros(n, dtype=bool)  # step scratch, like _csum: no returned map views either
+        table = np.minimum(1.0, ease + profile.context_gain * (np.arange(count.max() + 1) / count))
+        self._flat, self._rowbase = table.ravel(), i * table.shape[1]
+        self._decoded = np.zeros(n, dtype=np.int64)  # 0/1 step scratch, like _csum: no map views either
         self._csum = np.zeros(n + 1, dtype=np.int64)
         self._truth = self.truth.tolist()
         self._seed_hash = _chain(0, profile.seed & _MASK64)
@@ -153,17 +155,19 @@ class OracleDenoiser:
         lp = state.prompt_len
         decoded = np.not_equal(state.response, self.vocab.mask_id, out=self._decoded)
         if positions is None:
-            idx = (~decoded).nonzero()[0]
-        else:
-            idx = np.array(positions, dtype=np.int64)  # a copy, sorted in place
-            idx.sort()
-            idx -= lp
-            if idx.size and (idx[0] < 0 or idx[-1] >= state.gen_len or np.count_nonzero(decoded[idx])):
-                raise ValueError("oracle positions must be masked response positions")
+            positions = (decoded == 0).nonzero()[0] + lp
+        pos = np.array(positions, dtype=np.int64)  # a copy, sorted in place
+        pos.sort()
+        idx = pos - lp
+        if idx.size and (idx[0] < 0 or idx[-1] >= state.gen_len or np.count_nonzero(decoded[idx])):
+            raise ValueError("oracle positions must be masked response positions")
         # No scored index is decoded, so its decoded-neighbor count is csum[hi] - csum[lo].
-        np.add.accumulate(decoded.view(np.uint8), dtype=np.int64, out=self._csum[1:])
-        c = self._table[idx, self._csum[self._hi[idx]] - self._csum[self._lo[idx]]]
-        return ConfidenceMap(idx + lp, partial(self._draw, state.step & _MASK64, idx, c), c)
+        np.add.accumulate(decoded, out=self._csum[1:])  # int64 to int64: no cast loop
+        k = self._csum[self._hi[idx]]
+        k -= self._csum[self._lo[idx]]
+        k += self._rowbase[idx]
+        c = self._flat[k]
+        return ConfidenceMap(pos, partial(self._draw, state.step & _MASK64, idx, c), c)
 
     def _draw(self, step: int, idx: np.ndarray, c: np.ndarray, chosen) -> List[int]:
         """Tokens of the ``chosen`` entries (indices into ``idx``) of a map scored
@@ -228,28 +232,26 @@ def save_profile(profile: DifficultyProfile, path: str) -> None:
 def load_profile(path: str) -> DifficultyProfile:
     header = {}
     rows: List[tuple] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" in line and not line[0].isdigit():
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key in header or key not in _HEADER_KEYS:
-                    problem = "duplicate" if key in header else "unknown"
-                    raise ValueError(f"{path}:{lineno}: {problem} header key {key!r}")
-                header[key] = value.strip(), f"{path}:{lineno}: key {key!r}"
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected `index delta truth`, got {line!r}")
-            where = f"{path}:{lineno}:"
-            delta = parse_number(float, parts[1], f"{where} delta")
-            if not 0.0 <= delta <= 1.0:
-                raise ValueError(f"{where} delta must lie in [0, 1], got {delta}")
-            rows.append((parse_number(int, parts[0], f"{where} index"), delta,
-                         parse_number(int, parts[2], f"{where} truth")))
+    for lineno, line in read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        if "=" in line and not line[0].isdigit():
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key in header or key not in _HEADER_KEYS:
+                problem = "duplicate" if key in header else "unknown"
+                raise ValueError(f"{path}:{lineno}: {problem} header key {key!r}")
+            header[key] = value.strip(), f"{path}:{lineno}: key {key!r}"
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected `index delta truth`, got {line!r}")
+        where = f"{path}:{lineno}:"
+        delta = parse_number(float, parts[1], f"{where} delta")
+        if not 0.0 <= delta <= 1.0:
+            raise ValueError(f"{where} delta must lie in [0, 1], got {delta}")
+        rows.append((parse_number(int, parts[0], f"{where} index"), delta,
+                     parse_number(int, parts[2], f"{where} truth")))
     for key in _HEADER_KEYS:
         if key not in header:
             raise ValueError(f"{path}: missing header field {key!r}")

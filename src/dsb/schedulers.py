@@ -91,8 +91,11 @@ def init_window(kind: SchedulerKind, prompt_len: int, gen_len: int) -> BlockWind
 def eligible_set(window: BlockWindow, state: SequenceState) -> np.ndarray:
     """Masked absolute positions inside the active block, ascending (int64)."""
     lp = state.prompt_len
-    out = state.masked_positions(max(window.start, lp) - lp, max(window.end, lp) - lp)
-    out += lp
+    a, b = max(window.start, lp), max(window.end, lp)
+    if not a <= b <= lp + state.gen_len:
+        raise ValueError(f"window [{a}, {b}) not contained in [{lp}, {lp + state.gen_len})")
+    out = (state.response[a - lp:b - lp] == state.vocab.mask_id).nonzero()[0]
+    out += a
     return out
 
 
@@ -122,8 +125,10 @@ def advance_sliding(window: BlockWindow, state: SequenceState) -> BlockWindow:
     end = lp + window.init_size + state.decoded_count
     if window.max_size is not None:
         end = min(end, start + window.max_size)
-    end = min(end, lp + state.gen_len)
-    return BlockWindow(start, max(start, end), window.init_size, window.max_size)
+    end = max(start, min(end, lp + state.gen_len))
+    if start == window.start and end == window.end:
+        return window
+    return BlockWindow(start, end, window.init_size, window.max_size)
 
 
 def advance(kind: SchedulerKind, window: BlockWindow, state: SequenceState) -> BlockWindow:

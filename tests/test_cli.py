@@ -3,11 +3,11 @@ import csv
 import pytest
 
 import dsb.engine
-from dsb.cli import main
-from dsb.engine import make_prompt, read_trace, run_cell
+from dsb.cli import _read_prompt, main
+from dsb.engine import make_prompt, parse_grid_file, read_trace, run_cell
 from dsb.metrics import ROW_COLUMNS, write_csv
-from dsb.oracle import hard_easy_profile, save_profile
-from dsb.state import Vocab
+from dsb.oracle import hard_easy_profile, load_profile, save_profile
+from dsb.state import StepRecord, Vocab
 
 
 @pytest.fixture()
@@ -289,6 +289,44 @@ def test_non_numeric_file_value_names_the_file_and_line(tmp_path, capsys, prompt
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / where}") and err.rstrip().endswith("got 'x'")
+
+
+# Each reader's file: a valid first line, then a line holding a byte that is not UTF-8.
+NON_UTF8_FILES = {
+    "prompt": (_read_prompt, b"1 2 3", b"4 \xff 5"),
+    "profile": (load_profile, b"gain=0.5", b"radius=\xff"),
+    "grid": (parse_grid_file, b"gen_len = 8", b"# caf\xe9"),
+    "trace": (read_trace, StepRecord(0, 8, 12, [8], [3], [0.5], 12, "none", False).to_json().encode(),
+              b'{"step":\xff}'),
+}
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("kind", list(NON_UTF8_FILES))
+def test_non_utf8_file_names_the_file_and_line(tmp_path, kind, newline):
+    read, first, second = NON_UTF8_FILES[kind]
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(first + newline + second + newline + first + newline)
+    with pytest.raises(ValueError) as info:
+        read(str(path))
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{path}:2: 'utf-8' codec can't decode byte ")
+
+
+def test_non_utf8_prompt_exits_2_naming_the_file(tmp_path, capsys):
+    prompt = tmp_path / "p.tok"
+    prompt.write_bytes(b"1 2 3\xff\n")
+    code = main([
+        "decode",
+        "--scheduler", "naive:B=2",
+        "--sampler", "vanilla",
+        "--cache", "nocache",
+        "--denoiser", "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64",
+        "--prompt-file", str(prompt),
+        "--gen-len", "2",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {prompt}:1: ")
 
 
 @pytest.mark.parametrize("key", ["seeds", "gen_len", "prompt_len"])

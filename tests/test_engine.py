@@ -466,6 +466,17 @@ class TestGrid:
         with pytest.raises(ValueError, match="schedulers"):
             parse_grid_file(str(path))
 
+    @pytest.mark.parametrize("key", ["schedulers", "samplers", "caches", "denoisers", "gen_len"])
+    def test_each_missing_required_key_is_named(self, tmp_path, key):
+        lines = {"gen_len": "8", "schedulers": "naive:B=4", "samplers": "vanilla",
+                 "caches": "nocache", "denoisers": "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64"}
+        del lines[key]
+        path = tmp_path / "grid.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        with pytest.raises(ValueError) as info:
+            parse_grid_file(str(path))
+        assert str(info.value) == f"{path}: missing required key {key!r}"
+
     def test_bad_axis_entry_rejected_up_front(self, tmp_path):
         path = tmp_path / "grid.cfg"
         path.write_text(

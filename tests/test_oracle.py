@@ -553,14 +553,18 @@ PROFILE_LINES = [
     "99999999999999999999 0.5 1", "1 0.5 99999999999999999999", "1 -0.5 2", "x y z",
 ]
 PROFILE_PIECES = ["-", "9", "e9", "x", "=", " ", "\t", "0", ".", "#", "nan", "1e999", "gain=", "1 "]
+# Raw bytes to splice into the file: not UTF-8 (a stray byte, cut-off multi-byte
+# sequences, an encoded surrogate), valid multi-byte UTF-8, line ends and a NUL.
+PROFILE_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc3\xa9", b"\r", b"\r\n",
+                 b"\n", b"\x00"]
 
 
 @settings(max_examples=300, deadline=None)
 @given(gen_len=st.integers(min_value=1, max_value=4), data=st.data())
 def test_mutated_profile_file_loads_or_names_its_path(tmp_path_factory, gen_len, data):
     """A saved profile with header and record lines inserted or put in place
-    of others, lines deleted and pieces spliced into lines either loads or
-    raises a ValueError whose message names the file."""
+    of others, lines deleted, pieces spliced into lines and raw bytes into
+    the file either loads or raises a ValueError whose message names the file."""
     path = tmp_path_factory.mktemp("profile") / "profile.txt"
     save_profile(profile_of([0.5] * gen_len, gain=0.5, radius=2, seed=7), str(path))
     lines = path.read_text().splitlines()
@@ -576,7 +580,11 @@ def test_mutated_profile_file_loads_or_names_its_path(tmp_path_factory, gen_len,
             else:
                 cut = data.draw(st.integers(0, len(lines[at])))
                 lines[at] = lines[at][:cut] + data.draw(st.sampled_from(PROFILE_PIECES)) + lines[at][cut:]
-    path.write_text("\n".join(lines) + "\n")
+    raw = ("\n".join(lines) + "\n").encode()
+    for piece in data.draw(st.lists(st.sampled_from(PROFILE_BYTES), max_size=3)):
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + piece + raw[at:]
+    path.write_bytes(raw)
     try:
         load_profile(str(path))
     except ValueError as exc:

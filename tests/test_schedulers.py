@@ -30,10 +30,13 @@ def make_state(prompt_len, gen_len, decoded=()):
 
 
 def advance_checked(kind, window, state):
-    """``advance``, asserted equal to the brute-force reference on both boundaries."""
+    """``advance``, asserted equal to the brute-force reference on both boundaries;
+    a sliding window whose boundaries did not move comes back as the same object."""
     new = advance(kind, window, state)
     masked = (state.response == VOCAB.mask_id).tolist()
     assert (new.start, new.end) == advance_reference(kind, window, masked, state.prompt_len)
+    if isinstance(kind, SlidingBlock) and (new.start, new.end) == (window.start, window.end):
+        assert new is window
     return new
 
 
@@ -150,6 +153,33 @@ class TestEligibleSet:
         w = BlockWindow(11, 18, 4, None)
         assert eligible_set(w, state).tolist() == [11, 12, 13, 14, 15, 16, 17]
 
+    def test_window_past_the_response_end_or_inverted_rejected(self):
+        state = make_state(10, 8)
+        with pytest.raises(ValueError):
+            eligible_set(BlockWindow(10, 19, 4, None), state)
+        with pytest.raises(ValueError):
+            eligible_set(BlockWindow(13, 12, 4, None), state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    prompt_len=st.integers(min_value=1, max_value=6),
+    gen_len=st.integers(min_value=1, max_value=24),
+)
+def test_eligible_set_lists_the_masked_positions_of_the_window(data, prompt_len, gen_len):
+    """Brute force: the masked absolute positions in [max(start, prompt_len), end),
+    ascending int64, for windows anywhere in the buffer, empty ones and ones
+    ending at the response end included."""
+    decoded = data.draw(st.sets(st.integers(0, gen_len - 1)))
+    state = make_state(prompt_len, gen_len, decoded)
+    seq_len = prompt_len + gen_len
+    start = data.draw(st.integers(0, seq_len))
+    end = data.draw(st.one_of(st.just(start), st.just(seq_len), st.integers(start, seq_len)))
+    out = eligible_set(BlockWindow(start, end, 4, None), state)
+    masked = [p for p in range(max(start, prompt_len), end) if p - prompt_len not in decoded]
+    assert out.dtype == np.int64 and out.tolist() == masked
+
 
 @settings(max_examples=200, deadline=None)
 @given(
@@ -168,6 +198,9 @@ def test_sliding_invariants_over_random_traces(data, prompt_len, gen_len, init_s
     while state.decoded_count < gen_len:
         eligible = sorted(eligible_set(window, state))
         assert eligible, "progress requires a non-empty window"
+        if data.draw(st.booleans()):
+            # With no commit since the last advance, the window stays as it is.
+            assert advance_checked(kind, window, state) is window
         count = data.draw(st.integers(min_value=1, max_value=len(eligible)))
         chosen = data.draw(st.permutations(eligible))[:count]
         for pos in chosen:
