@@ -2,15 +2,7 @@
 
 from .denoiser import DenoiserConfig, TinyDenoiser, confidences
 from .engine import DecodeResult, decode, read_trace, run_grid, write_trace
-from .kvcache import (
-    CacheSchedule,
-    DSBCache,
-    DualCache,
-    NoCache,
-    after_step,
-    prefix_window_len,
-    recompute_set,
-)
+from .kvcache import DSBCache, DualCache, NoCache, prefix_window_len, recompute_set
 from .metrics import PREMATURE_FLOOR, premature_commit_count
 from .oracle import DifficultyProfile, OracleDenoiser, hard_easy_profile
 from .samplers import ConfidenceThreshold, VanillaTop1, select_threshold, select_top1

@@ -3,8 +3,9 @@
 Per iteration the loop runs: recompute-set selection, eligible-set
 computation, the denoiser forward of the recompute set on the decode's one
 KV store (all rows on ``nocache``) and confidences for the eligible positions
-only, commit selection, commits, window advance, cache-schedule update.  One
-:class:`StepRecord` is appended per iteration, so the trace replays it exactly.
+only, commit selection, commits, window advance.  One :class:`StepRecord` is
+appended per iteration, so the trace replays it exactly; the cache policy
+reads its state from the records so far.
 """
 
 from __future__ import annotations
@@ -17,17 +18,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import metrics
-from .configstr import parse_number, parse_spec, read_lines
+from .configstr import Kinds, format_spec, parse_number, parse_spec, read_lines
 from .denoiser import TOY, DenoiserConfig, TinyDenoiser, confidences
-from .kvcache import (
-    CachePolicy,
-    NoCache,
-    after_step,
-    format_cache,
-    new_schedule,
-    parse_cache,
-    recompute_set,
-)
+from .kvcache import CachePolicy, NoCache, format_cache, parse_cache, recompute_set
 from .oracle import ORACLE, OracleDenoiser, load_profile
 from .samplers import SamplerKind, format_sampler, parse_sampler, select
 from .schedulers import (
@@ -45,6 +38,8 @@ from .state import (
     Vocab,
     new_sequence,
 )
+
+DENOISERS: Kinds = {**TOY, **ORACLE}
 
 # The denoiser contract: ``vocab``, ``supports_kv``, ``truth`` (a response-indexed
 # array, or None) and ``check_lengths(prompt_len, gen_len)``; KV denoisers score
@@ -88,14 +83,13 @@ def decode(
     kv = denoiser.empty_cache(seq_len) if denoiser.supports_kv else None
 
     window = init_window(scheduler, lp, gen_len)
-    schedule = new_schedule(window)
     records: List[StepRecord] = []
     early_stopped = False
 
     while state.decoded_count < gen_len:
         if state.step > gen_len:
             raise RuntimeError("decode failed to make progress")
-        rset, event = recompute_set(cache, window, schedule, seq_len)
+        rset, event = recompute_set(cache, window, records, seq_len)
         eligible = eligible_set(window, state)
         if kv is not None:
             # Every recompute set covers the block, so each eligible position has a row.
@@ -123,9 +117,7 @@ def decode(
             )
         )
 
-        start_used = window.start
         window = advance(scheduler, window, state)
-        after_step(schedule, len(positions), event, start_used)
         state.step += 1
 
         if eos_id is not None:
@@ -175,9 +167,12 @@ def read_trace(path: str) -> List[StepRecord]:
 
 def build_denoiser(spec: str, seed_offset: int = 0) -> Denoiser:
     """Build `toy:...` or `oracle:profile=PATH` denoisers from config strings."""
-    config = parse_spec(spec, {**TOY, **ORACLE}, "denoiser")
+    config = parse_spec(spec, DENOISERS, "denoiser")
     if isinstance(config, DenoiserConfig):
-        return TinyDenoiser(replace(config, seed=config.seed + seed_offset))
+        try:
+            return TinyDenoiser(replace(config, seed=config.seed + seed_offset))
+        except MemoryError as exc:
+            raise ValueError(f"{exc} in {spec!r}") from None
     profile = load_profile(config.profile)
     try:
         oracle = OracleDenoiser(profile, Vocab(size=config.vocab_size, mask_id=config.vocab_size - 1))
@@ -274,14 +269,16 @@ def decode_row(
 ) -> Tuple[DecodeResult, Dict[str, object]]:
     """Run one timed decode; returns it and its ``metrics.ROW_COLUMNS`` row.
 
-    ``seed`` is the grid seed (None outside a grid); ``exact_match`` is None without a truth.
+    Every config column holds the canonical spec; ``seed`` is the grid seed
+    (None outside a grid); ``exact_match`` is None without a truth.
     """
     started = time.perf_counter()
     result = decode(denoiser, scheduler, sampler, cache, prompt, gen_len, eos_id=eos_id)
     elapsed = time.perf_counter() - started
     row: Dict[str, object] = dict(
         scheduler=format_scheduler(scheduler), sampler=format_sampler(sampler),
-        cache=format_cache(cache), denoiser=denoiser_spec, seed=seed,
+        cache=format_cache(cache), seed=seed,
+        denoiser=format_spec(parse_spec(denoiser_spec, DENOISERS, "denoiser"), DENOISERS),
     )
     row.update(metrics.run_stats(result.records, result.state.seq_len))
     row["exact_match"] = (None if denoiser.truth is None else

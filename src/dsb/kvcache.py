@@ -12,6 +12,8 @@ Three policies:
   fixed suffix window after it), with a full global refresh after every
   ``init_size`` committed tokens.
 
+Each decision reads the decode's step trace so far: the block start at the
+last global refresh, the commits since it and the previous step's block start.
 The recompute set is always one contiguous ``range`` that covers the active
 block, so samplers never consume logits derived from stale query positions.
 """
@@ -19,11 +21,11 @@ block, so samplers never consume logits derived from stale query positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from .configstr import REQUIRED, Kinds, format_spec, parse_spec
 from .schedulers import BlockWindow
-from .state import EVENT_NONE, EVENT_PARTIAL, EVENT_REFRESH
+from .state import EVENT_NONE, EVENT_PARTIAL, EVENT_REFRESH, StepRecord
 
 
 @dataclass(frozen=True)
@@ -58,33 +60,6 @@ CACHES: Kinds = {
 }
 
 
-@dataclass
-class CacheSchedule:
-    """Per-decode cache bookkeeping.
-
-    ``tokens_since_refresh`` counts commits since the last global refresh.
-    ``prev_window_start`` is the block start of the previous step, which sizes
-    the prefix window.  ``refresh_anchor`` is the block start at the last full
-    computation, used by ``DualCache``'s completion trigger.  ``primed`` flips
-    once the first full pass has populated the KV store; until then every
-    policy must do a full computation.
-    """
-
-    tokens_since_refresh: int = 0
-    prev_window_start: int = 0
-    refresh_anchor: int = 0
-    primed: bool = False
-
-
-def new_schedule(window: BlockWindow) -> CacheSchedule:
-    return CacheSchedule(
-        tokens_since_refresh=0,
-        prev_window_start=window.start,
-        refresh_anchor=window.start,
-        primed=False,
-    )
-
-
 def prefix_window_len(prefix_min: int, start_now: int, start_prev: int) -> int:
     """max(prefix_min, slide distance): covers every newly exposed position."""
     if start_now < start_prev:
@@ -97,12 +72,14 @@ def prefix_window_len(prefix_min: int, start_now: int, start_prev: int) -> int:
 def recompute_set(
     policy: CachePolicy,
     window: BlockWindow,
-    schedule: CacheSchedule,
+    records: Sequence[StepRecord],
     seq_len: int,
 ) -> Tuple[range, str]:
     """Positions to recompute this step, plus the cache event tag.
 
-    The positions are one step-1 ``range(lo, hi)`` of absolute indices inside
+    ``records`` is the decode's trace so far; the decision depends only on it,
+    the policy and the window, so a written trace replays every decision.  The
+    positions are one step-1 ``range(lo, hi)`` of absolute indices inside
     [0, seq_len): the whole sequence, the block, or prefix window + block +
     suffix.
     """
@@ -110,35 +87,25 @@ def recompute_set(
         raise ValueError(f"window [{window.start}, {window.end}) outside [0, {seq_len})")
     if isinstance(policy, NoCache):
         return range(seq_len), EVENT_NONE
+    # Walk back to the last global refresh, counting the commits after it.
+    tokens_since_refresh = 0
+    for refresh in reversed(records):
+        if refresh.cache_event == EVENT_REFRESH:
+            break
+        tokens_since_refresh += len(refresh.positions)
+    else:  # no refresh yet: the KV store is not populated
+        return range(seq_len), EVENT_REFRESH
     if isinstance(policy, DualCache):
-        if not schedule.primed or window.start - schedule.refresh_anchor >= window.init_size:
+        if window.start - refresh.block_start >= window.init_size:
             return range(seq_len), EVENT_REFRESH
         return range(window.start, window.end), EVENT_PARTIAL
     # DSBCache
-    if not schedule.primed or schedule.tokens_since_refresh >= window.init_size:
+    if tokens_since_refresh >= window.init_size:
         return range(seq_len), EVENT_REFRESH
-    pw = prefix_window_len(policy.prefix_min, window.start, schedule.prev_window_start)
+    pw = prefix_window_len(policy.prefix_min, window.start, records[-1].block_start)
     lo = max(0, window.start - pw)
     hi = min(seq_len, window.end + policy.suffix_len)
     return range(lo, hi), EVENT_PARTIAL
-
-
-def after_step(
-    schedule: CacheSchedule, committed: int, event: str, window_start: int
-) -> None:
-    """Fold one finished step into the schedule.
-
-    ``window_start`` is the block start the step ran with (pre-advance); it
-    becomes ``prev_window_start`` for the next step's prefix-window sizing.
-    """
-    if committed < 0:
-        raise ValueError(f"committed must be >= 0, got {committed}")
-    schedule.tokens_since_refresh += committed
-    if event == EVENT_REFRESH:
-        schedule.tokens_since_refresh = 0
-        schedule.refresh_anchor = window_start
-        schedule.primed = True
-    schedule.prev_window_start = window_start
 
 
 def parse_cache(spec: str) -> CachePolicy:

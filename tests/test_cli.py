@@ -216,9 +216,10 @@ def test_missing_prompt_file_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["h=0", "d=0", "d=-4", "seed=-1"])
+# maxlen=10**15 needs 455 PiB, which no 64-bit address space maps, so the allocation fails at once.
+@pytest.mark.parametrize("bad", ["h=0", "d=0", "d=-4", "seed=-1", "maxlen=1000000000000000"])
 def test_bad_toy_value_is_a_clean_error_in_decode_and_grid(tmp_path, prompt_file, capsys, bad):
-    spec = f"toy:v=33,layers=2,maxlen=64,{bad}"
+    spec = f"toy:v=33,layers=2,{bad}"
     code = main([
         "decode",
         "--scheduler", "naive:B=4",
@@ -229,7 +230,8 @@ def test_bad_toy_value_is_a_clean_error_in_decode_and_grid(tmp_path, prompt_file
         "--gen-len", "8",
     ])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(spec) in err
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(
         "gen_len = 8\nprompt_len = 2\nschedulers = naive:B=4\nsamplers = vanilla\n"
@@ -240,6 +242,23 @@ def test_bad_toy_value_is_a_clean_error_in_decode_and_grid(tmp_path, prompt_file
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(spec) in err
     assert not out_csv.exists()
+
+
+def test_one_model_spelled_two_ways_is_one_summary_group(tmp_path, capsys):
+    spellings = ["toy:v=33,d=32,h=2,layers=2,maxlen=96", "toy:seed=0,v=33,d=32,h=2,layers=2,maxlen=96"]
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "gen_len = 8\nprompt_len = 2\nseeds = 0\nschedulers = naive:B=4\nsamplers = vanilla\n"
+        f"caches = nocache\ndenoisers = {'; '.join(spellings)}\n"
+    )
+    out_csv = tmp_path / "rows.csv"
+    assert main(["grid", "--config", str(cfg), "--csv", str(out_csv), "--summary"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 1
+    assert rows[0].split()[header.split().index("n_runs")] == "2"
+    with open(out_csv) as fh:
+        denoisers = [row["denoiser"] for row in csv.DictReader(fh)]
+    assert denoisers == [spellings[1]] * 2
 
 
 @pytest.mark.parametrize("eos_id", ["32", "33", "-1"], ids=["mask-id", "vocab-size", "negative"])

@@ -4,19 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dsb.kvcache import (
-    CacheSchedule,
     DSBCache,
     DualCache,
     NoCache,
-    after_step,
     format_cache,
-    new_schedule,
     parse_cache,
     prefix_window_len,
     recompute_set,
 )
 from dsb.schedulers import BlockWindow
-from dsb.state import EVENT_NONE, EVENT_PARTIAL, EVENT_REFRESH
+from dsb.state import EVENT_NONE, EVENT_PARTIAL, EVENT_REFRESH, StepRecord
 
 
 class TestPrefixWindowLen:
@@ -42,112 +39,130 @@ class TestPrefixWindowLen:
         assert prefix_window_len(pmin, prev + delta, prev) == max(pmin, delta)
 
 
-def primed_schedule(prev_start, anchor=None, tokens=0):
-    return CacheSchedule(
-        tokens_since_refresh=tokens,
-        prev_window_start=prev_start,
-        refresh_anchor=anchor if anchor is not None else prev_start,
-        primed=True,
-    )
+def record(block_start, event, commits):
+    """A step record at ``block_start`` that committed ``commits`` positions."""
+    positions = list(range(block_start, block_start + commits))
+    return StepRecord(step=0, block_start=block_start, block_end=block_start + commits,
+                      positions=positions, tokens=[1] * commits, confidences=[1.0] * commits,
+                      recompute_count=0, cache_event=event, fallback=False)
+
+
+def primed_trace(prev_start, anchor=None, tokens=0):
+    """A trace whose last refresh ran at ``anchor`` (default ``prev_start``), followed,
+    when needed, by a partial step at ``prev_start`` that committed ``tokens`` positions."""
+    anchor = prev_start if anchor is None else anchor
+    trace = [record(anchor, EVENT_REFRESH, 1)]
+    if prev_start != anchor or tokens:
+        trace.append(record(prev_start, EVENT_PARTIAL, tokens))
+    return trace
 
 
 class TestRecomputeSet:
     def test_nocache_everything(self):
         window = BlockWindow(10, 14, 4, 4)
-        rset, event = recompute_set(NoCache(), window, primed_schedule(10), 20)
+        rset, event = recompute_set(NoCache(), window, primed_trace(10), 20)
         assert list(rset) == list(range(20))
         assert event == EVENT_NONE
 
     def test_dsbcache_prefix_plus_block(self):
         window = BlockWindow(110, 142, 32, 32)
-        rset, event = recompute_set(DSBCache(prefix_min=24), window, primed_schedule(110), 200)
+        rset, event = recompute_set(DSBCache(prefix_min=24), window, primed_trace(110), 200)
         assert list(rset) == list(range(86, 142))
         assert event == EVENT_PARTIAL
 
     def test_dsbcache_prefix_covers_slide(self):
         window = BlockWindow(110, 142, 32, 32)
-        schedule = primed_schedule(prev_start=80)  # slid 30 > pmin 24
-        rset, _ = recompute_set(DSBCache(prefix_min=24), window, schedule, 200)
+        trace = primed_trace(prev_start=80)  # slid 30 > pmin 24
+        rset, _ = recompute_set(DSBCache(prefix_min=24), window, trace, 200)
         assert list(rset) == list(range(80, 142))
 
     def test_dsbcache_suffix_window(self):
         window = BlockWindow(110, 142, 32, 32)
         rset, _ = recompute_set(DSBCache(prefix_min=24, suffix_len=8), window,
-                                primed_schedule(110), 200)
+                                primed_trace(110), 200)
         assert list(rset) == list(range(86, 150))
 
     def test_dsbcache_suffix_clipped_at_end(self):
         window = BlockWindow(110, 142, 32, 32)
         rset, _ = recompute_set(DSBCache(prefix_min=24, suffix_len=8), window,
-                                primed_schedule(110), 145)
+                                primed_trace(110), 145)
         assert rset[-1] == 144
 
     def test_dsbcache_refresh_when_counter_crosses(self):
         window = BlockWindow(110, 142, 32, 32)
-        schedule = primed_schedule(110, tokens=32)
-        rset, event = recompute_set(DSBCache(prefix_min=24), window, schedule, 200)
+        trace = primed_trace(110, tokens=32)
+        rset, event = recompute_set(DSBCache(prefix_min=24), window, trace, 200)
         assert len(rset) == 200
         assert event == EVENT_REFRESH
 
     def test_dsbcache_prefix_clipped_at_zero(self):
         window = BlockWindow(4, 12, 8, 8)
-        rset, _ = recompute_set(DSBCache(prefix_min=24), window, primed_schedule(4), 40)
+        rset, _ = recompute_set(DSBCache(prefix_min=24), window, primed_trace(4), 40)
         assert rset[0] == 0
 
     def test_dual_mid_block(self):
         window = BlockWindow(110, 142, 32, 32)
-        rset, event = recompute_set(DualCache(), window, primed_schedule(110, anchor=110), 200)
+        rset, event = recompute_set(DualCache(), window, primed_trace(110, anchor=110), 200)
         assert list(rset) == list(range(110, 142))
         assert event == EVENT_PARTIAL
 
     def test_dual_resync_on_block_completion(self):
         window = BlockWindow(142, 174, 32, 32)
-        schedule = primed_schedule(110, anchor=110)  # start jumped by one block
-        rset, event = recompute_set(DualCache(), window, schedule, 200)
+        trace = primed_trace(110, anchor=110)  # start jumped by one block
+        rset, event = recompute_set(DualCache(), window, trace, 200)
         assert len(rset) == 200
         assert event == EVENT_REFRESH
 
     def test_unprimed_always_full(self):
         window = BlockWindow(10, 14, 4, 4)
         for policy in (DualCache(), DSBCache(prefix_min=4)):
-            rset, event = recompute_set(policy, window, CacheSchedule(prev_window_start=10), 20)
-            assert len(rset) == 20
-            assert event == EVENT_REFRESH
+            for trace in ([], [record(10, EVENT_PARTIAL, 1)]):  # no refresh has run yet
+                rset, event = recompute_set(policy, window, trace, 20)
+                assert len(rset) == 20
+                assert event == EVENT_REFRESH
 
     def test_window_bounds_checked(self):
         with pytest.raises(ValueError):
-            recompute_set(NoCache(), BlockWindow(10, 30, 4, 4), primed_schedule(10), 20)
+            recompute_set(NoCache(), BlockWindow(10, 30, 4, 4), primed_trace(10), 20)
 
 
 class TestAfterStep:
+    """How a finished step's record moves the next step's cache decision."""
+
     def test_counter_accumulates_and_crosses(self):
-        schedule = primed_schedule(100, tokens=30)
-        after_step(schedule, committed=3, event=EVENT_PARTIAL, window_start=104)
-        assert schedule.tokens_since_refresh == 33
         window = BlockWindow(104, 110, 32, 32)
-        _, event = recompute_set(DSBCache(prefix_min=4), window, schedule, 200)
+        trace = primed_trace(100, tokens=30)
+        assert recompute_set(DSBCache(prefix_min=4), window, trace, 200)[1] == EVENT_PARTIAL
+        trace.append(record(104, EVENT_PARTIAL, 3))  # 30 + 3 commits since the refresh
+        _, event = recompute_set(DSBCache(prefix_min=4), window, trace, 200)
         assert event == EVENT_REFRESH
 
     def test_refresh_resets(self):
-        schedule = primed_schedule(100, tokens=33)
-        after_step(schedule, committed=5, event=EVENT_REFRESH, window_start=104)
-        assert schedule.tokens_since_refresh == 0
-        assert schedule.refresh_anchor == 104
-        assert schedule.prev_window_start == 104
+        trace = primed_trace(100, tokens=33) + [record(104, EVENT_REFRESH, 5)]
+        # The refresh step's own 5 commits are not counted: 28 more stay below 32.
+        counted = trace + [record(104, EVENT_PARTIAL, 28)]
+        rset, event = recompute_set(DSBCache(prefix_min=4), BlockWindow(104, 136, 32, 32), counted, 200)
+        assert (rset, event) == (range(100, 136), EVENT_PARTIAL)
+        # Its block start is the previous start, sizing the prefix window.
+        rset, _ = recompute_set(DSBCache(prefix_min=4), BlockWindow(110, 142, 32, 32), trace, 200)
+        assert rset == range(104, 142)
+        # And the dual anchor: a full pass once the start is a block width past 104.
+        assert recompute_set(DualCache(), BlockWindow(135, 167, 32, 32), trace, 200)[1] == EVENT_PARTIAL
+        assert recompute_set(DualCache(), BlockWindow(136, 168, 32, 32), trace, 200)[1] == EVENT_REFRESH
 
     def test_zero_commits_noop(self):
-        schedule = primed_schedule(100, tokens=7)
-        after_step(schedule, committed=0, event=EVENT_PARTIAL, window_start=100)
-        assert schedule.tokens_since_refresh == 7
+        window = BlockWindow(100, 132, 32, 32)
+        for tokens in (31, 32):
+            trace = primed_trace(100, tokens=tokens)
+            before = recompute_set(DSBCache(prefix_min=4), window, trace, 200)
+            trace.append(record(100, EVENT_PARTIAL, 0))
+            assert recompute_set(DSBCache(prefix_min=4), window, trace, 200) == before
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            after_step(primed_schedule(0), committed=-1, event=EVENT_PARTIAL, window_start=0)
-
-    def test_new_schedule_unprimed(self):
-        schedule = new_schedule(BlockWindow(10, 14, 4, 4))
-        assert not schedule.primed
-        assert schedule.prev_window_start == 10
+    def test_empty_trace_refreshes(self):
+        window = BlockWindow(10, 14, 4, 4)
+        for policy in (DualCache(), DSBCache(prefix_min=4)):
+            assert recompute_set(policy, window, [], 20) == (range(20), EVENT_REFRESH)
+        assert recompute_set(NoCache(), window, [], 20) == (range(20), EVENT_NONE)
 
 
 def test_coverage_and_validity_discipline_over_randomized_traces():
@@ -175,10 +190,10 @@ def test_coverage_and_validity_discipline_over_randomized_traces():
         ]
         state = new_sequence([1] * prompt_len, gen_len, vocab)
         window = init_window(scheduler, prompt_len, gen_len)
-        schedule = new_schedule(window)
+        records = []
         written = np.zeros(seq_len, dtype=bool)
         while state.decoded_count < gen_len:
-            rset, event = recompute_set(policy, window, schedule, seq_len)
+            rset, event = recompute_set(policy, window, records, seq_len)
             assert isinstance(rset, range) and rset.step == 1, f"trial {trial}: {rset!r} is not a step-1 range"
             outside = np.setdiff1d(np.arange(seq_len), rset)
             assert written[outside].all(), (
@@ -192,11 +207,40 @@ def test_coverage_and_validity_discipline_over_randomized_traces():
             )
             eligible = sorted(eligible_set(window, state))
             take = int(rng.integers(1, len(eligible) + 1))
-            for pos in eligible[:take]:
+            positions = [int(p) for p in eligible[:take]]
+            for pos in positions:
                 state.commit(pos - prompt_len, 1)
-            start_used = window.start
+            records.append(StepRecord(
+                step=len(records), block_start=window.start, block_end=window.end,
+                positions=positions, tokens=[1] * take, confidences=[1.0] * take,
+                recompute_count=len(rset), cache_event=event, fallback=False,
+            ))
             window = advance(scheduler, window, state)
-            after_step(schedule, take, event, start_used)
+
+
+@pytest.mark.parametrize("cache", ["nocache", "dual", "dsbcache:pmin=4,suffix=2", "dsbcache:pmin=24"])
+@pytest.mark.parametrize("scheduler", ["naive:B=8", "dsb:init=8,max=8", "dsb:init=8,max=unbounded"])
+def test_trace_replays_every_cache_decision(tmp_path, scheduler, cache):
+    """Each step's cache decision is a function of the policy, its window and the
+    trace before it, so a written and reread trace reproduces every one."""
+    from dsb.denoiser import DenoiserConfig, TinyDenoiser
+    from dsb.engine import decode, read_trace, write_trace
+    from dsb.samplers import ConfidenceThreshold
+    from dsb.schedulers import init_window, parse_scheduler
+
+    policy = parse_cache(cache)
+    kind = parse_scheduler(scheduler)
+    model = TinyDenoiser(DenoiserConfig(vocab_size=33, width=32, heads=2, depth=2, max_len=64, seed=3))
+    prompt, gen_len = [1, 2, 3, 4], 40
+    path = tmp_path / "run.trace"
+    write_trace(decode(model, kind, ConfidenceThreshold(0.5), policy, prompt, gen_len).records, str(path))
+    records = read_trace(str(path))
+    first = init_window(kind, len(prompt), gen_len)
+    seq_len = len(prompt) + gen_len
+    for i, rec in enumerate(records):
+        window = BlockWindow(rec.block_start, rec.block_end, first.init_size, first.max_size)
+        rset, event = recompute_set(policy, window, records[:i], seq_len)
+        assert (rec.recompute_count, rec.cache_event) == (len(rset), event), f"step {i}"
 
 
 class TestParse:
