@@ -19,7 +19,6 @@ from .state import (
     CacheIntegrityError,
     ConfidenceMap,
     IllegalTransition,
-    InvalidConfiguration,
     NoCandidates,
     SequenceState,
     StepRecord,

@@ -11,7 +11,7 @@ from .configstr import parse_number, read_lines
 from .kvcache import parse_cache
 from .samplers import parse_sampler
 from .schedulers import parse_scheduler
-from .state import CacheIntegrityError, InvalidConfiguration, NoCandidates
+from .state import CacheIntegrityError, NoCandidates
 
 
 def _read_prompt(path: str) -> List[int]:
@@ -89,13 +89,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ValueError,
-        OSError,
-        InvalidConfiguration,
-        CacheIntegrityError,
-        NoCandidates,
-    ) as exc:
+    except (ValueError, OSError, CacheIntegrityError, NoCandidates) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

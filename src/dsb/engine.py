@@ -31,13 +31,7 @@ from .schedulers import (
     init_window,
     parse_scheduler,
 )
-from .state import (
-    InvalidConfiguration,
-    SequenceState,
-    StepRecord,
-    Vocab,
-    new_sequence,
-)
+from .state import SequenceState, StepRecord, Vocab, new_sequence
 
 DENOISERS: Kinds = {**TOY, **ORACLE}
 
@@ -76,13 +70,12 @@ def decode(
     vocab = denoiser.vocab
     _check_eos_id(eos_id, vocab)
     state = new_sequence(prompt, gen_len, vocab)
-    lp = state.prompt_len
     seq_len = state.seq_len
-    _check_fits(denoiser, cache, lp, gen_len)
+    _check_fits(denoiser, cache, state.prompt_len, gen_len)
     # One store per decode; nocache is the policy that recomputes all of it.
     kv = denoiser.empty_cache(seq_len) if denoiser.supports_kv else None
 
-    window = init_window(scheduler, lp, gen_len)
+    window = init_window(scheduler, state.prompt_len, gen_len)
     records: List[StepRecord] = []
     early_stopped = False
 
@@ -93,7 +86,7 @@ def decode(
         eligible = eligible_set(window, state)
         if kv is not None:
             # Every recompute set covers the block, so each eligible position has a row.
-            logits = denoiser.forward_cached(state.full_tokens(), kv, rset, eligible)
+            logits = denoiser.forward_cached(state.tokens, kv, rset, eligible)
             conf = confidences(logits, eligible, vocab)
         else:
             conf = denoiser.confidence_map(state, eligible)
@@ -101,7 +94,7 @@ def decode(
         positions = conf.positions[chosen].tolist()
         committed = conf.tokens_at(chosen)
         for pos, tok in zip(positions, committed):
-            state.commit(pos - lp, tok)
+            state.commit(pos, tok)
 
         records.append(
             StepRecord(
@@ -121,10 +114,11 @@ def decode(
         state.step += 1
 
         if eos_id is not None:
-            # Stop once the first EOS has no masked position before it, whichever
-            # step committed it.
-            eos = np.flatnonzero(state.response == eos_id)
-            if eos.size and not state.masked_positions(0, int(eos[0])).size:
+            # Stop once the first EOS has no masked position before it, that is once
+            # the response's decoded prefix holds one, whichever step committed it.
+            masked = state.masked_positions(state.prompt_len, seq_len)
+            prefix_end = int(masked[0]) if masked.size else seq_len
+            if (state.tokens[state.prompt_len:prefix_end] == eos_id).any():
                 early_stopped = True
                 break
 
@@ -134,9 +128,7 @@ def decode(
 def _check_fits(denoiser: Denoiser, cache: CachePolicy, prompt_len: int, gen_len: int) -> None:
     """Raise unless ``denoiser`` can decode ``gen_len`` tokens after ``prompt_len`` with ``cache``."""
     if not (denoiser.supports_kv or isinstance(cache, NoCache)):
-        raise InvalidConfiguration(
-            "cache policies other than nocache need a denoiser with KV support"
-        )
+        raise ValueError("cache policies other than nocache need a denoiser with KV support")
     denoiser.check_lengths(prompt_len, gen_len)
 
 
@@ -184,8 +176,9 @@ def build_denoiser(spec: str, seed_offset: int = 0) -> Denoiser:
 def make_prompt(vocab: Vocab, prompt_len: int, seed: int) -> np.ndarray:
     """Deterministic prompt of non-mask tokens for harness runs."""
     rng = np.random.default_rng([seed, prompt_len])
-    choices = np.array([t for t in range(vocab.size) if t != vocab.mask_id])
-    return rng.choice(choices, size=prompt_len, replace=True).astype(np.int64)
+    idx = rng.integers(0, vocab.size - 1, size=prompt_len)
+    idx += idx >= vocab.mask_id  # skip the mask id
+    return idx
 
 
 @dataclass
@@ -219,8 +212,8 @@ class GridSpec:
             for c, cache in zip(self.caches, caches):
                 try:
                     _check_fits(denoiser, cache, self.prompt_len, self.gen_len)
-                except (ValueError, InvalidConfiguration) as exc:
-                    raise type(exc)(f"denoiser {d!r} with cache {c!r}: {exc}") from None
+                except ValueError as exc:
+                    raise ValueError(f"denoiser {d!r} with cache {c!r}: {exc}") from None
 
 
 def parse_grid_file(path: str) -> GridSpec:

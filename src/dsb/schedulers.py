@@ -89,22 +89,15 @@ def init_window(kind: SchedulerKind, prompt_len: int, gen_len: int) -> BlockWind
 
 
 def eligible_set(window: BlockWindow, state: SequenceState) -> np.ndarray:
-    """Masked absolute positions inside the active block, ascending (int64)."""
-    lp = state.prompt_len
-    a, b = max(window.start, lp), max(window.end, lp)
-    if not a <= b <= lp + state.gen_len:
-        raise ValueError(f"window [{a}, {b}) not contained in [{lp}, {lp + state.gen_len})")
-    out = (state.response[a - lp:b - lp] == state.vocab.mask_id).nonzero()[0]
-    out += a
-    return out
+    """Masked positions inside the active block, ascending (int64)."""
+    return state.masked_positions(window.start, window.end)
 
 
 def advance_naive(window: BlockWindow, state: SequenceState) -> BlockWindow:
     """Move to the next fixed block once the current one is fully decoded."""
-    lp = state.prompt_len
-    if np.count_nonzero(state.response[window.start - lp:window.end - lp] == state.vocab.mask_id):
+    if np.count_nonzero(state.tokens[window.start:window.end] == state.vocab.mask_id):
         return window
-    end = min(window.end + window.init_size, lp + state.gen_len)
+    end = min(window.end + window.init_size, state.seq_len)
     return BlockWindow(window.end, end, window.init_size, window.max_size)
 
 
@@ -118,14 +111,13 @@ def advance_sliding(window: BlockWindow, state: SequenceState) -> BlockWindow:
     min(prompt_len + init_size + decoded_count, start + max_size), clamped to
     the end of the response buffer.
     """
-    lp = state.prompt_len
     start = window.start
-    while start < window.end and state.response[start - lp] != state.vocab.mask_id:
+    while start < window.end and state.tokens[start] != state.vocab.mask_id:
         start += 1
-    end = lp + window.init_size + state.decoded_count
+    end = state.prompt_len + window.init_size + state.decoded_count
     if window.max_size is not None:
         end = min(end, start + window.max_size)
-    end = max(start, min(end, lp + state.gen_len))
+    end = max(start, min(end, state.seq_len))
     if start == window.start and end == window.end:
         return window
     return BlockWindow(start, end, window.init_size, window.max_size)

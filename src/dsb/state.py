@@ -1,9 +1,7 @@
 """Canonical decoding state shared by schedulers, samplers, and caches.
 
-Coordinate convention: the scheduler and cache modules index into the full
-``prompt + response`` buffer (absolute positions).  ``SequenceState`` itself
-exposes response-relative positions; ``prompt_len`` is the single offset that
-converts between the two.
+Coordinate convention: every position is absolute, an index into the one
+``prompt + response`` token buffer.
 
 Step state is array-valued: masked and eligible positions are ascending int64
 arrays, and one :class:`ConfidenceMap` of aligned arrays carries a step's scores.
@@ -28,10 +26,6 @@ class NoCandidates(Exception):
 
 class CacheIntegrityError(Exception):
     """A forward pass would have read a KV slot that was never written."""
-
-
-class InvalidConfiguration(Exception):
-    """Scheduler/sampler/cache/denoiser choices that cannot be composed."""
 
 
 @dataclass(frozen=True)
@@ -90,63 +84,61 @@ class ConfidenceMap:
 
 @dataclass
 class SequenceState:
-    """Prompt plus fixed-length response buffer with mask bookkeeping.
+    """One int64 token buffer, the prompt at ``[0, prompt_len)`` and the
+    response after it, with mask bookkeeping.
 
-    ``decoded_count`` always equals the number of response slots that no
-    longer hold the mask id; a slot never reverts to masked.  The state is
-    single-owner: only the decode loop mutates it, via :meth:`commit`.  The
-    lengths are read once, at construction; the buffers never change size.
+    ``response`` is a view of the buffer's response slots.  ``decoded_count``
+    always equals the number of response slots that no longer hold the mask
+    id; a slot never reverts to masked.  The state is single-owner: only the
+    decode loop mutates it, via :meth:`commit`.  The buffer never changes size.
     """
 
-    prompt: np.ndarray
-    response: np.ndarray
+    tokens: np.ndarray
+    prompt_len: int
     vocab: Vocab
     decoded_count: int = 0
     step: int = 0
-    prompt_len: int = field(init=False)
     gen_len: int = field(init=False)
     seq_len: int = field(init=False)
+    response: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.prompt_len = int(self.prompt.shape[0])
-        self.gen_len = int(self.response.shape[0])
-        self.seq_len = self.prompt_len + self.gen_len
-
-    def full_tokens(self) -> np.ndarray:
-        """Concatenated prompt + response buffer (absolute coordinates)."""
-        return np.concatenate([self.prompt, self.response])
+        self.seq_len = int(self.tokens.shape[0])
+        self.gen_len = self.seq_len - self.prompt_len
+        self.response = self.tokens[self.prompt_len:]
 
     def commit(self, position: int, token: int) -> None:
-        """Write ``token`` into the masked response slot ``position``.
+        """Write ``token`` into the masked response slot at ``position``.
 
         The only operation that mutates response content.  Raises
-        ``ValueError`` for out-of-range arguments or a mask-id token, and
-        :class:`IllegalTransition` when the slot is already decoded.
+        ``ValueError`` for a position outside the response, an out-of-range
+        token or the mask id, and :class:`IllegalTransition` when the slot is
+        already decoded.
         """
-        if not 0 <= position < self.gen_len:
-            raise ValueError(f"position {position} outside response of length {self.gen_len}")
+        if not self.prompt_len <= position < self.seq_len:
+            raise ValueError(f"position {position} outside response [{self.prompt_len}, {self.seq_len})")
         if not 0 <= token < self.vocab.size:
             raise ValueError(f"token {token} outside vocab of size {self.vocab.size}")
         if token == self.vocab.mask_id:
             raise ValueError("cannot commit the mask token")
-        if int(self.response[position]) != self.vocab.mask_id:
+        if int(self.tokens[position]) != self.vocab.mask_id:
             raise IllegalTransition(f"position {position} is already decoded")
-        self.response[position] = token
+        self.tokens[position] = token
         self.decoded_count += 1
 
     def masked_positions(self, start: int, stop: int) -> np.ndarray:
-        """Ascending int64 response-relative masked positions in the half-open [start, stop)."""
-        if not (0 <= start <= stop <= self.gen_len):
+        """Ascending int64 masked positions in the half-open [start, stop)."""
+        if not (self.prompt_len <= start <= stop <= self.seq_len):
             raise ValueError(
-                f"range [{start}, {stop}) not contained in [0, {self.gen_len})"
+                f"range [{start}, {stop}) not contained in [{self.prompt_len}, {self.seq_len})"
             )
-        out = (self.response[start:stop] == self.vocab.mask_id).nonzero()[0]
+        out = (self.tokens[start:stop] == self.vocab.mask_id).nonzero()[0]
         out += start
         return out
 
 
 def new_sequence(prompt: Sequence[int], gen_len: int, vocab: Vocab) -> SequenceState:
-    """Fresh state: the response is ``gen_len`` mask slots, nothing decoded."""
+    """Fresh state: the prompt followed by ``gen_len`` mask slots, nothing decoded."""
     prompt_arr = np.asarray(prompt, dtype=np.int64)
     if prompt_arr.ndim != 1 or prompt_arr.shape[0] == 0:
         raise ValueError("prompt must be a non-empty 1-d sequence of token ids")
@@ -155,8 +147,8 @@ def new_sequence(prompt: Sequence[int], gen_len: int, vocab: Vocab) -> SequenceS
     bad = prompt_arr[(prompt_arr < 0) | (prompt_arr >= vocab.size) | (prompt_arr == vocab.mask_id)]
     if bad.size:
         raise ValueError(f"prompt token id {bad[0]} is outside the vocabulary or the mask id")
-    response = np.full(gen_len, vocab.mask_id, dtype=np.int64)
-    return SequenceState(prompt=prompt_arr, response=response, vocab=vocab)
+    tokens = np.concatenate([prompt_arr, np.full(gen_len, vocab.mask_id, dtype=np.int64)])
+    return SequenceState(tokens=tokens, prompt_len=int(prompt_arr.shape[0]), vocab=vocab)
 
 
 # Cache event tags carried on step records.

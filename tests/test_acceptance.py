@@ -92,7 +92,7 @@ def boundary_traces():
             take = rng.integers(1, len(eligible) + 1)
             chosen = [eligible[i] for i in rng.permutation(len(eligible))[:take]]
             for pos in chosen:
-                state.commit(pos - prompt_len, 1)
+                state.commit(pos, 1)
             leftover = sorted(eligible_set(window, state))
             new_window = advance_sliding(window, state)
             ref_bounds = ref.apply(chosen)

@@ -22,7 +22,7 @@ from dsb.oracle import OracleDenoiser, hard_easy_profile, make_profile, save_pro
 from dsb.samplers import ConfidenceThreshold, VanillaTop1
 from dsb.schedulers import NaiveBlock, SlidingBlock
 from dsb.metrics import exact_match_rate, summarize
-from dsb.state import ConfidenceMap, InvalidConfiguration, SequenceState, Vocab
+from dsb.state import ConfidenceMap, SequenceState, Vocab
 
 from reference import fixed_block_decode, scalar_oracle_confidences, triples
 
@@ -63,7 +63,7 @@ class TestDecodeBasics:
             assert all(rec.block_start <= p < rec.block_end for p in rec.positions)
 
     def test_oracle_with_kv_policy_rejected(self):
-        with pytest.raises(InvalidConfiguration):
+        with pytest.raises(ValueError, match="KV support"):
             decode(easy_oracle(8), NaiveBlock(4), VanillaTop1(), DualCache(), [1], 8)
 
     def test_toy_max_len_enforced(self):
@@ -120,6 +120,10 @@ class TestDecodeBasics:
         assert 2 + 8 in res.records[0].positions and 2 + 2 in res.records[1].positions
         assert res.early_stopped and res.steps == 2
         assert (res.response[12:] == VOCAB.mask_id).all()
+        # An EOS in the prompt is not a committed one: the decode runs as before.
+        again = decode(den, SlidingBlock(16, None), ConfidenceThreshold(0.9), NoCache(),
+                       [7, 7], gen_len, eos_id=7)
+        assert again.records == res.records and again.early_stopped
 
     def test_suffix_window_composes(self):
         model = TinyDenoiser(TOY)
@@ -142,10 +146,10 @@ class TestReferenceEquivalence:
 
         def conf_fn(masked_flags, step):
             state = SequenceState(
-                prompt=np.array([1] * lp, dtype=np.int64),
-                response=np.array(
-                    [VOCAB.mask_id if m else 1 for m in masked_flags], dtype=np.int64
+                tokens=np.array(
+                    [1] * lp + [VOCAB.mask_id if m else 1 for m in masked_flags], dtype=np.int64
                 ),
+                prompt_len=lp,
                 vocab=VOCAB,
                 decoded_count=sum(1 for m in masked_flags if not m),
                 step=step,
@@ -167,10 +171,10 @@ class TestReferenceEquivalence:
 
         def conf_fn(masked_flags, step):
             state = SequenceState(
-                prompt=np.array([1] * lp, dtype=np.int64),
-                response=np.array(
-                    [VOCAB.mask_id if m else 2 for m in masked_flags], dtype=np.int64
+                tokens=np.array(
+                    [1] * lp + [VOCAB.mask_id if m else 2 for m in masked_flags], dtype=np.int64
                 ),
+                prompt_len=lp,
                 vocab=VOCAB,
                 decoded_count=sum(1 for m in masked_flags if not m),
                 step=step,
@@ -592,7 +596,7 @@ def test_trace_invariants_random_soak():
             cache = NoCache()
         result = decode(denoiser, scheduler, sampler, cache, [1] * prompt_len, gen_len)
         assert result.state.decoded_count == gen_len
-        assert len(result.state.masked_positions(0, gen_len)) == 0
+        assert len(result.state.masked_positions(prompt_len, prompt_len + gen_len)) == 0
         seq_len = prompt_len + gen_len
         prev = None
         for rec in result.records:
@@ -630,3 +634,23 @@ def test_make_prompt_deterministic_and_maskless():
     assert np.array_equal(a, b)
     assert VOCAB.mask_id not in a.tolist()
     assert not np.array_equal(a, make_prompt(VOCAB, 6, seed=4))
+
+
+@pytest.mark.parametrize("size", [3, 17, 33, 65, 1000])
+def test_make_prompt_draws_as_a_choice_over_the_non_mask_ids(size):
+    """The same prompts as drawing from the list of every non-mask id, without building it."""
+    for mask_id in {0, size // 2, size - 1}:
+        vocab = Vocab(size, mask_id)
+        choices = np.array([t for t in range(size) if t != mask_id])
+        for seed in range(30):
+            for prompt_len in (1, 4, 8, 31):
+                expected = np.random.default_rng([seed, prompt_len]).choice(choices, size=prompt_len)
+                got = make_prompt(vocab, prompt_len, seed)
+                assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
+
+def test_make_prompt_cost_does_not_grow_with_the_vocabulary():
+    vocab = Vocab(2**62, 2**61)
+    prompt = make_prompt(vocab, 8, seed=0)
+    assert prompt.shape == (8,) and vocab.mask_id not in prompt.tolist()
+    assert ((0 <= prompt) & (prompt < vocab.size)).all()

@@ -209,7 +209,7 @@ def test_coverage_and_validity_discipline_over_randomized_traces():
             take = int(rng.integers(1, len(eligible) + 1))
             positions = [int(p) for p in eligible[:take]]
             for pos in positions:
-                state.commit(pos - prompt_len, 1)
+                state.commit(pos, 1)
             records.append(StepRecord(
                 step=len(records), block_start=window.start, block_end=window.end,
                 positions=positions, tokens=[1] * take, confidences=[1.0] * take,

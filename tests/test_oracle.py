@@ -42,7 +42,7 @@ class TestConfidenceFormula:
         prof = profile_of([1.0] * 5, gain=1.0, radius=2)
         state = new_sequence([1], 5, VOCAB)
         for i in [0, 1, 3, 4]:
-            state.commit(i, 2)
+            state.commit(1 + i, 2)
         ((pos, _, c),) = triples(OracleDenoiser(prof, VOCAB).confidence_map(state))
         assert pos == 1 + 2 and abs(c - 1.0) < 1e-12
 
@@ -50,8 +50,8 @@ class TestConfidenceFormula:
         # delta=0.6, gain=0.5, half of the neighbors decoded -> 0.4 + 0.25
         prof = profile_of([0.6] * 5, gain=0.5, radius=2)
         state = new_sequence([1], 5, VOCAB)
-        state.commit(0, 2)
-        state.commit(1, 2)
+        state.commit(1, 2)  # response indices 0 and 1
+        state.commit(2, 2)
         conf = dict((p, c) for p, _, c in triples(OracleDenoiser(prof, VOCAB).confidence_map(state)))
         assert abs(conf[1 + 2] - 0.65) < 1e-12
 
@@ -72,7 +72,7 @@ def context_case(decoded, radius):
     den = OracleDenoiser(profile_of([1.0] * len(decoded), gain=1.0, radius=radius), VOCAB)
     state = new_sequence([1], len(decoded), VOCAB)
     for i in np.flatnonzero(decoded):
-        state.commit(int(i), 2)
+        state.commit(1 + int(i), 2)
     return den, state
 
 
@@ -128,13 +128,13 @@ def test_monotone_context_benefit(gen_len, radius, gain, data):
     decoded = data.draw(st.lists(st.booleans(), min_size=gen_len, max_size=gen_len))
     state = new_sequence([1], gen_len, VOCAB)
     for i in np.flatnonzero(decoded):
-        state.commit(int(i), 2)
+        state.commit(1 + int(i), 2)
     still_masked = [i for i in range(gen_len) if not decoded[i]]
     if len(still_masked) < 2:
         return
     target = 1 + still_masked[0]
     base = den.confidence_map(state, [target]).confidences[0]
-    state.commit(still_masked[-1], 2)
+    state.commit(1 + still_masked[-1], 2)
     assert den.confidence_map(state, [target]).confidences[0] >= base
 
 
@@ -159,9 +159,9 @@ def oracle_cases(draw):
     )
     prompt = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=4))
     state = new_sequence(prompt, gen_len, vocab)
-    for i in range(gen_len):
+    for pos in range(state.prompt_len, state.seq_len):
         if draw(st.booleans()):
-            state.commit(i, draw(st.sampled_from(tokens)))
+            state.commit(pos, draw(st.sampled_from(tokens)))
     state.step = draw(st.integers(min_value=0, max_value=2**64 - 1))
     return profile, vocab, state
 
@@ -201,7 +201,7 @@ def coin_flip_case(seed=7):
     prof = make_profile([0.5] * gen_len, 0.2, 2, truth, seed)
     state = new_sequence([1, 2], gen_len, VOCAB)
     for i in range(0, gen_len, 5):
-        state.commit(i, 4)
+        state.commit(2 + i, 4)
     return OracleDenoiser(prof, VOCAB), state
 
 
@@ -283,7 +283,7 @@ def test_kept_maps_share_no_scratch_with_later_calls():
     den, first = coin_flip_case()
     second = new_sequence([1, 2], 40, VOCAB)
     for i in range(1, 40, 3):
-        second.commit(i, 4)
+        second.commit(2 + i, 4)
     kept = []
     for n, step in enumerate([29, 31, 32, 33, 63, 64, 96, 5, 127, 128]):
         for state in (first, second):
@@ -292,7 +292,7 @@ def test_kept_maps_share_no_scratch_with_later_calls():
             scored = [2 + i for i, m in enumerate(masked) if m]
             positions = None if n % 2 else scored[n % 3::2]
             kept.append((den.confidence_map(state, positions), masked, step, positions or scored))
-            state.commit(scored[n] - 2, 4)
+            state.commit(scored[n], 4)
     for conf, masked, step, positions in kept:
         expected = triples(scalar_oracle_confidences(den.profile, masked, step, 2, VOCAB.mask_id, VOCAB.size))
         assert triples(conf) == [t for t in expected if t[0] in positions], step
@@ -313,7 +313,7 @@ def test_kept_maps_draw_their_scoring_steps_tokens_for_any_chosen_entries():
     for n, step in enumerate([0, 31, 32, 2**63, 2**64 - 1]):
         state.step = step
         kept.append((den.confidence_map(state), reference_map(den, state)))
-        state.commit(7 * n, 3)
+        state.commit(2 + 7 * n, 3)
         state.step += 1
         den.confidence_map(state)
     rng = np.random.default_rng(0)
@@ -371,7 +371,7 @@ def test_oracle_traces_match_the_golden_digests():
 
 def test_radius_past_the_response_reaches_the_whole_response():
     state = new_sequence([1], 6, VOCAB)
-    state.commit(2, 3)
+    state.commit(1 + 2, 3)
     wide, whole = (OracleDenoiser(profile_of([0.5] * 6, gain=0.5, radius=r), VOCAB) for r in (10**20, 6))
     assert triples(wide.confidence_map(state)) == triples(whole.confidence_map(state))
 
@@ -379,7 +379,7 @@ def test_radius_past_the_response_reaches_the_whole_response():
 def test_positions_must_be_masked_response_positions():
     prof = profile_of([0.4] * 6, gain=0.3, radius=2)
     state = new_sequence([1, 2], 6, VOCAB)
-    state.commit(1, 4)
+    state.commit(2 + 1, 4)
     for bad in ([0], [2 + 1], [2 + 6]):
         with pytest.raises(ValueError):
             OracleDenoiser(prof, VOCAB).confidence_map(state, bad)
@@ -389,7 +389,7 @@ class TestDeterminism:
     def test_same_seed_same_map(self):
         prof = profile_of([0.4] * 8, gain=0.3, radius=2, seed=9)
         state = new_sequence([1, 2], 8, VOCAB)
-        state.commit(3, 4)
+        state.commit(2 + 3, 4)
         a = OracleDenoiser(prof, VOCAB).confidence_map(state)
         b = OracleDenoiser(prof, VOCAB).confidence_map(state)
         assert triples(a) == triples(b)

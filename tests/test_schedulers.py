@@ -23,6 +23,7 @@ VOCAB = Vocab(size=16, mask_id=15)
 
 
 def make_state(prompt_len, gen_len, decoded=()):
+    """A state with the absolute positions ``decoded`` committed."""
     state = new_sequence([1] * prompt_len, gen_len, VOCAB)
     for pos in decoded:
         state.commit(pos, 2)
@@ -81,24 +82,24 @@ class TestInitWindow:
 
 class TestAdvanceNaive:
     def test_stays_while_masked(self):
-        state = make_state(10, 8, decoded=[0, 1, 3])  # abs 12 still masked
+        state = make_state(10, 8, decoded=[10, 11, 13])  # 12 still masked
         w = init_window(NaiveBlock(4), 10, 8)
         assert advance_naive(w, state) == w
 
     def test_moves_when_complete(self):
-        state = make_state(10, 8, decoded=[0, 1, 2, 3])
+        state = make_state(10, 8, decoded=[10, 11, 12, 13])
         w = init_window(NaiveBlock(4), 10, 8)
         w2 = advance_naive(w, state)
         assert (w2.start, w2.end) == (14, 18)
 
     def test_terminal_after_final_block(self):
-        state = make_state(10, 4, decoded=[0, 1, 2, 3])
+        state = make_state(10, 4, decoded=[10, 11, 12, 13])
         w = init_window(NaiveBlock(4), 10, 4)
         w2 = advance_naive(w, state)
         assert (w2.start, w2.end) == (14, 14)
 
     def test_last_block_truncated(self):
-        state = make_state(10, 6, decoded=[0, 1, 2, 3])
+        state = make_state(10, 6, decoded=[10, 11, 12, 13])
         w = init_window(NaiveBlock(4), 10, 6)
         w2 = advance_naive(w, state)
         assert (w2.start, w2.end) == (14, 16)
@@ -107,31 +108,31 @@ class TestAdvanceNaive:
 class TestAdvanceSliding:
     def test_slide_and_grow(self):
         # window [10,14), commits at {11,12}, masks left at {10,13}
-        state = make_state(10, 64, decoded=[1, 2])
+        state = make_state(10, 64, decoded=[11, 12])
         w = init_window(SlidingBlock(4, 8), 10, 64)
         w2 = advance_sliding(w, state)
         assert (w2.start, w2.end) == (10, 16)
 
     def test_whole_window_decoded(self):
-        state = make_state(10, 64, decoded=[0, 1, 2, 3])
+        state = make_state(10, 64, decoded=[10, 11, 12, 13])
         w = init_window(SlidingBlock(4, 8), 10, 64)
         w2 = advance_sliding(w, state)
         assert (w2.start, w2.end) == (14, 18)
 
     def test_constant_width_pure_slide(self):
-        state = make_state(10, 64, decoded=[0, 1])
+        state = make_state(10, 64, decoded=[10, 11])
         w = init_window(SlidingBlock(4, 4), 10, 64)
         w2 = advance_sliding(w, state)
         assert (w2.start, w2.end) == (12, 16)
 
     def test_unbounded_drops_width_cap(self):
-        state = make_state(10, 64, decoded=[0, 1])
+        state = make_state(10, 64, decoded=[10, 11])
         w = init_window(SlidingBlock(4, None), 10, 64)
         w2 = advance_sliding(w, state)
         assert (w2.start, w2.end) == (12, 16)  # init + decoded term still applies
 
     def test_right_edge_clamped(self):
-        state = make_state(10, 6, decoded=[0, 1, 2, 3])
+        state = make_state(10, 6, decoded=[10, 11, 12, 13])
         w = init_window(SlidingBlock(4, None), 10, 6)
         w2 = advance_sliding(w, state)
         assert (w2.start, w2.end) == (14, 16)
@@ -139,7 +140,7 @@ class TestAdvanceSliding:
 
 class TestEligibleSet:
     def test_masks_in_window(self):
-        state = make_state(10, 8, decoded=[1, 2])
+        state = make_state(10, 8, decoded=[11, 12])
         w = BlockWindow(10, 14, 4, 8)
         assert eligible_set(w, state).tolist() == [10, 13]
 
@@ -149,7 +150,7 @@ class TestEligibleSet:
         assert eligible_set(w, state).tolist() == []
 
     def test_unbounded_window_spans_all_masks(self):
-        state = make_state(10, 8, decoded=[0])
+        state = make_state(10, 8, decoded=[10])
         w = BlockWindow(11, 18, 4, None)
         assert eligible_set(w, state).tolist() == [11, 12, 13, 14, 15, 16, 17]
 
@@ -168,16 +169,20 @@ class TestEligibleSet:
     gen_len=st.integers(min_value=1, max_value=24),
 )
 def test_eligible_set_lists_the_masked_positions_of_the_window(data, prompt_len, gen_len):
-    """Brute force: the masked absolute positions in [max(start, prompt_len), end),
-    ascending int64, for windows anywhere in the buffer, empty ones and ones
-    ending at the response end included."""
-    decoded = data.draw(st.sets(st.integers(0, gen_len - 1)))
-    state = make_state(prompt_len, gen_len, decoded)
+    """Brute force: the masked positions in [start, end), ascending int64, for
+    windows anywhere in the response, empty ones and ones ending at the response
+    end included; a window reaching into the prompt is rejected."""
     seq_len = prompt_len + gen_len
+    decoded = data.draw(st.sets(st.integers(prompt_len, seq_len - 1)))
+    state = make_state(prompt_len, gen_len, decoded)
     start = data.draw(st.integers(0, seq_len))
     end = data.draw(st.one_of(st.just(start), st.just(seq_len), st.integers(start, seq_len)))
+    if start < prompt_len:
+        with pytest.raises(ValueError):
+            eligible_set(BlockWindow(start, end, 4, None), state)
+        return
     out = eligible_set(BlockWindow(start, end, 4, None), state)
-    masked = [p for p in range(max(start, prompt_len), end) if p - prompt_len not in decoded]
+    masked = [p for p in range(start, end) if p not in decoded]
     assert out.dtype == np.int64 and out.tolist() == masked
 
 
@@ -204,7 +209,7 @@ def test_sliding_invariants_over_random_traces(data, prompt_len, gen_len, init_s
         count = data.draw(st.integers(min_value=1, max_value=len(eligible)))
         chosen = data.draw(st.permutations(eligible))[:count]
         for pos in chosen:
-            state.commit(pos - prompt_len, 2)
+            state.commit(pos, 2)
         leftover = sorted(eligible_set(window, state))
         new = advance_checked(kind, window, state)
         assert new.start >= window.start and new.end >= window.end
@@ -236,7 +241,7 @@ def test_naive_invariants_over_random_traces(prompt_len, gen_len, block_size, se
         assert eligible
         take = rng.choice(eligible, size=rng.integers(1, len(eligible) + 1), replace=False)
         for pos in take:
-            state.commit(int(pos) - prompt_len, 2)
+            state.commit(int(pos), 2)
         new = advance_checked(kind, window, state)
         assert new.start >= window.start and new.end >= window.end
         assert new.width <= block_size

@@ -3,9 +3,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsb.schedulers import BlockWindow, eligible_set
 from dsb.state import (
     IllegalTransition,
     SequenceState,
@@ -35,7 +36,7 @@ class TestNewSequence:
 
     def test_default_generation_length(self):
         state = new_sequence([1], 256, Vocab(65, 64))
-        assert len(state.masked_positions(0, 256)) == 256
+        assert len(state.masked_positions(1, 257)) == 256
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
@@ -54,50 +55,50 @@ class TestNewSequence:
 class TestCommit:
     def test_basic(self):
         state = new_sequence([1], 2, VOCAB)
-        state.commit(0, 9)
+        state.commit(1, 9)
         assert state.response.tolist() == [9, 15]
         assert state.decoded_count == 1
 
     def test_double_commit(self):
         state = new_sequence([1], 2, VOCAB)
-        state.commit(0, 9)
+        state.commit(1, 9)
         with pytest.raises(IllegalTransition):
-            state.commit(0, 3)
+            state.commit(1, 3)
 
     def test_commit_mask_token(self):
         state = new_sequence([1], 2, VOCAB)
         with pytest.raises(ValueError):
-            state.commit(0, VOCAB.mask_id)
+            state.commit(1, VOCAB.mask_id)
 
     def test_bounds(self):
         state = new_sequence([1], 2, VOCAB)
         with pytest.raises(ValueError):
-            state.commit(2, 1)
+            state.commit(3, 1)
         with pytest.raises(ValueError):
-            state.commit(0, 16)
+            state.commit(1, 16)
 
 
 class TestMaskedPositions:
     def test_partial(self):
         state = new_sequence([1], 4, VOCAB)
-        state.commit(0, 9)
-        state.commit(3, 4)
-        assert state.masked_positions(0, 4).tolist() == [1, 2]
+        state.commit(1, 9)
+        state.commit(4, 4)
+        assert state.masked_positions(1, 5).tolist() == [2, 3]
 
     def test_fully_decoded(self):
         state = new_sequence([1], 2, VOCAB)
-        state.commit(0, 9)
-        state.commit(1, 4)
-        assert state.masked_positions(0, 2).tolist() == []
+        state.commit(1, 9)
+        state.commit(2, 4)
+        assert state.masked_positions(1, 3).tolist() == []
 
     def test_subrange(self):
         state = new_sequence([1], 4, VOCAB)
-        assert state.masked_positions(1, 3).tolist() == [1, 2]
+        assert state.masked_positions(2, 4).tolist() == [2, 3]
 
     def test_out_of_bounds(self):
         state = new_sequence([1], 4, VOCAB)
         with pytest.raises(ValueError):
-            state.masked_positions(0, 5)
+            state.masked_positions(1, 6)
         with pytest.raises(ValueError):
             state.masked_positions(-1, 3)
 
@@ -109,7 +110,7 @@ class TestMaskedPositions:
 def test_commit_orders_keep_count_consistent(gen_len, order):
     """For any interleaving of commits, the count matches a recount."""
     state = new_sequence([1, 2], gen_len, VOCAB)
-    positions = list(range(gen_len))
+    positions = list(range(2, 2 + gen_len))
     order.shuffle(positions)
     last = 0
     for n, pos in enumerate(positions, start=1):
@@ -118,7 +119,51 @@ def test_commit_orders_keep_count_consistent(gen_len, order):
         assert state.decoded_count == recount == n
         assert state.decoded_count > last
         last = state.decoded_count
-        assert len(state.masked_positions(0, gen_len)) == gen_len - n
+        assert len(state.masked_positions(2, 2 + gen_len)) == gen_len - n
+
+
+class TestTokenBuffer:
+    """One absolute-indexed buffer: the prompt at [0, prompt_len), the response after it."""
+
+    def test_prompt_and_past_the_end_commits_rejected(self):
+        state = new_sequence([3, 4, 5], 4, VOCAB)
+        before = state.tokens.copy()
+        for pos in [*range(state.prompt_len), state.seq_len]:
+            with pytest.raises(ValueError):
+                state.commit(pos, 9)
+            assert np.array_equal(state.tokens, before)
+        assert state.decoded_count == 0
+
+    def test_range_into_the_prompt_rejected(self):
+        state = new_sequence([3, 4, 5], 4, VOCAB)
+        for start in range(state.prompt_len):
+            with pytest.raises(ValueError):
+                state.masked_positions(start, state.seq_len)
+
+    def test_response_is_a_view_of_the_buffer(self):
+        state = new_sequence([3, 4, 5], 4, VOCAB)
+        assert np.shares_memory(state.response, state.tokens)
+        assert state.tokens[:3].tolist() == [3, 4, 5]
+        for p in range(state.prompt_len, state.seq_len):
+            state.commit(p, p)
+            assert state.response[p - state.prompt_len] == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    prompt_len=st.integers(min_value=1, max_value=6),
+    gen_len=st.integers(min_value=1, max_value=24),
+)
+def test_eligible_set_is_masked_positions_of_the_window(data, prompt_len, gen_len):
+    state = new_sequence([1] * prompt_len, gen_len, VOCAB)
+    seq_len = prompt_len + gen_len
+    for pos in data.draw(st.sets(st.integers(prompt_len, seq_len - 1))):
+        state.commit(pos, 2)
+    start = data.draw(st.integers(prompt_len, seq_len))
+    end = data.draw(st.integers(start, seq_len))
+    out = eligible_set(BlockWindow(start, end, 4, None), state)
+    assert np.array_equal(out, state.masked_positions(start, end))
 
 
 def test_step_record_json_round_trip():
