@@ -46,6 +46,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     spec = engine.parse_grid_file(args.config)
+    open(args.csv, "w").close()  # an unwritable --csv fails here, before the first cell
     rows = engine.run_grid(spec)
     metrics.write_csv(rows, args.csv)
     if args.summary:

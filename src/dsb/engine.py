@@ -191,7 +191,7 @@ class GridSpec:
     denoisers: List[str]
     seeds: List[int]
     gen_len: int
-    prompt_len: int = 8
+    prompt_len: int
 
     def __post_init__(self) -> None:
         # Fail on malformed axis entries and impossible pairings up front,
@@ -298,12 +298,7 @@ def run_cell(
     )[1]
 
 
-def run_grid(spec: Union[GridSpec, str]) -> List[Dict[str, object]]:
-    """One metrics row per (scheduler x sampler x cache x denoiser x seed).
-
-    Accepts a parsed :class:`GridSpec` or the path of a grid config file.
-    """
-    if isinstance(spec, str):
-        spec = parse_grid_file(spec)
+def run_grid(spec: GridSpec) -> List[Dict[str, object]]:
+    """One metrics row per (scheduler x sampler x cache x denoiser x seed)."""
     cells = product(spec.schedulers, spec.samplers, spec.caches, spec.denoisers, spec.seeds)
     return [run_cell(*cell, spec.gen_len, spec.prompt_len) for cell in cells]

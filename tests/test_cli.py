@@ -188,6 +188,20 @@ def test_grid_with_unknown_key_runs_no_cell(tmp_path, monkeypatch, capsys):
     assert cells == [] and not out_csv.exists()
 
 
+def test_grid_with_unwritable_csv_runs_no_cell(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "gen_len = 8\nprompt_len = 2\nschedulers = naive:B=4\nsamplers = vanilla\n"
+        f"caches = nocache\ndenoisers = {TOY}\n"
+    )
+    cells = []
+    monkeypatch.setattr(dsb.engine, "run_cell", lambda *args, **kw: cells.append(args))
+    code = main(["grid", "--config", str(cfg), "--csv", str(tmp_path / "missing_dir" / "rows.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cells == []
+
+
 def test_bad_config_string_is_a_clean_error(prompt_file, capsys):
     code = main([
         "decode",

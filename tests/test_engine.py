@@ -557,16 +557,6 @@ class TestBuildDenoiser:
         assert code == 2 and repr(spec) in capsys.readouterr().err
 
 
-def test_run_grid_accepts_a_config_path(tmp_path):
-    path = tmp_path / "grid.cfg"
-    path.write_text(
-        "gen_len = 8\nprompt_len = 2\nschedulers = naive:B=4\nsamplers = vanilla\n"
-        "caches = nocache\ndenoisers = toy:seed=5,v=33,d=32,h=2,layers=2,maxlen=96\n"
-    )
-    rows = run_grid(str(path))
-    assert len(rows) == 1 and rows[0]["steps"] == 8
-
-
 def test_trace_invariants_random_soak():
     """End-to-end fuzz over schedulers/samplers/caches: every recorded step
     must commit inside its block, cover the block with its recompute set,
