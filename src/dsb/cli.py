@@ -23,16 +23,14 @@ def _read_prompt(path: str) -> List[int]:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    result, row = engine.decode_row(
-        args.denoiser,
-        engine.build_denoiser(args.denoiser),
-        parse_scheduler(args.scheduler),
-        parse_sampler(args.sampler),
-        parse_cache(args.cache),
-        _read_prompt(args.prompt_file),
-        args.gen_len,
-        eos_id=args.eos_id,
-    )
+    denoiser = engine.build_denoiser(args.denoiser)
+    kinds = parse_scheduler(args.scheduler), parse_sampler(args.sampler), parse_cache(args.cache)
+    prompt = _read_prompt(args.prompt_file)
+    for path in (args.csv, args.trace):  # an unwritable output fails here, before the decode
+        if path:
+            open(path, "w").close()
+    result, row = engine.decode_row(args.denoiser, denoiser, *kinds, prompt, args.gen_len,
+                                    eos_id=args.eos_id)
     if args.trace:
         engine.write_trace(result.records, args.trace)
     if args.csv:

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .configstr import Kinds, parse_spec
+from .configstr import Kinds
 from .state import CacheIntegrityError, ConfidenceMap, Vocab
 
 WEIGHT_SPAN = 0.1  # all weights ~ Uniform(-WEIGHT_SPAN, +WEIGHT_SPAN)
@@ -340,8 +340,3 @@ def confidences(logits: np.ndarray, positions: Sequence[int], vocab: Vocab) -> C
     probs = softmax(scores, axis=-1)
     best = probs.argmax(axis=-1)
     return ConfidenceMap(positions, best, probs[np.arange(positions.size), best])
-
-
-def parse_denoiser_config(spec: str) -> DenoiserConfig:
-    """Parse `toy:seed=42` with optional v/d/h/layers/maxlen overrides."""
-    return parse_spec(spec, TOY, "denoiser")

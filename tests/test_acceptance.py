@@ -443,7 +443,7 @@ def test_criterion_9_trace_determinism(tmp_path):
     prompt_file = tmp_path / "p.tok"
     prompt_file.write_text("1 2 3\n")
     argv = [
-        sys.executable, "-m", "dsb", "decode",
+        sys.executable, "-W", "error::RuntimeWarning", "-m", "dsb", "decode",
         "--scheduler", "dsb:init=8,max=unbounded",
         "--sampler", "threshold:tau=0.9",
         "--cache", "dsbcache:pmin=8",

@@ -1,4 +1,6 @@
 import csv
+import re
+from itertools import chain
 
 import pytest
 
@@ -6,7 +8,7 @@ import dsb.engine
 from dsb.cli import _read_prompt, main
 from dsb.engine import make_prompt, parse_grid_file, read_trace, run_cell
 from dsb.metrics import ROW_COLUMNS, write_csv
-from dsb.oracle import hard_easy_profile, load_profile, save_profile
+from dsb.oracle import hard_easy_profile, load_profile, make_profile, save_profile
 from dsb.state import StepRecord, Vocab
 
 
@@ -202,18 +204,46 @@ def test_grid_with_unwritable_csv_runs_no_cell(tmp_path, monkeypatch, capsys):
     assert cells == []
 
 
-def test_bad_config_string_is_a_clean_error(prompt_file, capsys):
+@pytest.mark.parametrize(
+    "flag, spec",
+    [
+        ("--scheduler", "naive:B=0"),
+        ("--scheduler", "dsb:init=32,max=x"),
+        ("--cache", "dsbcache:pmin=0"),
+        ("--denoiser", "oracle:profile={profile},v=2"),
+    ],
+    ids=["naive-block-0", "dsb-max-x", "dsbcache-pmin-0", "oracle-v-2"],
+)
+def test_bad_config_string_is_a_clean_error(tmp_path, prompt_file, capsys, flag, spec):
+    profile = tmp_path / "profile.txt"
+    save_profile(hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=3), str(profile))
+    spec = spec.format(profile=profile)
+    specs = {"--scheduler": "naive:B=4", "--sampler": "vanilla", "--cache": "nocache", "--denoiser": TOY}
+    specs[flag] = spec
+    code = main(["decode", *chain.from_iterable(specs.items()), "--prompt-file", prompt_file, "--gen-len", "8"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(spec) in err
+
+
+def test_decode_with_unwritable_csv_runs_no_decode(tmp_path, prompt_file, monkeypatch, capsys):
+    decodes = []
+    monkeypatch.setattr(dsb.engine, "new_sequence", lambda *args, **kw: decodes.append(args))
+    trace = tmp_path / "out.trace"
     code = main([
         "decode",
-        "--scheduler", "naive:B=0",
+        "--scheduler", "naive:B=4",
         "--sampler", "vanilla",
         "--cache", "nocache",
-        "--denoiser", "toy:seed=1",
+        "--denoiser", TOY,
         "--prompt-file", prompt_file,
         "--gen-len", "8",
+        "--trace", str(trace),
+        "--csv", str(tmp_path / "missing_dir" / "out.csv"),
     ])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: ")
+    assert decodes == [] and not trace.exists()
 
 
 def test_missing_prompt_file_is_a_clean_error(tmp_path, capsys):
@@ -258,21 +288,28 @@ def test_bad_toy_value_is_a_clean_error_in_decode_and_grid(tmp_path, prompt_file
     assert not out_csv.exists()
 
 
-def test_one_model_spelled_two_ways_is_one_summary_group(tmp_path, capsys):
-    spellings = ["toy:v=33,d=32,h=2,layers=2,maxlen=96", "toy:seed=0,v=33,d=32,h=2,layers=2,maxlen=96"]
+SPELLINGS = ["toy:v=33,d=32,h=2,layers=2,maxlen=96", "toy:seed=0,v=33,d=32,h=2,layers=2,maxlen=96"]
+TAUS = ["threshold:tau=0.9", "threshold:tau=0.9000001"]
+
+
+@pytest.mark.parametrize(
+    "column, specs, written, n_runs",
+    [("denoiser", SPELLINGS, [SPELLINGS[1]] * 2, ["2"]), ("sampler", TAUS, TAUS, ["1", "1"])],
+    ids=["one-model-two-spellings", "two-taus"],
+)
+def test_summary_groups_by_canonical_spec(tmp_path, capsys, column, specs, written, n_runs):
+    axes = {"sampler": "vanilla", "denoiser": SPELLINGS[1], column: "; ".join(specs)}
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(
-        "gen_len = 8\nprompt_len = 2\nseeds = 0\nschedulers = naive:B=4\nsamplers = vanilla\n"
-        f"caches = nocache\ndenoisers = {'; '.join(spellings)}\n"
+        "gen_len = 8\nprompt_len = 2\nseeds = 0\nschedulers = naive:B=4\n"
+        f"samplers = {axes['sampler']}\ncaches = nocache\ndenoisers = {axes['denoiser']}\n"
     )
     out_csv = tmp_path / "rows.csv"
     assert main(["grid", "--config", str(cfg), "--csv", str(out_csv), "--summary"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert len(rows) == 1
-    assert rows[0].split()[header.split().index("n_runs")] == "2"
+    assert [row.split()[header.split().index("n_runs")] for row in rows] == n_runs
     with open(out_csv) as fh:
-        denoisers = [row["denoiser"] for row in csv.DictReader(fh)]
-    assert denoisers == [spellings[1]] * 2
+        assert [row[column] for row in csv.DictReader(fh)] == written
 
 
 @pytest.mark.parametrize("eos_id", ["32", "33", "-1"], ids=["mask-id", "vocab-size", "negative"])
@@ -293,6 +330,44 @@ def test_uncommittable_eos_id_fails_before_decoding(prompt_file, monkeypatch, ca
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: eos_id {eos_id} can never be committed")
     assert decodes == []
+
+
+def save_mixed_profile(path):
+    n = 96
+    save_profile(make_profile([(i * 37 % n) / 120 for i in range(n)], 0.6, 3,
+                              [(5 * i + 3) % 64 for i in range(n)], 2**63 + 7), str(path))
+
+
+def decode_mixed_profile(profile, prompt_file, *extra):
+    return main([
+        "decode",
+        "--scheduler", "naive:B=32",
+        "--sampler", "threshold:tau=0.9",
+        "--cache", "nocache",
+        "--denoiser", f"oracle:profile={profile}",
+        "--prompt-file", prompt_file,
+        "--gen-len", "96",
+        *extra,
+    ])
+
+
+def test_eos_id_stops_the_decode_early(tmp_path, prompt_file, capsys):
+    save_mixed_profile(tmp_path / "mixed.profile")
+    assert decode_mixed_profile(tmp_path / "mixed.profile", prompt_file, "--eos-id", "28") == 0
+    assert "early_stopped=True" in capsys.readouterr().out.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda text: "gain=0.5\n" + text, lambda text: re.sub(r"^gain=.*$", "gain=5", text, flags=re.M)],
+    ids=["duplicate-header", "gain-5"],
+)
+def test_bad_profile_exits_2_naming_the_file(tmp_path, prompt_file, capsys, spoil):
+    good, bad = tmp_path / "mixed.profile", tmp_path / "bad.profile"
+    save_mixed_profile(good)
+    bad.write_text(spoil(good.read_text()))
+    assert decode_mixed_profile(bad, prompt_file) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsb.configstr import format_spec, parse_spec
-from dsb.denoiser import TOY, DenoiserConfig, parse_denoiser_config
+from dsb.denoiser import TOY, DenoiserConfig
 from dsb.kvcache import CACHES, DSBCache, DualCache, NoCache, parse_cache
 from dsb.oracle import ORACLE, OracleConfig
 from dsb.samplers import SAMPLERS, ConfidenceThreshold, VanillaTop1, parse_sampler
@@ -89,8 +89,12 @@ def specs(draw, table):
     return draw(st.text()) if draw(odd) else f"{name}:{','.join(params)}"
 
 
+def parse_toy(spec):
+    return parse_spec(spec, TOY, "denoiser")
+
+
 PARSERS = [(parse_scheduler, SCHEDULERS), (parse_sampler, SAMPLERS), (parse_cache, CACHES),
-           (parse_denoiser_config, TOY)]
+           (parse_toy, TOY)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,7 +104,7 @@ PARSERS = [(parse_scheduler, SCHEDULERS), (parse_sampler, SAMPLERS), (parse_cach
 @example((parse_scheduler, "dsb:init=8,max=4"))
 @example((parse_sampler, "threshold:tau=nan"))
 @example((parse_cache, " "))
-@example((parse_denoiser_config, "toy:d=6,h=4"))
+@example((parse_toy, "toy:d=6,h=4"))
 def test_every_rejected_spec_is_a_value_error_naming_the_spec(case):
     parse, spec = case
     try:

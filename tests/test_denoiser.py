@@ -7,14 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dsb.configstr import parse_spec
 from dsb.denoiser import (
     EXP2_SAFE,
     LN_EPS,
+    TOY,
     DenoiserConfig,
     TinyDenoiser,
     _normalise,
     confidences,
-    parse_denoiser_config,
     softmax,
 )
 from dsb.state import CacheIntegrityError, Vocab
@@ -350,7 +351,7 @@ def test_forward_allocates_less_than_one_score_tensor(rows):
     The bound is one float32 ``(heads, rows, n)`` score tensor, which a call
     that allocated its own scores would exceed by itself.
     """
-    m = TinyDenoiser(parse_denoiser_config("toy:seed=42"))
+    m = TinyDenoiser(parse_spec("toy:seed=42", TOY, "denoiser"))
     n = 264
     toks = tokens_for(m, n, seed=8)
     recompute = range(n - rows, n)
@@ -566,7 +567,7 @@ class TestConfidences:
 def test_non_integer_toy_key_names_the_key_and_spec(key):
     spec = f"toy:{key}=x"
     with pytest.raises(ValueError, match=rf"^parameter '{key}' in '{spec}' is not an integer$"):
-        parse_denoiser_config(spec)
+        parse_spec(spec, TOY, "denoiser")
 
 
 @pytest.mark.parametrize(
@@ -576,4 +577,4 @@ def test_non_integer_toy_key_names_the_key_and_spec(key):
 )
 def test_bad_toy_value_names_the_field_and_spec(spec, field):
     with pytest.raises(ValueError, match=rf"^{field} must be >= [01], got -?\d+ in '{spec}'$"):
-        parse_denoiser_config(spec)
+        parse_spec(spec, TOY, "denoiser")

@@ -17,7 +17,7 @@ from dsb.engine import (
     run_grid,
     write_trace,
 )
-from dsb.kvcache import DSBCache, DualCache, NoCache
+from dsb.kvcache import DSBCache, DualCache, NoCache, parse_cache
 from dsb.oracle import OracleDenoiser, hard_easy_profile, make_profile, save_profile
 from dsb.samplers import ConfidenceThreshold, VanillaTop1
 from dsb.schedulers import NaiveBlock, SlidingBlock
@@ -322,17 +322,23 @@ def test_benchmark_hook_contract(path, monkeypatch):
 
 class TestTraceIO:
     def test_round_trip(self, tmp_path):
-        res = decode(easy_oracle(8), SlidingBlock(4, 4), VanillaTop1(), NoCache(), [1], 8)
-        path = tmp_path / "run.trace"
+        res = decode(TinyDenoiser(TOY), SlidingBlock(4, 8), ConfidenceThreshold(0.9), NoCache(),
+                     [1, 2, 3], 16)
+        path, copy = tmp_path / "run.trace", tmp_path / "copy.trace"
         write_trace(res.records, str(path))
         assert read_trace(str(path)) == res.records
+        write_trace(read_trace(str(path)), str(copy))
+        assert copy.read_bytes() == path.read_bytes()
 
-    def test_rerun_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("cache", ["nocache", "dual", "dsbcache:pmin=24"])
+    def test_rerun_is_byte_identical(self, tmp_path, cache):
+        """The DSB cache's KV store carries scratch across calls; reruns must not see it."""
         model = TinyDenoiser(TOY)
         paths = []
         for name in ("a.trace", "b.trace"):
-            res = decode(model, SlidingBlock(4, 8), ConfidenceThreshold(0.9),
-                         DSBCache(prefix_min=4), [1, 2, 3], 16)
+            res = decode(model, SlidingBlock(32, None), ConfidenceThreshold(0.9),
+                         parse_cache(cache), list(range(1, 9)), 88)
+            assert res.state.decoded_count == 88
             path = tmp_path / name
             write_trace(res.records, str(path))
             paths.append(path)

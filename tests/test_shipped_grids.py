@@ -1,28 +1,40 @@
-"""The experiment sweeps ship as grid files under scripts/; each must parse and run."""
+"""Everything under scripts/ runs: the sweep grid files through `dsb grid`, and the Fig. 1 demo."""
 
-import dataclasses
-from itertools import product
+import csv
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from dsb.engine import parse_grid_file, run_grid
+from dsb.cli import main
 from dsb.metrics import ROW_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
-GRIDS = ["sweep_block_init.grid", "sweep_prefix_min.grid"]
+# One row per cell and seed: 12 schedulers x 2 denoisers x 3 seeds, and 2 schedulers x 5 caches x 3 seeds.
+GRID_ROWS = {"sweep_block_init.grid": 72, "sweep_prefix_min.grid": 30}
 
 
 def test_exactly_the_two_sweep_grids_ship():
-    assert sorted(p.name for p in (ROOT / "scripts").glob("*.grid")) == GRIDS
+    assert sorted(p.name for p in (ROOT / "scripts").glob("*.grid")) == sorted(GRID_ROWS)
 
 
-@pytest.mark.parametrize("name", GRIDS)
-def test_shipped_grid_runs_one_row_per_cell(name, monkeypatch):
+@pytest.mark.parametrize("name", sorted(GRID_ROWS))
+def test_shipped_grid_runs_one_row_per_cell(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)  # profile paths in a grid resolve from the repo root
-    spec = dataclasses.replace(parse_grid_file(f"scripts/{name}"), seeds=[0])
-    rows = run_grid(spec)
-    cells = list(product(spec.schedulers, spec.samplers, spec.caches, spec.denoisers))
-    assert len(rows) == len(cells)
-    for row in rows:
-        assert set(ROW_COLUMNS) <= set(row)
+    out_csv = tmp_path / "rows.csv"
+    assert main(["grid", "--config", f"scripts/{name}", "--csv", str(out_csv), "--summary"]) == 0
+    with open(out_csv) as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ROW_COLUMNS
+    assert len(rows) == GRID_ROWS[name]
+    assert "steps_mean" in capsys.readouterr().out
+
+
+def test_fig1_demo_runs():
+    # pytest's filterwarnings does not reach a child process, so the flag is passed here.
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "scripts/fig1_demo.py", "--seeds", "3"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
