@@ -25,8 +25,9 @@ embeddings, and arithmetic is float32.  Each layer norm's gain and bias are
 folded into the projection that reads it, and ``log2(e)/sqrt(dh)`` into the
 query columns, so a layer runs one Q/K/V GEMM of rows normalised with GEMV
 mean and variance, and attention is ``exp2`` with GEMV row sums.  Rows are
-shifted by their max only when a score lies outside ``±EXP2_SAFE`` (64): inside
-it every weight is in [2**-64, 2**64], far from float32's 2**128 and 2**-126.
+shifted by their max only when a score lies outside ``±EXP2_SAFE`` (64), never
+in a layer whose :func:`_score_bound`, taken at build, lies inside it: inside it
+every weight is in [2**-64, 2**64], far from float32's 2**128 and 2**-126.
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ class KVStore:
     ``keys[i][..., p]`` and ``values[i][:, p]``.  ``valid`` marks the positions
     written; every write covers all layers.  ``scores`` (flat, ``heads·seq_len²``),
     ``qkv`` ``(seq_len, 3·width)`` and ``hidden`` ``(seq_len, 4·width)`` are
-    scratch the forward overwrites on every call and never returns.
+    scratch the forward overwrites on every call and never returns.  Every key
+    in a store was written by the forward of the model whose ``empty_cache`` made
+    it: that model's score bounds cover stale keys only because of this.
     """
 
     def __init__(self, seq_len: int, width: int, heads: int, depth: int):
@@ -112,6 +115,16 @@ def _fold(gain, bias, w, b) -> Tuple[np.ndarray, np.ndarray]:
     """``(w', b')`` taking ``_normalise(x)`` where ``(w, b)`` took ``LN(x; gain, bias)``."""
     w = w.astype(np.float64)  # each folded entry is rounded to float32 once
     return (gain[:, None] * w).astype(np.float32), (bias @ w + b).astype(np.float32)
+
+
+def _score_bound(wqkv: np.ndarray, bqkv: np.ndarray, heads: int) -> float:
+    """Bound on |q·k| from folded Q/K columns: a normalised row has ``‖x‖ < sqrt(d)``, so
+    head h's query is shorter than ``‖Wq_h‖_F·sqrt(d) + ‖bq_h‖``, and its key likewise."""
+    d = wqkv.shape[0]
+    w = np.square(wqkv[:, :2 * d], dtype=np.float64).reshape(d, 2, heads, -1).sum(axis=(0, 3))
+    b = np.square(bqkv[:2 * d], dtype=np.float64).reshape(2, heads, -1).sum(axis=-1)
+    reach = np.sqrt(w * d) + np.sqrt(b)  # (query/key, head)
+    return 1.01 * float((reach[0] * reach[1]).max())  # 1% over for float32 rounding
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -200,6 +213,7 @@ class TinyDenoiser:
                         np.hstack([l["bq"] * scale, l["bk"], l["bv"]]))
             up = _fold(l["ln2_g"], l["ln2_b"], l["w_up"], l["b_up"])
             self._layers.append(_Layer(*qkv, l["wo"], l["bo"], *up, l["w_down"], l["b_down"]))
+        self._bounds = [_score_bound(w.wqkv, w.bqkv, config.heads) for w in self._layers]
         self._head = _fold(params["ln_f_g"], params["ln_f_b"], params["w_out"], params["b_out"])
         self._avg = np.full((config.width, 1), 1 / config.width, dtype=np.float32)
         self._ones = np.ones((config.max_len, 1), dtype=np.float32)
@@ -230,21 +244,21 @@ class TinyDenoiser:
         return tokens
 
     def _attend(self, q: np.ndarray, keys: np.ndarray, values: np.ndarray,
-                scratch: np.ndarray) -> np.ndarray:
+                scratch: np.ndarray, bound: float) -> np.ndarray:
         """Full bidirectional attention of queries q over head-major keys/values.
 
         Batched matmul over heads, so both products are BLAS GEMMs; the scores
         go into a contiguous ``(h, q, k)`` prefix of the flat ``scratch``.  The
         queries carry ``log2(e)/sqrt(dh)``, so ``exp2`` of the scores is the
-        softmax's ``exp``.  Each row's max is subtracted only when a score lies
-        outside ``±EXP2_SAFE``; a shift moves only rounding.  The row sums are a
+        softmax's ``exp``.  Rows shift by their max only if ``bound`` and a score
+        both leave ``±EXP2_SAFE``; a shift moves only rounding.  The row sums are a
         GEMV against ones and divide the ``(h, q, dh)`` product, not the weights.
         """
         h, dh, nk = keys.shape
         nq = q.shape[0]
         qh = q.reshape(nq, h, dh).transpose(1, 0, 2)
         weights = np.matmul(qh, keys, out=scratch[:h * nq * nk].reshape(h, nq, nk))  # log2 units
-        if weights.max() > EXP2_SAFE or weights.min() < -EXP2_SAFE:
+        if bound > EXP2_SAFE and (weights.max() > EXP2_SAFE or weights.min() < -EXP2_SAFE):
             weights -= weights.max(axis=-1, keepdims=True)
         np.exp2(weights, out=weights)
         out = np.matmul(weights, values)  # (h, q, dh)
@@ -290,11 +304,12 @@ class TinyDenoiser:
             keep = np.asarray(score, dtype=np.int64) - recompute.start
             if ((keep < 0) | (keep >= len(recompute))).any():
                 raise ValueError("score positions must be a subset of the recomputed rows")
-        unwritten = ~cache.valid
-        unwritten[rows] = False
-        if unwritten.any():
-            bad = int(np.argmax(unwritten))
-            raise CacheIntegrityError(f"position {bad} was never computed but is outside the recompute set")
+        if not cache.valid.all():
+            unwritten = ~cache.valid
+            unwritten[rows] = False
+            if unwritten.any():
+                bad = int(np.argmax(unwritten))
+                raise CacheIntegrityError(f"position {bad} was never computed but is outside the recompute set")
 
         cache.valid[rows] = True
 
@@ -311,7 +326,7 @@ class TinyDenoiser:
             q = qkv[:, :d]
             if keep is not None and i == self.config.depth - 1:
                 x, q = x[keep], q[keep]
-            x += self._attend(q, cache.keys[i], cache.values[i], cache.scores) @ w.wo
+            x += self._attend(q, cache.keys[i], cache.values[i], cache.scores, self._bounds[i]) @ w.wo
             x += w.bo
             u = np.matmul(_normalise(x, self._avg), w.w_up, out=cache.hidden[:len(x)])
             u += w.b_up

@@ -397,6 +397,71 @@ def test_scratch_never_leaks_into_results(model, factor):
     assert np.array_equal(nan_kv.values, zero_kv.values)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 6)),  # (heads, dh)
+    seed=st.integers(0, 2**16),
+    factor=st.floats(0.0, np.log(3000.0)).map(np.exp),
+    gains=st.lists(st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e), min_size=3, max_size=3),
+    sink=st.tuples(st.integers(0, 2), st.sampled_from([0.0, 0.5, 3.0, 30.0])),
+)
+def test_every_score_lies_within_its_layers_bound(shape, seed, factor, gains, sink):
+    """The bound taken at build covers every score its layer forms, fresh or against stale keys.
+
+    wq and wk are scaled by ``factor``, each layer's ``ln1_g`` by its own gain,
+    and one layer gets ``sharp_params``' sink biases (+sink on queries, -sink on keys).
+    """
+    heads, dh = shape
+    cfg = DenoiserConfig(vocab_size=11, width=heads * dh, heads=heads, depth=3, max_len=16, seed=seed)
+    params = TinyDenoiser(cfg).params
+    for i, gain in enumerate(gains):
+        params[f"l{i}.ln1_g"] = params[f"l{i}.ln1_g"] * np.float32(gain)
+        for name in ("wq", "wk"):
+            params[f"l{i}.{name}"] = params[f"l{i}.{name}"] * np.float32(factor)
+    layer, sink = sink
+    if sink:
+        params[f"l{layer}.bq"] = np.full_like(params[f"l{layer}.bq"], sink)
+        params[f"l{layer}.bk"] = np.full_like(params[f"l{layer}.bk"], -sink)
+    m = TinyDenoiser(cfg, params)
+    attend, ratios = m._attend, []
+
+    def spy(q, keys, values, scratch, bound):
+        scores = np.matmul(q.reshape(len(q), *keys.shape[:2]).transpose(1, 0, 2), keys)
+        ratios.append(float(np.abs(scores).max()) / bound)
+        return attend(q, keys, values, scratch, bound)
+
+    m._attend = spy
+    toks = tokens_for(m, 12, seed=seed)
+    _, kv = m.forward_full(toks)
+    m.forward_cached((toks + 1) % cfg.vocab_size, kv, range(3, 9))
+    assert len(ratios) == 2 * cfg.depth and max(ratios) <= 1.0
+
+
+def test_bound_decides_the_scan_per_layer():
+    """The seeded toy never needs the shift; 1300x sharp attention needs it in every layer."""
+    assert all(b <= EXP2_SAFE for b in TinyDenoiser(parse_spec("toy:seed=42", TOY, "denoiser"))._bounds)
+    assert all(b > EXP2_SAFE for b in with_sharp_attention(1300.0)._bounds)
+
+
+@pytest.mark.parametrize("cache", ["nocache", "dual", "dsbcache:pmin=4"])
+@pytest.mark.parametrize("scheduler", ["naive:B=8", "dsb:init=8,max=8", "dsb:init=8,max=unbounded"])
+def test_skipping_the_scan_changes_no_trace_byte(model, monkeypatch, scheduler, cache):
+    """A decode on the bound's verdict and one that scans every layer write the same trace."""
+    from dsb.engine import decode
+    from dsb.kvcache import parse_cache
+    from dsb.samplers import parse_sampler
+    from dsb.schedulers import parse_scheduler
+
+    def trace():
+        res = decode(model, parse_scheduler(scheduler), parse_sampler("threshold:tau=0.9"),
+                     parse_cache(cache), [1, 2, 3], 40)
+        return "\n".join(rec.to_json() for rec in res.records)
+
+    as_built = trace()
+    monkeypatch.setattr(model, "_bounds", [np.inf] * model.config.depth)
+    assert trace() == as_built
+
+
 def layer_norm64(x, gain, bias):
     x = x.astype(np.float64)
     return (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + float(LN_EPS)) * gain + bias
