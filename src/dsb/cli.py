@@ -26,7 +26,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     denoiser = engine.build_denoiser(args.denoiser)
     kinds = parse_scheduler(args.scheduler), parse_sampler(args.sampler), parse_cache(args.cache)
     prompt = _read_prompt(args.prompt_file)
-    for path in (args.csv, args.trace):  # an unwritable output fails here, before the decode
+    engine.check_config(denoiser, kinds[2], len(prompt), args.gen_len, args.eos_id)
+    for path in (args.csv, args.trace):  # a bad config or unwritable output fails before the decode
         if path:
             open(path, "w").close()
     result, row = engine.decode_row(args.denoiser, denoiser, *kinds, prompt, args.gen_len,

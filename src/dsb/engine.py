@@ -68,10 +68,9 @@ def decode(
 ) -> DecodeResult:
     """Decode ``gen_len`` tokens after ``prompt``; returns state plus trace."""
     vocab = denoiser.vocab
-    _check_eos_id(eos_id, vocab)
+    check_config(denoiser, cache, len(prompt), gen_len, eos_id)
     state = new_sequence(prompt, gen_len, vocab)
     seq_len = state.seq_len
-    _check_fits(denoiser, cache, state.prompt_len, gen_len)
     # One store per decode; nocache is the policy that recomputes all of it.
     kv = denoiser.empty_cache(seq_len) if denoiser.supports_kv else None
 
@@ -125,15 +124,17 @@ def decode(
     return DecodeResult(state=state, records=records, early_stopped=early_stopped)
 
 
-def _check_fits(denoiser: Denoiser, cache: CachePolicy, prompt_len: int, gen_len: int) -> None:
-    """Raise unless ``denoiser`` can decode ``gen_len`` tokens after ``prompt_len`` with ``cache``."""
+def check_config(
+    denoiser: Denoiser, cache: CachePolicy, prompt_len: int, gen_len: int, eos_id: Optional[int] = None,
+) -> None:
+    """Raise ``ValueError`` unless ``denoiser`` can decode ``gen_len`` tokens after
+    ``prompt_len`` with ``cache``, stopping at ``eos_id``; allocates nothing."""
+    if gen_len < 1:
+        raise ValueError(f"gen_len must be >= 1, got {gen_len}")
     if not (denoiser.supports_kv or isinstance(cache, NoCache)):
         raise ValueError("cache policies other than nocache need a denoiser with KV support")
     denoiser.check_lengths(prompt_len, gen_len)
-
-
-def _check_eos_id(eos_id: Optional[int], vocab: Vocab) -> None:
-    """Reject an early-stop token that no commit can ever write."""
+    vocab = denoiser.vocab  # an early-stop token must be one a commit can write
     if eos_id is not None and not (0 <= eos_id < vocab.size and eos_id != vocab.mask_id):
         raise ValueError(f"eos_id {eos_id} can never be committed: it must lie in "
                          f"[0, {vocab.size}) and differ from the mask id {vocab.mask_id}")
@@ -167,10 +168,10 @@ def build_denoiser(spec: str, seed_offset: int = 0) -> Denoiser:
             raise ValueError(f"{exc} in {spec!r}") from None
     profile = load_profile(config.profile)
     try:
-        oracle = OracleDenoiser(profile, Vocab(size=config.vocab_size, mask_id=config.vocab_size - 1))
+        return OracleDenoiser(replace(profile, seed=profile.seed + seed_offset),
+                              Vocab(size=config.vocab_size, mask_id=config.vocab_size - 1))
     except ValueError as exc:
         raise ValueError(f"{exc} in {spec!r}") from None
-    return oracle.reseeded(profile.seed + seed_offset) if seed_offset else oracle
 
 
 def make_prompt(vocab: Vocab, prompt_len: int, seed: int) -> np.ndarray:
@@ -202,16 +203,14 @@ class GridSpec:
         if any(seed < 0 for seed in self.seeds):
             # Each grid seed seeds its cell's prompt and is added to a toy spec's seed.
             raise ValueError(f"grid seeds must be >= 0, got {min(self.seeds)}")
-        for s in self.schedulers:
-            parse_scheduler(s)
-        for s in self.samplers:
-            parse_sampler(s)
-        caches = [parse_cache(c) for c in self.caches]
+        # The parsed scheduler, sampler and cache axes, in the order of the strings.
+        self.kinds = ([parse_scheduler(s) for s in self.schedulers],
+                      [parse_sampler(s) for s in self.samplers], [parse_cache(c) for c in self.caches])
         for d in self.denoisers:
             denoiser = build_denoiser(d)  # cells build their own, with the grid seed added
-            for c, cache in zip(self.caches, caches):
+            for c, cache in zip(self.caches, self.kinds[2]):
                 try:
-                    _check_fits(denoiser, cache, self.prompt_len, self.gen_len)
+                    check_config(denoiser, cache, self.prompt_len, self.gen_len)
                 except ValueError as exc:
                     raise ValueError(f"denoiser {d!r} with cache {c!r}: {exc}") from None
 
@@ -280,25 +279,12 @@ def decode_row(
     return result, row
 
 
-def run_cell(
-    scheduler_spec: str,
-    sampler_spec: str,
-    cache_spec: str,
-    denoiser_spec: str,
-    seed: int,
-    gen_len: int,
-    prompt_len: int,
-) -> Dict[str, object]:
-    """Run one grid cell and compute its metrics row."""
-    denoiser = build_denoiser(denoiser_spec, seed_offset=seed)
-    prompt = make_prompt(denoiser.vocab, prompt_len, seed)
-    return decode_row(
-        denoiser_spec, denoiser, parse_scheduler(scheduler_spec), parse_sampler(sampler_spec),
-        parse_cache(cache_spec), prompt, gen_len, seed=seed,
-    )[1]
-
-
 def run_grid(spec: GridSpec) -> List[Dict[str, object]]:
-    """One metrics row per (scheduler x sampler x cache x denoiser x seed)."""
-    cells = product(spec.schedulers, spec.samplers, spec.caches, spec.denoisers, spec.seeds)
-    return [run_cell(*cell, spec.gen_len, spec.prompt_len) for cell in cells]
+    """One metrics row per (scheduler x sampler x cache x denoiser x seed), in that
+    ``product`` order; a cell's denoiser and prompt are built from its grid seed."""
+    rows = []
+    for scheduler, sampler, cache, d, seed in product(*spec.kinds, spec.denoisers, spec.seeds):
+        denoiser = build_denoiser(d, seed_offset=seed)
+        prompt = make_prompt(denoiser.vocab, spec.prompt_len, seed)
+        rows.append(decode_row(d, denoiser, scheduler, sampler, cache, prompt, spec.gen_len, seed=seed)[1])
+    return rows

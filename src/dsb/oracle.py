@@ -23,7 +23,7 @@ for the entries a sampler chooses.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence
 
@@ -191,9 +191,6 @@ class OracleDenoiser:
                 d += d >= min(t, mask)
                 out.append(d + (d >= max(t, mask)))
         return out
-
-    def reseeded(self, seed: int) -> "OracleDenoiser":
-        return OracleDenoiser(replace(self.profile, seed=seed), self.vocab)
 
 
 def hard_easy_profile(

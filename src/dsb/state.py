@@ -139,7 +139,11 @@ class SequenceState:
 
 def new_sequence(prompt: Sequence[int], gen_len: int, vocab: Vocab) -> SequenceState:
     """Fresh state: the prompt followed by ``gen_len`` mask slots, nothing decoded."""
-    prompt_arr = np.asarray(prompt, dtype=np.int64)
+    try:
+        prompt_arr = np.asarray(prompt, dtype=np.int64)
+    except OverflowError:  # an id past int64 is outside every vocabulary
+        raise ValueError(f"prompt token id {max(prompt, key=abs)} is outside the vocabulary "
+                         "or the mask id") from None
     if prompt_arr.ndim != 1 or prompt_arr.shape[0] == 0:
         raise ValueError("prompt must be a non-empty 1-d sequence of token ids")
     if gen_len < 1:

@@ -6,7 +6,7 @@ import pytest
 
 import dsb.engine
 from dsb.cli import _read_prompt, main
-from dsb.engine import make_prompt, parse_grid_file, read_trace, run_cell
+from dsb.engine import GridSpec, make_prompt, parse_grid_file, read_trace, run_grid
 from dsb.metrics import ROW_COLUMNS, write_csv
 from dsb.oracle import hard_easy_profile, load_profile, make_profile, save_profile
 from dsb.state import StepRecord, Vocab
@@ -62,14 +62,14 @@ def test_decode_with_oracle_profile(tmp_path, prompt_file, capsys):
 
 
 def test_decode_csv_row_equals_the_grid_cell_row(tmp_path):
-    """`dsb decode --csv` and `run_cell` build their rows with one helper: for
+    """`dsb decode --csv` and a one-cell grid build their rows with one helper: for
     the same oracle decode they agree in every column but the wall time and
     the grid seed, which a lone decode leaves empty."""
     vocab = Vocab(65, 64)
     ppath = tmp_path / "profile.txt"
     save_profile(hard_easy_profile(24, hard_position=5, vocab=vocab, radius=2, seed=3), str(ppath))
     config = ["dsb:init=6,max=unbounded", "threshold:tau=0.9", "nocache", f"oracle:profile={ppath}"]
-    cell = run_cell(*config, seed=0, gen_len=24, prompt_len=4)
+    (cell,) = run_grid(GridSpec(*([c] for c in config), seeds=[0], gen_len=24, prompt_len=4))
     prompt = tmp_path / "p.tok"
     prompt.write_text(" ".join(str(t) for t in make_prompt(vocab, 4, 0)))
     decoded_csv = tmp_path / "decode.csv"
@@ -167,7 +167,7 @@ def test_bad_grid_fails_before_the_first_cell(tmp_path, monkeypatch, capsys, cac
         f"denoisers = {denoisers.format(**paths)}\n"
     )
     cells = []
-    monkeypatch.setattr(dsb.engine, "run_cell", lambda *args, **kw: cells.append(args))
+    monkeypatch.setattr(dsb.engine, "decode", lambda *args, **kw: cells.append(args))
     out_csv = tmp_path / "rows.csv"
     code = main(["grid", "--config", str(cfg), "--csv", str(out_csv)])
     assert code == 2
@@ -182,7 +182,7 @@ def test_grid_with_unknown_key_runs_no_cell(tmp_path, monkeypatch, capsys):
         f"caches = nocache\ndenoisers = {TOY}\npremature_floor = 0.5\n"
     )
     cells = []
-    monkeypatch.setattr(dsb.engine, "run_cell", lambda *args, **kw: cells.append(args))
+    monkeypatch.setattr(dsb.engine, "decode", lambda *args, **kw: cells.append(args))
     out_csv = tmp_path / "rows.csv"
     code = main(["grid", "--config", str(cfg), "--csv", str(out_csv)])
     assert code == 2
@@ -197,7 +197,7 @@ def test_grid_with_unwritable_csv_runs_no_cell(tmp_path, monkeypatch, capsys):
         f"caches = nocache\ndenoisers = {TOY}\n"
     )
     cells = []
-    monkeypatch.setattr(dsb.engine, "run_cell", lambda *args, **kw: cells.append(args))
+    monkeypatch.setattr(dsb.engine, "decode", lambda *args, **kw: cells.append(args))
     code = main(["grid", "--config", str(cfg), "--csv", str(tmp_path / "missing_dir" / "rows.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -244,6 +244,40 @@ def test_decode_with_unwritable_csv_runs_no_decode(tmp_path, prompt_file, monkey
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert decodes == [] and not trace.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--gen-len", "100"],
+        ["--cache", "dual", "--denoiser", "oracle:profile={profile}"],
+        ["--eos-id", "32"],
+    ],
+    ids=["over-maxlen", "oracle-dual", "eos-is-mask-id"],
+)
+def test_rejected_decode_leaves_existing_outputs_alone(tmp_path, prompt_file, capsys, flags):
+    profile = tmp_path / "profile.txt"
+    save_profile(hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=3), str(profile))
+    outputs = {tmp_path / "out.csv": b"earlier,csv\n", tmp_path / "out.trace": b'{"earlier": "trace"}\n'}
+    for path, content in outputs.items():
+        path.write_bytes(content)
+    args = {"--scheduler": "naive:B=4", "--sampler": "vanilla", "--cache": "nocache",
+            "--denoiser": "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64", "--gen-len": "8"}
+    args.update(zip(flags[::2], (f.format(profile=profile) for f in flags[1::2])))
+    code = main(["decode", *chain.from_iterable(args.items()), "--prompt-file", prompt_file,
+                 "--csv", str(tmp_path / "out.csv"), "--trace", str(tmp_path / "out.trace")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert {path: path.read_bytes() for path in outputs} == outputs
+
+
+def test_prompt_id_past_int64_is_a_clean_error(tmp_path, capsys):
+    prompt = tmp_path / "p.tok"
+    prompt.write_text("1 99999999999999999999999 2\n")
+    code = main(["decode", "--scheduler", "naive:B=4", "--sampler", "vanilla", "--cache", "nocache",
+                 "--denoiser", TOY, "--prompt-file", str(prompt), "--gen-len", "8"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: prompt token id 99999999999999999999999 ")
 
 
 def test_missing_prompt_file_is_a_clean_error(tmp_path, capsys):
@@ -314,7 +348,7 @@ def test_summary_groups_by_canonical_spec(tmp_path, capsys, column, specs, writt
 
 @pytest.mark.parametrize("eos_id", ["32", "33", "-1"], ids=["mask-id", "vocab-size", "negative"])
 def test_uncommittable_eos_id_fails_before_decoding(prompt_file, monkeypatch, capsys, eos_id):
-    # decode checks the eos id first; new_sequence is the first work after it.
+    # check_config rejects the eos id before new_sequence, the decode's first allocation.
     decodes = []
     monkeypatch.setattr(dsb.engine, "new_sequence", lambda *args, **kw: decodes.append(args))
     code = main([

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -13,14 +15,13 @@ from dsb.engine import (
     make_prompt,
     parse_grid_file,
     read_trace,
-    run_cell,
     run_grid,
     write_trace,
 )
 from dsb.kvcache import DSBCache, DualCache, NoCache, parse_cache
 from dsb.oracle import OracleDenoiser, hard_easy_profile, make_profile, save_profile
-from dsb.samplers import ConfidenceThreshold, VanillaTop1
-from dsb.schedulers import NaiveBlock, SlidingBlock
+from dsb.samplers import ConfidenceThreshold, VanillaTop1, parse_sampler
+from dsb.schedulers import NaiveBlock, SlidingBlock, parse_scheduler
 from dsb.metrics import exact_match_rate, summarize
 from dsb.state import ConfidenceMap, SequenceState, Vocab
 
@@ -135,6 +136,13 @@ class TestDecodeBasics:
         partial = [r.recompute_count for r in res.records if r.cache_event == "partial"]
         partial_base = [r.recompute_count for r in base.records if r.cache_event == "partial"]
         assert sum(partial) / len(partial) > sum(partial_base) / len(partial_base)
+
+    def test_overlong_decode_fails_before_allocating(self, monkeypatch):
+        allocations = []
+        monkeypatch.setattr(dsb.engine, "new_sequence", lambda *args, **kw: allocations.append(args))
+        with pytest.raises(ValueError, match="prompt \\+ response length 97 exceeds max_len 96"):
+            decode(TinyDenoiser(TOY), NaiveBlock(4), VanillaTop1(), NoCache(), [1, 2], 95)
+        assert allocations == []
 
 
 class TestReferenceEquivalence:
@@ -415,12 +423,33 @@ class TestGrid:
         profile = hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=1)
         ppath = tmp_path / "p.txt"
         save_profile(profile, str(ppath))
-        row = run_cell(
-            "naive:B=4", "vanilla", "nocache", f"oracle:profile={ppath}",
-            seed=0, gen_len=8, prompt_len=2,
-        )
+        (row,) = run_grid(GridSpec(
+            schedulers=["naive:B=4"], samplers=["vanilla"], caches=["nocache"],
+            denoisers=[f"oracle:profile={ppath}"], seeds=[0], gen_len=8, prompt_len=2,
+        ))
         assert 0.0 <= row["exact_match"] <= 1.0
         assert row["premature_commits"] >= 0
+
+    def test_each_row_is_its_cells_decode_row_in_product_order(self, tmp_path):
+        """A cell decodes with ``build_denoiser(spec, seed)`` on ``make_prompt``'s
+        prompt for its grid seed; the rows follow ``product`` over the axes."""
+        profile = hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=1)
+        ppath = tmp_path / "p.txt"
+        save_profile(profile, str(ppath))
+        oracle = f"oracle:profile={ppath}"
+        axes = (["naive:B=4", "dsb:init=4,max=unbounded"], ["vanilla", "threshold:tau=0.6"], ["nocache"],
+                ["toy:seed=5,v=33,d=32,h=2,layers=2,maxlen=96", oracle], [0, 2])
+        rows = run_grid(GridSpec(*axes, gen_len=8, prompt_len=2))
+        expected = []
+        for scheduler, sampler, cache, d, seed in product(*axes):
+            denoiser = build_denoiser(d, seed)
+            prompt = make_prompt(denoiser.vocab, 2, seed)
+            expected.append(decode_row(d, denoiser, parse_scheduler(scheduler), parse_sampler(sampler),
+                                       parse_cache(cache), prompt, 8, seed=seed)[1])
+        for row in rows + expected:
+            del row["wall_time_s"]
+        assert rows == expected
+        assert build_denoiser(oracle, seed_offset=2).profile.seed == profile.seed + 2
 
     @pytest.mark.parametrize("owner, denoiser", [
         (TinyDenoiser, "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=9"),

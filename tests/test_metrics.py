@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from dsb.engine import run_cell
+from dsb.engine import GridSpec, run_grid
 from dsb.metrics import (
     ROW_COLUMNS,
     format_table,
@@ -101,12 +101,12 @@ class TestSummarize:
 
 def test_paired_comparison_recomputable_from_rows():
     """Per-seed paired differences agree with the difference of summary means."""
-    seeds = [0, 1, 2]
-    kwargs = dict(sampler_spec="threshold:tau=0.9", cache_spec="nocache",
-                  denoiser_spec="toy:seed=3,v=33,d=32,h=2,layers=2,maxlen=64",
-                  gen_len=12, prompt_len=2)
-    naive = [run_cell("naive:B=4", seed=s, **kwargs) for s in seeds]
-    slid = [run_cell("dsb:init=4,max=4", seed=s, **kwargs) for s in seeds]
+    rows = run_grid(GridSpec(
+        schedulers=["naive:B=4", "dsb:init=4,max=4"], samplers=["threshold:tau=0.9"], caches=["nocache"],
+        denoisers=["toy:seed=3,v=33,d=32,h=2,layers=2,maxlen=64"], seeds=[0, 1, 2], gen_len=12, prompt_len=2,
+    ))
+    naive, slid = rows[:3], rows[3:]
+    assert [r["seed"] for r in naive] == [r["seed"] for r in slid] == [0, 1, 2]
     paired = np.mean([a["steps"] - b["steps"] for a, b in zip(naive, slid)])
     summary = summarize(naive + slid)
     by_sched = {row["scheduler"]: row for row in summary}

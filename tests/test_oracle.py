@@ -325,11 +325,11 @@ def test_kept_maps_draw_their_scoring_steps_tokens_for_any_chosen_entries():
                 == scores.tokens[chosen].tolist()
 
 
-def test_reseeded_copy_shares_no_hashed_block():
+def test_reseeded_oracle_draws_its_own_coins_and_leaves_the_original_alone():
     den, state = coin_flip_case(seed=7)
     state.step = 40
     before = triples(den.confidence_map(state))
-    copy = den.reseeded(8)
+    copy = OracleDenoiser(replace(den.profile, seed=8), VOCAB)
     fresh = OracleDenoiser(replace(den.profile, seed=8), VOCAB)
     assert triples(copy.confidence_map(state)) == triples(fresh.confidence_map(state)) \
         == reference_map(fresh, state)

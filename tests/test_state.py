@@ -51,6 +51,11 @@ class TestNewSequence:
             with pytest.raises(ValueError):
                 new_sequence(prompt, 4, VOCAB)
 
+    @pytest.mark.parametrize("bad", [10**23, -(10**23), 2**63])
+    def test_prompt_id_past_int64_is_out_of_vocabulary(self, bad):
+        with pytest.raises(ValueError, match=f"prompt token id {bad} is outside the vocabulary"):
+            new_sequence([1, bad, 2], 4, VOCAB)
+
 
 class TestCommit:
     def test_basic(self):
