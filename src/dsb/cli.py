@@ -11,7 +11,7 @@ from .configstr import parse_number, read_lines
 from .kvcache import parse_cache
 from .samplers import parse_sampler
 from .schedulers import parse_scheduler
-from .state import CacheIntegrityError, NoCandidates
+from .state import CacheIntegrityError, NoCandidates, check_prompt
 
 
 def _read_prompt(path: str) -> List[int]:
@@ -25,7 +25,7 @@ def _read_prompt(path: str) -> List[int]:
 def _cmd_decode(args: argparse.Namespace) -> int:
     denoiser = engine.build_denoiser(args.denoiser)
     kinds = parse_scheduler(args.scheduler), parse_sampler(args.sampler), parse_cache(args.cache)
-    prompt = _read_prompt(args.prompt_file)
+    prompt = check_prompt(_read_prompt(args.prompt_file), denoiser.vocab)
     engine.check_config(denoiser, kinds[2], len(prompt), args.gen_len, args.eos_id)
     for path in (args.csv, args.trace):  # a bad config or unwritable output fails before the decode
         if path:

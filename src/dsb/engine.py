@@ -90,8 +90,7 @@ def decode(
         else:
             conf = denoiser.confidence_map(state, eligible)
         chosen, fallback = select(sampler, conf)
-        positions = conf.positions[chosen].tolist()
-        committed = conf.tokens_at(chosen)
+        positions, committed, committed_conf = conf.take(chosen)
         for pos, tok in zip(positions, committed):
             state.commit(pos, tok)
 
@@ -102,7 +101,7 @@ def decode(
                 block_end=window.end,
                 positions=positions,
                 tokens=committed,
-                confidences=conf.confidences[chosen].tolist(),
+                confidences=committed_conf,
                 recompute_count=len(rset),
                 cache_event=event,
                 fallback=fallback,

@@ -14,10 +14,10 @@ status feeds back, which keeps scheduler comparisons analyzable.
 
 Since c_i depends only on i and the integer count k of decoded neighbors,
 each denoiser tabulates it once as ``table[i, k]``, kept flat; a step takes
-one cumulative sum over the mask and one 1-D gather.  A step's tokens are
-not drawn while it is scored: its map holds a draw bound to the step, the
-scored indices and their confidences, and hashes the truth-or-decoy coin only
-for the entries a sampler chooses.
+one cumulative sum over the state's int64 ``decoded`` flags and one 1-D
+gather.  A step's tokens are not drawn while it is scored: its map holds a
+draw bound to the step and the prompt length, and hashes the truth-or-decoy
+coin only for the positions and confidences a sampler's commits take.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ class OracleDenoiser:
         ease = 1.0 - np.array(profile.base_difficulty, dtype=np.float64)[:, None]
         table = np.minimum(1.0, ease + profile.context_gain * (np.arange(count.max() + 1) / count))
         self._flat, self._rowbase = table.ravel(), i * table.shape[1]
-        self._decoded = np.zeros(n, dtype=np.int64)  # 0/1 step scratch, like _csum: no map views either
         self._csum = np.zeros(n + 1, dtype=np.int64)
         self._truth = self.truth.tolist()
         self._seed_hash = _chain(0, profile.seed & _MASK64)
@@ -147,15 +146,15 @@ class OracleDenoiser:
         or every masked response position.
 
         Each scored position must be a masked response position.  The map's
-        tokens are drawn on demand by :meth:`_draw`, bound to this call's step,
-        scored indices and confidences, so a map kept past later steps, commits
-        and calls still draws this step's tokens.
+        tokens are drawn on demand by :meth:`_draw`, bound to this call's step
+        and prompt length, so a map kept past later steps, commits and calls
+        still draws this step's tokens.
         """
         self.check_lengths(state.prompt_len, state.gen_len)
         lp = state.prompt_len
-        decoded = np.not_equal(state.response, self.vocab.mask_id, out=self._decoded)
+        decoded = state.decoded[lp:]
         if positions is None:
-            positions = (decoded == 0).nonzero()[0] + lp
+            positions = state.masked_positions(lp, state.seq_len)
         pos = np.array(positions, dtype=np.int64)  # a copy, sorted in place
         pos.sort()
         idx = pos - lp
@@ -167,13 +166,13 @@ class OracleDenoiser:
         k -= self._csum[self._lo[idx]]
         k += self._rowbase[idx]
         c = self._flat[k]
-        return ConfidenceMap(pos, partial(self._draw, state.step & _MASK64, idx, c), c)
+        return ConfidenceMap(pos, partial(self._draw, state.step & _MASK64, lp), c)
 
-    def _draw(self, step: int, idx: np.ndarray, c: np.ndarray, chosen) -> List[int]:
-        """Tokens of the ``chosen`` entries (indices into ``idx``) of a map scored
-        at ``step`` over response indices ``idx`` with confidences ``c``.
+    def _draw(self, step: int, lp: int, positions: List[int], confidences: List[float]) -> List[int]:
+        """Tokens at the absolute ``positions``, with ``confidences``, of a map
+        scored at ``step`` on a buffer whose response starts at ``lp``.
 
-        At index i the coin hashes (seed, step, i, 1) through one splitmix64
+        At response index i the coin hashes (seed, step, i, 1) through one splitmix64
         chain: the truth when coin / 2**64 < c_i, else the decoy hashed from
         (seed, step, i, 2), taken over the V - 2 ids left after skipping the
         truth and the mask id.
@@ -181,7 +180,8 @@ class OracleDenoiser:
         at_step = _chain(self._seed_hash, step)
         mask, decoys, truth = self.vocab.mask_id, self.vocab.size - 2, self._truth
         out = []
-        for i, ci in zip(idx[chosen].tolist(), c[chosen].tolist()):
+        for p, ci in zip(positions, confidences):
+            i = p - lp
             h = _chain(at_step, i)
             t = truth[i]
             if _chain(h, 1) / 2.0**64 < ci:

@@ -5,7 +5,8 @@ absolute-index interval [start, end).  The fixed (naive) schedule partitions
 the response into consecutive blocks and only moves on when the current block
 is fully decoded.  The sliding schedule moves its left boundary to the first
 remaining mask after every step and grows its right boundary with the decoded
-count, optionally capped at a maximum width.
+count, optionally capped at a maximum width.  Both read mask status from the
+state's ``decoded`` flags.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def eligible_set(window: BlockWindow, state: SequenceState) -> np.ndarray:
 
 def advance_naive(window: BlockWindow, state: SequenceState) -> BlockWindow:
     """Move to the next fixed block once the current one is fully decoded."""
-    if np.count_nonzero(state.tokens[window.start:window.end] == state.vocab.mask_id):
+    if np.count_nonzero(state.decoded[window.start:window.end]) < window.width:
         return window
     end = min(window.end + window.init_size, state.seq_len)
     return BlockWindow(window.end, end, window.init_size, window.max_size)
@@ -111,8 +112,8 @@ def advance_sliding(window: BlockWindow, state: SequenceState) -> BlockWindow:
     min(prompt_len + init_size + decoded_count, start + max_size), clamped to
     the end of the response buffer.
     """
-    start = window.start
-    while start < window.end and state.tokens[start] != state.vocab.mask_id:
+    start, decoded = window.start, state.decoded
+    while start < window.end and decoded[start]:
         start += 1
     end = state.prompt_len + window.init_size + state.decoded_count
     if window.max_size is not None:

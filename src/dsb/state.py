@@ -5,13 +5,15 @@ Coordinate convention: every position is absolute, an index into the one
 
 Step state is array-valued: masked and eligible positions are ascending int64
 arrays, and one :class:`ConfidenceMap` of aligned arrays carries a step's scores.
+Mask status has one home, :attr:`SequenceState.decoded`: schedulers and the
+oracle read it, and only :meth:`SequenceState.commit` writes it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -51,10 +53,11 @@ class ConfidenceMap:
     ``positions`` (int64, each currently masked) and ``confidences`` (float64,
     so that tau tests and trace values are exact); samplers return indices
     into them.  The tokens (the best non-mask token at each entry) are either
-    an array or a draw, a callable from entry indices to a list of tokens that
-    produces them on demand.  ``tokens`` gives every entry's token as int64 and
-    :meth:`tokens_at` those of the chosen entries only.  ``len(m)`` counts the
-    entries and ``pos in m`` tests an absolute position.
+    an array or a draw, a callable from lists of positions and confidences to
+    the list of their tokens, produced on demand.  ``tokens`` gives every
+    entry's token as int64 and :meth:`take` the commits of the chosen entries
+    only.  ``len(m)`` counts the entries and ``pos in m`` tests an absolute
+    position.
     """
 
     def __init__(self, positions, tokens, confidences) -> None:
@@ -65,14 +68,17 @@ class ConfidenceMap:
     @property
     def tokens(self) -> np.ndarray:
         if callable(self._tokens):
-            return np.array(self._tokens(slice(None)), dtype=np.int64)
+            return np.array(self.take(slice(None))[1], dtype=np.int64)
         return self._tokens
 
-    def tokens_at(self, chosen) -> List[int]:
-        """The tokens of the entries ``chosen`` (indices into the arrays), as ints."""
+    def take(self, chosen) -> Tuple[List[int], List[int], List[float]]:
+        """``(positions, tokens, confidences)`` of the entries ``chosen`` (indices
+        into the arrays) as lists, each gathered once."""
+        positions = self.positions[chosen].tolist()
+        confidences = self.confidences[chosen].tolist()
         if callable(self._tokens):
-            return self._tokens(chosen)
-        return self._tokens[chosen].tolist()
+            return positions, self._tokens(positions, confidences), confidences
+        return positions, self._tokens[chosen].tolist(), confidences
 
     def __len__(self) -> int:
         return self.positions.size
@@ -87,30 +93,39 @@ class SequenceState:
     """One int64 token buffer, the prompt at ``[0, prompt_len)`` and the
     response after it, with mask bookkeeping.
 
-    ``response`` is a view of the buffer's response slots.  ``decoded_count``
-    always equals the number of response slots that no longer hold the mask
-    id; a slot never reverts to masked.  The state is single-owner: only the
-    decode loop mutates it, via :meth:`commit`.  The buffer never changes size.
+    ``decoded`` is the one home of mask status: an int64 0/1 flag per buffer
+    slot, the prompt at 1, a slot never reverting to 0.  ``decoded_count`` is
+    the number of decoded response slots.  ``tokens`` (a copy of the array
+    given), ``response`` (its response slots) and ``decoded`` are read-only
+    views: the state is single-owner, only :meth:`commit` writes it, and a
+    stray write raises ``ValueError``.  The buffer never changes size.
     """
 
     tokens: np.ndarray
     prompt_len: int
     vocab: Vocab
-    decoded_count: int = 0
     step: int = 0
+    decoded_count: int = field(init=False)
     gen_len: int = field(init=False)
     seq_len: int = field(init=False)
     response: np.ndarray = field(init=False, repr=False)
+    decoded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.seq_len = int(self.tokens.shape[0])
+        self._tokens = np.array(self.tokens, dtype=np.int64)
+        self._decoded = (self._tokens != self.vocab.mask_id).astype(np.int64)
+        self._decoded[:self.prompt_len] = 1
+        self.tokens, self.decoded = self._tokens.view(), self._decoded.view()
+        self.tokens.flags.writeable = self.decoded.flags.writeable = False
+        self.seq_len = int(self._tokens.shape[0])
         self.gen_len = self.seq_len - self.prompt_len
         self.response = self.tokens[self.prompt_len:]
+        self.decoded_count = int(self._decoded[self.prompt_len:].sum())
 
     def commit(self, position: int, token: int) -> None:
         """Write ``token`` into the masked response slot at ``position``.
 
-        The only operation that mutates response content.  Raises
+        The only operation that mutates the state's buffers.  Raises
         ``ValueError`` for a position outside the response, an out-of-range
         token or the mask id, and :class:`IllegalTransition` when the slot is
         already decoded.
@@ -121,9 +136,10 @@ class SequenceState:
             raise ValueError(f"token {token} outside vocab of size {self.vocab.size}")
         if token == self.vocab.mask_id:
             raise ValueError("cannot commit the mask token")
-        if int(self.tokens[position]) != self.vocab.mask_id:
+        if self._decoded[position]:
             raise IllegalTransition(f"position {position} is already decoded")
-        self.tokens[position] = token
+        self._tokens[position] = token
+        self._decoded[position] = 1
         self.decoded_count += 1
 
     def masked_positions(self, start: int, stop: int) -> np.ndarray:
@@ -132,13 +148,14 @@ class SequenceState:
             raise ValueError(
                 f"range [{start}, {stop}) not contained in [{self.prompt_len}, {self.seq_len})"
             )
-        out = (self.tokens[start:stop] == self.vocab.mask_id).nonzero()[0]
+        out = np.logical_not(self._decoded[start:stop]).nonzero()[0]
         out += start
         return out
 
 
-def new_sequence(prompt: Sequence[int], gen_len: int, vocab: Vocab) -> SequenceState:
-    """Fresh state: the prompt followed by ``gen_len`` mask slots, nothing decoded."""
+def check_prompt(prompt: Sequence[int], vocab: Vocab) -> np.ndarray:
+    """``prompt`` as int64; ``ValueError`` unless it is a non-empty 1-d sequence of
+    vocabulary ids other than the mask id."""
     try:
         prompt_arr = np.asarray(prompt, dtype=np.int64)
     except OverflowError:  # an id past int64 is outside every vocabulary
@@ -146,11 +163,17 @@ def new_sequence(prompt: Sequence[int], gen_len: int, vocab: Vocab) -> SequenceS
                          "or the mask id") from None
     if prompt_arr.ndim != 1 or prompt_arr.shape[0] == 0:
         raise ValueError("prompt must be a non-empty 1-d sequence of token ids")
-    if gen_len < 1:
-        raise ValueError(f"gen_len must be >= 1, got {gen_len}")
     bad = prompt_arr[(prompt_arr < 0) | (prompt_arr >= vocab.size) | (prompt_arr == vocab.mask_id)]
     if bad.size:
         raise ValueError(f"prompt token id {bad[0]} is outside the vocabulary or the mask id")
+    return prompt_arr
+
+
+def new_sequence(prompt: Sequence[int], gen_len: int, vocab: Vocab) -> SequenceState:
+    """Fresh state: the prompt followed by ``gen_len`` mask slots, nothing decoded."""
+    prompt_arr = check_prompt(prompt, vocab)
+    if gen_len < 1:
+        raise ValueError(f"gen_len must be >= 1, got {gen_len}")
     tokens = np.concatenate([prompt_arr, np.full(gen_len, vocab.mask_id, dtype=np.int64)])
     return SequenceState(tokens=tokens, prompt_len=int(prompt_arr.shape[0]), vocab=vocab)
 

@@ -247,15 +247,19 @@ def test_decode_with_unwritable_csv_runs_no_decode(tmp_path, prompt_file, monkey
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags, prompt",
     [
-        ["--gen-len", "100"],
-        ["--cache", "dual", "--denoiser", "oracle:profile={profile}"],
-        ["--eos-id", "32"],
+        (["--gen-len", "100"], "1 2 3"),
+        (["--cache", "dual", "--denoiser", "oracle:profile={profile}"], "1 2 3"),
+        (["--eos-id", "32"], "1 2 3"),
+        ([], "1 40"),
+        ([], "1 32"),
     ],
-    ids=["over-maxlen", "oracle-dual", "eos-is-mask-id"],
+    ids=["over-maxlen", "oracle-dual", "eos-is-mask-id", "prompt-id-outside-vocab", "prompt-id-is-mask-id"],
 )
-def test_rejected_decode_leaves_existing_outputs_alone(tmp_path, prompt_file, capsys, flags):
+def test_rejected_decode_leaves_existing_outputs_alone(tmp_path, capsys, flags, prompt):
+    prompt_file = tmp_path / "p.tok"
+    prompt_file.write_text(prompt + "\n")
     profile = tmp_path / "profile.txt"
     save_profile(hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=3), str(profile))
     outputs = {tmp_path / "out.csv": b"earlier,csv\n", tmp_path / "out.trace": b'{"earlier": "trace"}\n'}
@@ -264,7 +268,7 @@ def test_rejected_decode_leaves_existing_outputs_alone(tmp_path, prompt_file, ca
     args = {"--scheduler": "naive:B=4", "--sampler": "vanilla", "--cache": "nocache",
             "--denoiser": "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64", "--gen-len": "8"}
     args.update(zip(flags[::2], (f.format(profile=profile) for f in flags[1::2])))
-    code = main(["decode", *chain.from_iterable(args.items()), "--prompt-file", prompt_file,
+    code = main(["decode", *chain.from_iterable(args.items()), "--prompt-file", str(prompt_file),
                  "--csv", str(tmp_path / "out.csv"), "--trace", str(tmp_path / "out.trace")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")

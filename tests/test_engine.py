@@ -159,7 +159,6 @@ class TestReferenceEquivalence:
                 ),
                 prompt_len=lp,
                 vocab=VOCAB,
-                decoded_count=sum(1 for m in masked_flags if not m),
                 step=step,
             )
             return {pos: (tok, conf) for pos, tok, conf in
@@ -184,7 +183,6 @@ class TestReferenceEquivalence:
                 ),
                 prompt_len=lp,
                 vocab=VOCAB,
-                decoded_count=sum(1 for m in masked_flags if not m),
                 step=step,
             )
             return {pos: (tok, conf) for pos, tok, conf in

@@ -180,7 +180,7 @@ def test_array_scoring_matches_scalar_reference(case, data):
         profile, masked, state.step, state.prompt_len, vocab.mask_id, vocab.size
     ))
     chosen = sorted(data.draw(st.sets(st.integers(0, len(full) - 1)))) if full else []
-    assert scores.tokens_at(np.array(chosen, dtype=np.int64)) == [full[j][1] for j in chosen]
+    assert scores.take(np.array(chosen, dtype=np.int64))[1] == [full[j][1] for j in chosen]
     subset = data.draw(st.sets(st.sampled_from(full))) if full else set()
     assert triples(OracleDenoiser(profile, vocab).confidence_map(state, [p for p, _, _ in sorted(subset)])) \
         == sorted(subset)
@@ -258,14 +258,13 @@ def test_one_denoiser_scores_moving_column_spans_like_the_reference(gen_len, rad
     truth = data.draw(st.lists(st.integers(0, 63), min_size=gen_len, max_size=gen_len))
     deltas = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=gen_len, max_size=gen_len))
     den = OracleDenoiser(make_profile(deltas, 0.5, radius, truth, seed), vocab)
-    state = new_sequence([1, 2, 3], gen_len, vocab)
     step = first
     for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
         step = (step + data.draw(st.integers(min_value=-8, max_value=40))) % 2**64
+        state = new_sequence([1, 2, 3], gen_len, vocab)
         state.step = step
-        state.response[:] = vocab.mask_id
         for i in np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=gen_len, max_size=gen_len))):
-            state.response[i] = 5
+            state.commit(3 + i, 5)
         lo = data.draw(st.integers(0, gen_len - 1))
         hi = data.draw(st.integers(lo + 1, gen_len))
         window = [i for i in range(lo, hi) if state.response[i] == vocab.mask_id]
@@ -321,7 +320,7 @@ def test_kept_maps_draw_their_scoring_steps_tokens_for_any_chosen_entries():
         assert triples(scores) == expected
         for _ in range(20):
             chosen = np.flatnonzero(rng.random(len(scores)) < 0.3)
-            assert scores.tokens_at(chosen) == [expected[j][1] for j in chosen] \
+            assert scores.take(chosen)[1] == [expected[j][1] for j in chosen] \
                 == scores.tokens[chosen].tolist()
 
 

@@ -154,6 +154,69 @@ class TestTokenBuffer:
             assert state.response[p - state.prompt_len] == p
 
 
+class TestReadOnlyViews:
+    """Only ``commit`` writes the state: its buffers are exposed as read-only views."""
+
+    @pytest.mark.parametrize("name", ["tokens", "response", "decoded"])
+    def test_write_through_a_view_raises_and_leaves_the_state_alone(self, name):
+        state = new_sequence([3, 4], 4, VOCAB)
+        state.commit(3, 9)
+        before = state.tokens.copy(), state.decoded.copy(), state.decoded_count
+        view = getattr(state, name)
+        for write in (lambda: view.__setitem__(-1, 1), lambda: view.fill(0), lambda: np.add(view, 1, out=view)):
+            with pytest.raises(ValueError):
+                write()
+            assert np.array_equal(state.tokens, before[0])
+            assert np.array_equal(state.decoded, before[1])
+            assert state.decoded_count == before[2]
+
+    def test_constructor_copies_the_tokens_it_is_given(self):
+        tokens = np.array([3, 4, 9, VOCAB.mask_id, VOCAB.mask_id])
+        state = SequenceState(tokens=tokens, prompt_len=2, vocab=VOCAB)
+        assert state.decoded.tolist() == [1, 1, 1, 0, 0] and state.decoded_count == 1
+        tokens[3] = 5
+        assert state.masked_positions(2, 5).tolist() == [3, 4]
+        state.commit(4, 7)
+        assert tokens.tolist() == [3, 4, 9, 5, VOCAB.mask_id]
+        assert state.tokens.tolist() == [3, 4, 9, VOCAB.mask_id, 7]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    prompt_len=st.integers(min_value=1, max_value=4),
+    gen_len=st.integers(min_value=1, max_value=16),
+)
+def test_decoded_flags_agree_with_the_tokens_after_any_commits(data, prompt_len, gen_len):
+    """After any sequence of commits, rejected ones included, the decoded flags are
+    the non-mask slots (the prompt at 1), the count is their response sum, and
+    ``masked_positions`` is the brute-force list of mask slots."""
+    state = new_sequence(list(range(prompt_len)), gen_len, VOCAB)
+    seq_len = prompt_len + gen_len
+    commits = data.draw(st.lists(st.tuples(st.integers(-1, seq_len), st.integers(-1, VOCAB.size)), max_size=40))
+    for pos, tok in commits:
+        before = state.tokens.copy()
+        valid = prompt_len <= pos < seq_len and 0 <= tok < VOCAB.mask_id
+        try:
+            state.commit(pos, tok)
+        except IllegalTransition:
+            assert valid and before[pos] != VOCAB.mask_id
+        except ValueError:
+            assert not valid
+        else:
+            assert valid and before[pos] == VOCAB.mask_id and state.tokens[pos] == tok
+            before[pos] = tok
+        assert np.array_equal(state.tokens, before)
+        assert state.decoded.dtype == np.int64
+        assert state.decoded.tolist() == (state.tokens != VOCAB.mask_id).astype(int).tolist()
+        assert state.decoded[:prompt_len].tolist() == [1] * prompt_len
+        assert state.decoded_count == state.decoded[prompt_len:].sum()
+        start = data.draw(st.integers(prompt_len, seq_len))
+        stop = data.draw(st.integers(start, seq_len))
+        assert state.masked_positions(start, stop).tolist() == \
+            [p for p in range(start, stop) if state.tokens[p] == VOCAB.mask_id]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
