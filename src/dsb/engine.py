@@ -175,10 +175,7 @@ def build_denoiser(spec: str, seed_offset: int = 0) -> Denoiser:
 
 def make_prompt(vocab: Vocab, prompt_len: int, seed: int) -> np.ndarray:
     """Deterministic prompt of non-mask tokens for harness runs."""
-    rng = np.random.default_rng([seed, prompt_len])
-    idx = rng.integers(0, vocab.size - 1, size=prompt_len)
-    idx += idx >= vocab.mask_id  # skip the mask id
-    return idx
+    return vocab.draw(np.random.default_rng([seed, prompt_len]), prompt_len)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -139,11 +139,8 @@ class OracleDenoiser:
         if gen_len != self.profile.gen_len:
             raise ValueError(f"profile scripted for length {self.profile.gen_len}, got gen_len {gen_len}")
 
-    def confidence_map(
-        self, state: SequenceState, positions: Optional[Sequence[int]] = None
-    ) -> ConfidenceMap:
-        """Scores for the absolute ``positions`` (any order; the map ascends),
-        or every masked response position.
+    def confidence_map(self, state: SequenceState, positions: Sequence[int]) -> ConfidenceMap:
+        """Scores for the absolute ``positions`` (any order; the map ascends).
 
         Each scored position must be a masked response position.  The map's
         tokens are drawn on demand by :meth:`_draw`, bound to this call's step
@@ -153,8 +150,6 @@ class OracleDenoiser:
         self.check_lengths(state.prompt_len, state.gen_len)
         lp = state.prompt_len
         decoded = state.decoded[lp:]
-        if positions is None:
-            positions = state.masked_positions(lp, state.seq_len)
         pos = np.array(positions, dtype=np.int64)  # a copy, sorted in place
         pos.sort()
         idx = pos - lp
@@ -209,9 +204,7 @@ def hard_easy_profile(
         raise ValueError("hard_position outside the response")
     delta = [easy] * gen_len
     delta[hard_position] = hard
-    rng = np.random.default_rng(seed)
-    choices = [t for t in range(vocab.size) if t != vocab.mask_id]
-    truth = rng.choice(choices, size=gen_len).tolist()
+    truth = vocab.draw(np.random.default_rng(seed), gen_len).tolist()
     return make_profile(delta, gain, radius, truth, seed)
 
 

@@ -45,6 +45,13 @@ class Vocab:
                 f"mask_id {self.mask_id} outside vocab of size {self.size}"
             )
 
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` int64 ids drawn uniformly from the non-mask ids, in O(n): the
+        draws of ``rng.choice`` over the list of them, without building it."""
+        ids = rng.integers(0, self.size - 1, size=n)
+        ids += ids >= self.mask_id  # step past the mask id
+        return ids
+
 
 class ConfidenceMap:
     """One step's scores: two aligned arrays over ascending absolute positions,
@@ -54,22 +61,15 @@ class ConfidenceMap:
     so that tau tests and trace values are exact); samplers return indices
     into them.  The tokens (the best non-mask token at each entry) are either
     an array or a draw, a callable from lists of positions and confidences to
-    the list of their tokens, produced on demand.  ``tokens`` gives every
-    entry's token as int64 and :meth:`take` the commits of the chosen entries
-    only.  ``len(m)`` counts the entries and ``pos in m`` tests an absolute
-    position.
+    the list of their tokens, produced on demand; :meth:`take` is their one
+    read path.  ``len(m)`` counts the entries and ``pos in m`` tests an
+    absolute position.
     """
 
     def __init__(self, positions, tokens, confidences) -> None:
         self.positions = np.asarray(positions, dtype=np.int64)
         self.confidences = np.asarray(confidences, dtype=np.float64)
         self._tokens = tokens if callable(tokens) else np.asarray(tokens, dtype=np.int64)
-
-    @property
-    def tokens(self) -> np.ndarray:
-        if callable(self._tokens):
-            return np.array(self.take(slice(None))[1], dtype=np.int64)
-        return self._tokens
 
     def take(self, chosen) -> Tuple[List[int], List[int], List[float]]:
         """``(positions, tokens, confidences)`` of the entries ``chosen`` (indices
@@ -88,7 +88,7 @@ class ConfidenceMap:
         return bool(i < self.positions.size and self.positions[i] == pos)
 
 
-@dataclass
+@dataclass(eq=False)
 class SequenceState:
     """One int64 token buffer, the prompt at ``[0, prompt_len)`` and the
     response after it, with mask bookkeeping.
@@ -98,7 +98,8 @@ class SequenceState:
     the number of decoded response slots.  ``tokens`` (a copy of the array
     given), ``response`` (its response slots) and ``decoded`` are read-only
     views: the state is single-owner, only :meth:`commit` writes it, and a
-    stray write raises ``ValueError``.  The buffer never changes size.
+    stray write raises ``ValueError``.  The buffer never changes size, and a
+    state equals only itself.
     """
 
     tokens: np.ndarray

@@ -264,7 +264,7 @@ def triples(scores) -> List[Tuple[int, int, float]]:
     order, or of a ``{position: (token, confidence)}`` dict, by position."""
     if isinstance(scores, dict):
         return [(pos, tok, conf) for pos, (tok, conf) in sorted(scores.items())]
-    return list(zip(scores.positions.tolist(), scores.tokens.tolist(), scores.confidences.tolist()))
+    return list(zip(*scores.take(slice(None))))
 
 
 def select_reference(

@@ -162,7 +162,8 @@ class TestReferenceEquivalence:
                 step=step,
             )
             return {pos: (tok, conf) for pos, tok, conf in
-                    triples(OracleDenoiser(profile, VOCAB).confidence_map(state))}
+                    triples(OracleDenoiser(profile, VOCAB).confidence_map(
+                        state, state.masked_positions(lp, state.seq_len)))}
 
         expected = fixed_block_decode(conf_fn, lp, gen_len, block, tau=0.9)
         res = decode(den, NaiveBlock(block), ConfidenceThreshold(0.9), NoCache(), [1] * lp, gen_len)
@@ -186,7 +187,8 @@ class TestReferenceEquivalence:
                 step=step,
             )
             return {pos: (tok, conf) for pos, tok, conf in
-                    triples(OracleDenoiser(profile, VOCAB).confidence_map(state))}
+                    triples(OracleDenoiser(profile, VOCAB).confidence_map(
+                        state, state.masked_positions(lp, state.seq_len)))}
 
         expected = fixed_block_decode(conf_fn, lp, gen_len, block, tau=None)
         res = decode(den, NaiveBlock(block), VanillaTop1(), NoCache(), [1] * lp, gen_len)
@@ -661,7 +663,8 @@ def test_make_prompt_deterministic_and_maskless():
 
 @pytest.mark.parametrize("size", [3, 17, 33, 65, 1000])
 def test_make_prompt_draws_as_a_choice_over_the_non_mask_ids(size):
-    """The same prompts as drawing from the list of every non-mask id, without building it."""
+    """The same prompts, and hard-easy profile truths, as drawing from the list of
+    every non-mask id, without building it."""
     for mask_id in {0, size // 2, size - 1}:
         vocab = Vocab(size, mask_id)
         choices = np.array([t for t in range(size) if t != mask_id])
@@ -670,10 +673,16 @@ def test_make_prompt_draws_as_a_choice_over_the_non_mask_ids(size):
                 expected = np.random.default_rng([seed, prompt_len]).choice(choices, size=prompt_len)
                 got = make_prompt(vocab, prompt_len, seed)
                 assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+            truth = hard_easy_profile(24, 5, vocab, seed=seed).truth
+            assert list(truth) == np.random.default_rng(seed).choice(choices, size=24).tolist()
 
 
 def test_make_prompt_cost_does_not_grow_with_the_vocabulary():
+    """Neither the prompt nor a hard-easy profile's truth builds the list of
+    non-mask ids, so a 2**62-id vocabulary costs what a small one does."""
     vocab = Vocab(2**62, 2**61)
     prompt = make_prompt(vocab, 8, seed=0)
-    assert prompt.shape == (8,) and vocab.mask_id not in prompt.tolist()
-    assert ((0 <= prompt) & (prompt < vocab.size)).all()
+    truth = np.array(hard_easy_profile(8, 3, vocab).truth, dtype=np.int64)
+    for ids in (prompt, truth):
+        assert ids.shape == (8,) and vocab.mask_id not in ids.tolist()
+        assert ((0 <= ids) & (ids < vocab.size)).all()

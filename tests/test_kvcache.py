@@ -126,7 +126,7 @@ class TestRecomputeSet:
             recompute_set(NoCache(), BlockWindow(10, 30, 4, 4), primed_trace(10), 20)
 
 
-class TestAfterStep:
+class TestTraceMovesTheNextDecision:
     """How a finished step's record moves the next step's cache decision."""
 
     def test_counter_accumulates_and_crosses(self):

@@ -31,11 +31,16 @@ def profile_of(deltas, gain, radius, seed=0):
     return make_profile(deltas, gain, radius, [1] * len(deltas), seed)
 
 
+def all_masked(state):
+    """Every masked response position, the set the oracle scores in these tests."""
+    return state.masked_positions(state.prompt_len, state.seq_len)
+
+
 class TestConfidenceFormula:
     def test_easy_limit(self):
         prof = profile_of([0.0] * 6, gain=0.0, radius=2)
         state = new_sequence([1], 6, VOCAB)
-        conf = OracleDenoiser(prof, VOCAB).confidence_map(state)
+        conf = OracleDenoiser(prof, VOCAB).confidence_map(state, all_masked(state))
         assert all(abs(c - 1.0) < 1e-12 for _, _, c in triples(conf))
 
     def test_full_context_limit(self):
@@ -43,7 +48,7 @@ class TestConfidenceFormula:
         state = new_sequence([1], 5, VOCAB)
         for i in [0, 1, 3, 4]:
             state.commit(1 + i, 2)
-        ((pos, _, c),) = triples(OracleDenoiser(prof, VOCAB).confidence_map(state))
+        ((pos, _, c),) = triples(OracleDenoiser(prof, VOCAB).confidence_map(state, all_masked(state)))
         assert pos == 1 + 2 and abs(c - 1.0) < 1e-12
 
     def test_half_context_arithmetic(self):
@@ -52,7 +57,8 @@ class TestConfidenceFormula:
         state = new_sequence([1], 5, VOCAB)
         state.commit(1, 2)  # response indices 0 and 1
         state.commit(2, 2)
-        conf = dict((p, c) for p, _, c in triples(OracleDenoiser(prof, VOCAB).confidence_map(state)))
+        conf = OracleDenoiser(prof, VOCAB).confidence_map(state, all_masked(state))
+        conf = dict((p, c) for p, _, c in triples(conf))
         assert abs(conf[1 + 2] - 0.65) < 1e-12
 
     def test_validation(self):
@@ -79,7 +85,7 @@ def context_case(decoded, radius):
 def context_map(decoded, radius):
     """Context fraction per masked response index, read through the oracle."""
     den, state = context_case(decoded, radius)
-    return {p - 1: c for p, _, c in triples(den.confidence_map(state))}
+    return {p - 1: c for p, _, c in triples(den.confidence_map(state, all_masked(state)))}
 
 
 class TestContextFractions:
@@ -140,7 +146,7 @@ def test_monotone_context_benefit(gen_len, radius, gain, data):
 
 @st.composite
 def oracle_cases(draw):
-    """A random profile, vocabulary, partially decoded state and step."""
+    """A random profile, vocabulary and partially decoded state."""
     vocab_size = draw(st.integers(min_value=3, max_value=40))
     vocab = Vocab(size=vocab_size, mask_id=draw(st.integers(0, vocab_size - 1)))
     tokens = [t for t in range(vocab_size) if t != vocab.mask_id]
@@ -162,28 +168,7 @@ def oracle_cases(draw):
     for pos in range(state.prompt_len, state.seq_len):
         if draw(st.booleans()):
             state.commit(pos, draw(st.sampled_from(tokens)))
-    state.step = draw(st.integers(min_value=0, max_value=2**64 - 1))
     return profile, vocab, state
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=oracle_cases(), data=st.data())
-def test_array_scoring_matches_scalar_reference(case, data):
-    """The vectorised oracle equals the per-position hash loop, bit for bit,
-    drawing the tokens of a chosen subset of entries gives theirs, and scoring
-    a subset of positions equals the full map restricted to it."""
-    profile, vocab, state = case
-    masked = (state.response == vocab.mask_id).tolist()
-    scores = OracleDenoiser(profile, vocab).confidence_map(state)
-    full = triples(scores)
-    assert full == triples(scalar_oracle_confidences(
-        profile, masked, state.step, state.prompt_len, vocab.mask_id, vocab.size
-    ))
-    chosen = sorted(data.draw(st.sets(st.integers(0, len(full) - 1)))) if full else []
-    assert scores.take(np.array(chosen, dtype=np.int64))[1] == [full[j][1] for j in chosen]
-    subset = data.draw(st.sets(st.sampled_from(full))) if full else set()
-    assert triples(OracleDenoiser(profile, vocab).confidence_map(state, [p for p, _, _ in sorted(subset)])) \
-        == sorted(subset)
 
 
 def reference_map(den, state):
@@ -191,6 +176,38 @@ def reference_map(den, state):
     return triples(scalar_oracle_confidences(
         den.profile, masked, state.step, state.prompt_len, den.vocab.mask_id, den.vocab.size
     ))
+
+
+# The ends and the sign bit of the 64-bit step range.
+EDGE_STEPS = [0, 2**63, 2**64 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=oracle_cases(), data=st.data())
+def test_kept_maps_equal_the_reference_at_their_scoring_step(case, data):
+    """One denoiser is called 1-6 times, each at its own step, on all, a
+    permutation or a subset of the masked positions, and up to 4 of them are
+    committed after each call.  Once every call has run, each kept map equals
+    the per-position hash loop at its own step and state, restricted to its
+    positions, and so does ``take`` of any chosen entries: no map reads the
+    state, the step or the denoiser's scratch after its call."""
+    profile, vocab, state = case
+    den = OracleDenoiser(profile, vocab)
+    kept = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        state.step = data.draw(st.one_of(st.sampled_from(EDGE_STEPS), st.integers(0, 2**64 - 1)))
+        masked = all_masked(state).tolist()
+        positions = data.draw(st.one_of(
+            st.just(masked), st.permutations(masked), st.lists(st.sampled_from(masked), unique=True)
+        ) if masked else st.just([]))
+        kept.append((den.confidence_map(state, positions),
+                     [t for t in reference_map(den, state) if t[0] in positions]))
+        for pos in data.draw(st.lists(st.sampled_from(masked), unique=True, max_size=4)) if masked else []:
+            state.commit(pos, (vocab.mask_id + 1) % vocab.size)
+    for scores, expected in kept:
+        assert triples(scores) == expected
+        chosen = sorted(data.draw(st.sets(st.integers(0, len(expected) - 1)))) if expected else []
+        assert list(zip(*scores.take(np.array(chosen, dtype=np.int64)))) == [expected[j] for j in chosen]
 
 
 def coin_flip_case(seed=7):
@@ -205,135 +222,17 @@ def coin_flip_case(seed=7):
     return OracleDenoiser(prof, VOCAB), state
 
 
-# Both sides of multiples of 32, revisits, and the end of the 64-bit step range.
-BLOCK_EDGE_STEPS = [0, 31, 32, 33, 5, 2**63, 2**64 - 33, 2**64 - 32, 2**64 - 1]
-
-
-def test_one_denoiser_scores_block_edges_like_the_reference():
-    """One denoiser scores each step in turn; every map equals the
-    per-position hash loop."""
-    den, state = coin_flip_case()
-    for step in BLOCK_EDGE_STEPS:
-        state.step = step
-        assert triples(den.confidence_map(state)) == reference_map(den, state), step
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    case=oracle_cases(),
-    steps=st.lists(
-        st.one_of(
-            st.integers(min_value=0, max_value=100),
-            st.integers(min_value=2**64 - 100, max_value=2**64 - 1),
-            st.integers(min_value=0, max_value=2**64 - 1),
-        ),
-        min_size=1, max_size=12,
-    ),
-)
-def test_one_denoiser_scores_any_step_order_like_the_reference(case, steps):
-    profile, vocab, state = case
-    den = OracleDenoiser(profile, vocab)
-    for step in steps:
-        state.step = step
-        assert triples(den.confidence_map(state)) == reference_map(den, state)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    gen_len=st.integers(min_value=1, max_value=120),
-    radius=st.integers(min_value=1, max_value=6),
-    seed=st.integers(min_value=0, max_value=2**64 - 1),
-    first=st.one_of(
-        st.integers(min_value=0, max_value=64),
-        st.integers(min_value=2**64 - 64, max_value=2**64 - 1),
-        st.integers(min_value=0, max_value=2**64 - 1),
-    ),
-    data=st.data(),
-)
-def test_one_denoiser_scores_moving_column_spans_like_the_reference(gen_len, radius, seed, first, data):
-    """One denoiser scores random position subsets that move left and right,
-    over step sequences that revisit steps and cross multiples of 32 (wrapping
-    past 2**64 - 1); every map equals the per-position hash loop."""
-    vocab = Vocab(size=65, mask_id=64)
-    truth = data.draw(st.lists(st.integers(0, 63), min_size=gen_len, max_size=gen_len))
-    deltas = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=gen_len, max_size=gen_len))
-    den = OracleDenoiser(make_profile(deltas, 0.5, radius, truth, seed), vocab)
-    step = first
-    for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
-        step = (step + data.draw(st.integers(min_value=-8, max_value=40))) % 2**64
-        state = new_sequence([1, 2, 3], gen_len, vocab)
-        state.step = step
-        for i in np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=gen_len, max_size=gen_len))):
-            state.commit(3 + i, 5)
-        lo = data.draw(st.integers(0, gen_len - 1))
-        hi = data.draw(st.integers(lo + 1, gen_len))
-        window = [i for i in range(lo, hi) if state.response[i] == vocab.mask_id]
-        subset = data.draw(st.sets(st.sampled_from(window))) if window else set()
-        positions = [3 + i for i in subset]  # any order: the map ascends
-        expected = [t for t in reference_map(den, state) if t[0] in positions]
-        assert triples(den.confidence_map(state, positions)) == expected, step
-
-
-def test_kept_maps_share_no_scratch_with_later_calls():
-    """Maps kept from alternating calls on two states, across multiples of
-    32 and with and without positions, still equal the per-position hash
-    loop once every call has run: no map holds a view of the denoiser's
-    per-step scratch."""
-    den, first = coin_flip_case()
-    second = new_sequence([1, 2], 40, VOCAB)
-    for i in range(1, 40, 3):
-        second.commit(2 + i, 4)
-    kept = []
-    for n, step in enumerate([29, 31, 32, 33, 63, 64, 96, 5, 127, 128]):
-        for state in (first, second):
-            state.step = step
-            masked = (state.response == VOCAB.mask_id).tolist()
-            scored = [2 + i for i, m in enumerate(masked) if m]
-            positions = None if n % 2 else scored[n % 3::2]
-            kept.append((den.confidence_map(state, positions), masked, step, positions or scored))
-            state.commit(scored[n], 4)
-    for conf, masked, step, positions in kept:
-        expected = triples(scalar_oracle_confidences(den.profile, masked, step, 2, VOCAB.mask_id, VOCAB.size))
-        assert triples(conf) == [t for t in expected if t[0] in positions], step
-
-
-def test_kept_maps_draw_their_scoring_steps_tokens_for_any_chosen_entries():
-    """Maps scored at steps 0, 31, 32, 2**63 and 2**64 - 1 are kept while the
-    state moves to the next step, commits and is scored again.  Each then draws,
-    for any chosen subset of its entries, the tokens the per-position hash loop
-    gives at the step it was scored at.  The mask id sits mid-vocabulary with
-    truths on both sides, so both reserved-id shifts move decoys."""
-    vocab = Vocab(size=16, mask_id=7)
-    gen_len = 40
-    truth = [t + (t >= 7) for t in ((5 * i + 2) % 15 for i in range(gen_len))]
-    den = OracleDenoiser(make_profile([0.5] * gen_len, 0.2, 2, truth, 7), vocab)
-    state = new_sequence([1, 2], gen_len, vocab)
-    kept = []
-    for n, step in enumerate([0, 31, 32, 2**63, 2**64 - 1]):
-        state.step = step
-        kept.append((den.confidence_map(state), reference_map(den, state)))
-        state.commit(2 + 7 * n, 3)
-        state.step += 1
-        den.confidence_map(state)
-    rng = np.random.default_rng(0)
-    for scores, expected in kept:
-        assert triples(scores) == expected
-        for _ in range(20):
-            chosen = np.flatnonzero(rng.random(len(scores)) < 0.3)
-            assert scores.take(chosen)[1] == [expected[j][1] for j in chosen] \
-                == scores.tokens[chosen].tolist()
-
-
 def test_reseeded_oracle_draws_its_own_coins_and_leaves_the_original_alone():
     den, state = coin_flip_case(seed=7)
     state.step = 40
-    before = triples(den.confidence_map(state))
+    masked = all_masked(state)
+    before = triples(den.confidence_map(state, masked))
     copy = OracleDenoiser(replace(den.profile, seed=8), VOCAB)
     fresh = OracleDenoiser(replace(den.profile, seed=8), VOCAB)
-    assert triples(copy.confidence_map(state)) == triples(fresh.confidence_map(state)) \
+    assert triples(copy.confidence_map(state, masked)) == triples(fresh.confidence_map(state, masked)) \
         == reference_map(fresh, state)
-    assert triples(copy.confidence_map(state)) != before
-    assert triples(den.confidence_map(state)) == before
+    assert triples(copy.confidence_map(state, masked)) != before
+    assert triples(den.confidence_map(state, masked)) == before
 
 
 # sha256 of each trace (one JSON line per step, as write_trace writes it) of the
@@ -372,7 +271,8 @@ def test_radius_past_the_response_reaches_the_whole_response():
     state = new_sequence([1], 6, VOCAB)
     state.commit(1 + 2, 3)
     wide, whole = (OracleDenoiser(profile_of([0.5] * 6, gain=0.5, radius=r), VOCAB) for r in (10**20, 6))
-    assert triples(wide.confidence_map(state)) == triples(whole.confidence_map(state))
+    masked = all_masked(state)
+    assert triples(wide.confidence_map(state, masked)) == triples(whole.confidence_map(state, masked))
 
 
 def test_positions_must_be_masked_response_positions():
@@ -389,8 +289,8 @@ class TestDeterminism:
         prof = profile_of([0.4] * 8, gain=0.3, radius=2, seed=9)
         state = new_sequence([1, 2], 8, VOCAB)
         state.commit(2 + 3, 4)
-        a = OracleDenoiser(prof, VOCAB).confidence_map(state)
-        b = OracleDenoiser(prof, VOCAB).confidence_map(state)
+        a = OracleDenoiser(prof, VOCAB).confidence_map(state, all_masked(state))
+        b = OracleDenoiser(prof, VOCAB).confidence_map(state, all_masked(state))
         assert triples(a) == triples(b)
 
     def test_different_seed_changes_decoys(self):
@@ -398,7 +298,7 @@ class TestDeterminism:
         maps = []
         for seed in (1, 2):
             prof = profile_of([0.95] * 40, gain=0.0, radius=2, seed=seed)
-            maps.append(OracleDenoiser(prof, VOCAB).confidence_map(state))
+            maps.append(OracleDenoiser(prof, VOCAB).confidence_map(state, all_masked(state)))
         tokens_a = [tok for _, tok, _ in triples(maps[0])]
         tokens_b = [tok for _, tok, _ in triples(maps[1])]
         assert tokens_a != tokens_b
@@ -406,7 +306,7 @@ class TestDeterminism:
     def test_tokens_never_mask_or_out_of_range(self):
         prof = profile_of([0.9] * 30, gain=0.1, radius=3, seed=5)
         state = new_sequence([1], 30, VOCAB)
-        conf = OracleDenoiser(prof, VOCAB).confidence_map(state)
+        conf = OracleDenoiser(prof, VOCAB).confidence_map(state, all_masked(state))
         for _, tok, _ in triples(conf):
             assert 0 <= tok < VOCAB.size
             assert tok != VOCAB.mask_id

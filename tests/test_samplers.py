@@ -25,7 +25,7 @@ def cmap(entries):
 
 def commits(conf, chosen):
     """The (position, token) pairs that indices into ``conf`` select."""
-    return list(zip(conf.positions[chosen].tolist(), conf.tokens[chosen].tolist()))
+    return list(zip(*conf.take(chosen)[:2]))
 
 
 class TestTop1:

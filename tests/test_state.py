@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsb.schedulers import BlockWindow, eligible_set
 from dsb.state import (
     IllegalTransition,
     SequenceState,
@@ -25,6 +24,13 @@ def test_vocab_validation():
         Vocab(size=8, mask_id=8)
     with pytest.raises(ValueError):
         Vocab(size=8, mask_id=-1)
+
+
+def test_states_compare_by_identity():
+    """The single-owner state equals only itself, and comparing two does not
+    compare their arrays (an ndarray's truth value is ambiguous)."""
+    a, b = new_sequence([1, 2], 4, VOCAB), new_sequence([1, 2], 4, VOCAB)
+    assert a == a and a != b and not a == b
 
 
 class TestNewSequence:
@@ -215,23 +221,6 @@ def test_decoded_flags_agree_with_the_tokens_after_any_commits(data, prompt_len,
         stop = data.draw(st.integers(start, seq_len))
         assert state.masked_positions(start, stop).tolist() == \
             [p for p in range(start, stop) if state.tokens[p] == VOCAB.mask_id]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    data=st.data(),
-    prompt_len=st.integers(min_value=1, max_value=6),
-    gen_len=st.integers(min_value=1, max_value=24),
-)
-def test_eligible_set_is_masked_positions_of_the_window(data, prompt_len, gen_len):
-    state = new_sequence([1] * prompt_len, gen_len, VOCAB)
-    seq_len = prompt_len + gen_len
-    for pos in data.draw(st.sets(st.integers(prompt_len, seq_len - 1))):
-        state.commit(pos, 2)
-    start = data.draw(st.integers(prompt_len, seq_len))
-    end = data.draw(st.integers(start, seq_len))
-    out = eligible_set(BlockWindow(start, end, 4, None), state)
-    assert np.array_equal(out, state.masked_positions(start, end))
 
 
 def test_step_record_json_round_trip():
