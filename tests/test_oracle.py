@@ -210,6 +210,27 @@ def test_kept_maps_equal_the_reference_at_their_scoring_step(case, data):
         assert list(zip(*scores.take(np.array(chosen, dtype=np.int64)))) == [expected[j] for j in chosen]
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=oracle_cases(), data=st.data())
+def test_array_scoring_matches_scalar_reference(case, data):
+    """The vectorised oracle equals the per-position hash loop, bit for bit,
+    drawing the tokens of a chosen subset of entries gives theirs, and scoring
+    a subset of positions equals the full map restricted to it."""
+    profile, vocab, state = case
+    state.step = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
+    masked = (state.response == vocab.mask_id).tolist()
+    scores = OracleDenoiser(profile, vocab).confidence_map(state, all_masked(state))
+    full = triples(scores)
+    assert full == triples(scalar_oracle_confidences(
+        profile, masked, state.step, state.prompt_len, vocab.mask_id, vocab.size
+    ))
+    chosen = sorted(data.draw(st.sets(st.integers(0, len(full) - 1)))) if full else []
+    assert scores.take(np.array(chosen, dtype=np.int64))[1] == [full[j][1] for j in chosen]
+    subset = data.draw(st.sets(st.sampled_from(full))) if full else set()
+    assert triples(OracleDenoiser(profile, vocab).confidence_map(state, [p for p, _, _ in sorted(subset)])) \
+        == sorted(subset)
+
+
 def coin_flip_case(seed=7):
     """A denoiser whose every masked position is a near-even truth-or-decoy coin,
     so draws from any other step or seed show in the tokens."""
@@ -220,6 +241,124 @@ def coin_flip_case(seed=7):
     for i in range(0, gen_len, 5):
         state.commit(2 + i, 4)
     return OracleDenoiser(prof, VOCAB), state
+
+
+# Both sides of multiples of 32, revisits, and the end of the 64-bit step range.
+BLOCK_EDGE_STEPS = [0, 31, 32, 33, 5, 2**63, 2**64 - 33, 2**64 - 32, 2**64 - 1]
+
+
+def test_one_denoiser_scores_block_edges_like_the_reference():
+    """One denoiser scores each step in turn; every map equals the
+    per-position hash loop."""
+    den, state = coin_flip_case()
+    for step in BLOCK_EDGE_STEPS:
+        state.step = step
+        assert triples(den.confidence_map(state, all_masked(state))) == reference_map(den, state), step
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=oracle_cases(),
+    steps=st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=100),
+            st.integers(min_value=2**64 - 100, max_value=2**64 - 1),
+            st.integers(min_value=0, max_value=2**64 - 1),
+        ),
+        min_size=1, max_size=12,
+    ),
+)
+def test_one_denoiser_scores_any_step_order_like_the_reference(case, steps):
+    profile, vocab, state = case
+    den = OracleDenoiser(profile, vocab)
+    for step in steps:
+        state.step = step
+        assert triples(den.confidence_map(state, all_masked(state))) == reference_map(den, state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gen_len=st.integers(min_value=1, max_value=120),
+    radius=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    first=st.one_of(
+        st.integers(min_value=0, max_value=64),
+        st.integers(min_value=2**64 - 64, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    ),
+    data=st.data(),
+)
+def test_one_denoiser_scores_moving_column_spans_like_the_reference(gen_len, radius, seed, first, data):
+    """One denoiser scores random position subsets that move left and right,
+    over step sequences that revisit steps and cross multiples of 32 (wrapping
+    past 2**64 - 1); every map equals the per-position hash loop."""
+    vocab = Vocab(size=65, mask_id=64)
+    truth = data.draw(st.lists(st.integers(0, 63), min_size=gen_len, max_size=gen_len))
+    deltas = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=gen_len, max_size=gen_len))
+    den = OracleDenoiser(make_profile(deltas, 0.5, radius, truth, seed), vocab)
+    step = first
+    for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
+        step = (step + data.draw(st.integers(min_value=-8, max_value=40))) % 2**64
+        state = new_sequence([1, 2, 3], gen_len, vocab)
+        state.step = step
+        for i in np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=gen_len, max_size=gen_len))):
+            state.commit(3 + i, 5)
+        lo = data.draw(st.integers(0, gen_len - 1))
+        hi = data.draw(st.integers(lo + 1, gen_len))
+        window = [i for i in range(lo, hi) if state.response[i] == vocab.mask_id]
+        subset = data.draw(st.sets(st.sampled_from(window))) if window else set()
+        positions = [3 + i for i in subset]  # any order: the map ascends
+        expected = [t for t in reference_map(den, state) if t[0] in positions]
+        assert triples(den.confidence_map(state, positions)) == expected, step
+
+
+def test_kept_maps_share_no_scratch_with_later_calls():
+    """Maps kept from alternating calls on two states, across multiples of
+    32 and on all or every other masked position, still equal the
+    per-position hash loop once every call has run: no map holds a view of
+    the denoiser's per-step scratch."""
+    den, first = coin_flip_case()
+    second = new_sequence([1, 2], 40, VOCAB)
+    for i in range(1, 40, 3):
+        second.commit(2 + i, 4)
+    kept = []
+    for n, step in enumerate([29, 31, 32, 33, 63, 64, 96, 5, 127, 128]):
+        for state in (first, second):
+            state.step = step
+            masked = (state.response == VOCAB.mask_id).tolist()
+            scored = [2 + i for i, m in enumerate(masked) if m]
+            positions = scored if n % 2 else scored[n % 3::2]
+            kept.append((den.confidence_map(state, positions), masked, step, positions))
+            state.commit(scored[n], 4)
+    for conf, masked, step, positions in kept:
+        expected = triples(scalar_oracle_confidences(den.profile, masked, step, 2, VOCAB.mask_id, VOCAB.size))
+        assert triples(conf) == [t for t in expected if t[0] in positions], step
+
+
+def test_kept_maps_draw_their_scoring_steps_tokens_for_any_chosen_entries():
+    """Maps scored at steps 0, 31, 32, 2**63 and 2**64 - 1 are kept while the
+    state moves to the next step, commits and is scored again.  Each then draws,
+    for any chosen subset of its entries, the tokens the per-position hash loop
+    gives at the step it was scored at.  The mask id sits mid-vocabulary with
+    truths on both sides, so both reserved-id shifts move decoys."""
+    vocab = Vocab(size=16, mask_id=7)
+    gen_len = 40
+    truth = [t + (t >= 7) for t in ((5 * i + 2) % 15 for i in range(gen_len))]
+    den = OracleDenoiser(make_profile([0.5] * gen_len, 0.2, 2, truth, 7), vocab)
+    state = new_sequence([1, 2], gen_len, vocab)
+    kept = []
+    for n, step in enumerate([0, 31, 32, 2**63, 2**64 - 1]):
+        state.step = step
+        kept.append((den.confidence_map(state, all_masked(state)), reference_map(den, state)))
+        state.commit(2 + 7 * n, 3)
+        state.step += 1
+        den.confidence_map(state, all_masked(state))
+    rng = np.random.default_rng(0)
+    for scores, expected in kept:
+        assert triples(scores) == expected
+        for _ in range(20):
+            chosen = np.flatnonzero(rng.random(len(scores)) < 0.3)
+            assert scores.take(chosen)[1] == [expected[j][1] for j in chosen]
 
 
 def test_reseeded_oracle_draws_its_own_coins_and_leaves_the_original_alone():
