@@ -37,6 +37,15 @@ def main():
     parser.add_argument("--radius", type=int, default=4)
     parser.add_argument("--tau", type=float, default=0.9)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    if not 1 <= args.radius <= args.block < args.gen_len:
+        parser.error(f"need 1 <= radius <= block < gen-len, got radius {args.radius}, "
+                     f"block {args.block}, gen-len {args.gen_len}")
+    try:
+        sampler = ConfidenceThreshold(args.tau)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     prompt = [1, 2]
     lp = len(prompt)
@@ -54,7 +63,7 @@ def main():
                                     radius=args.radius, seed=seed)
         den = OracleDenoiser(profile, VOCAB)
         for name, kind in schedulers.items():
-            res = decode(den, kind, ConfidenceThreshold(args.tau), NoCache(),
+            res = decode(den, kind, sampler, NoCache(),
                          prompt, args.gen_len)
             agg = totals[name]
             agg["steps"] += res.steps

@@ -1,6 +1,8 @@
-"""Everything under scripts/ runs: the sweep grid files through `dsb grid`, and the Fig. 1 demo."""
+"""Everything under scripts/ runs: the sweep grid files through `dsb grid`, and the Fig. 1 demo
+(test_mutants.py runs the mutant runner)."""
 
 import csv
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +40,19 @@ def test_fig1_demo_runs():
         cwd=ROOT, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["--seeds", "0"],
+    ["--block", "64"],  # the first beyond-block position lies past the response
+    ["--block", "2"],  # below the radius, so the hard slot would sit before the response
+    ["--gen-len", "0"],
+    ["--radius", "0"],
+    ["--tau", "0"],
+], ids=" ".join)
+def test_fig1_demo_rejects_bad_arguments_cleanly(args, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["fig1_demo.py", *args])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(ROOT / "scripts" / "fig1_demo.py"), run_name="__main__")
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == "" and "fig1_demo.py: error:" in err
