@@ -21,6 +21,8 @@ class Mutant(NamedTuple):
 
 
 KEPT_MAPS = ("tests/test_oracle.py::test_kept_maps_equal_the_reference_at_their_scoring_step",)
+CACHE_DECISIONS = ("tests/test_kvcache.py::test_coverage_and_validity_discipline_over_randomized_traces",)
+ADVANCE = ("tests/test_schedulers.py::test_advance_matches_the_reference_over_random_traces",)
 
 MUTANTS = (
     Mutant(
@@ -93,21 +95,74 @@ MUTANTS = (
         "kvcache.py",
         "return max(prefix_min, start_now - start_prev)",
         "return prefix_min",
-        ("tests/test_kvcache.py::TestPrefixWindowLen::test_matches_max_formula",),
+        CACHE_DECISIONS,
     ),
     Mutant(
         "dual never resyncs",
         "kvcache.py",
         "if window.start - refresh.block_start >= window.init_size:",
         "if False:",
-        ("tests/test_kvcache.py::TestRecomputeSet::test_dual_resync_on_block_completion",),
+        CACHE_DECISIONS,
     ),
     Mutant(
         "DSB refresh one commit late",
         "kvcache.py",
         "if tokens_since_refresh >= window.init_size:",
         "if tokens_since_refresh > window.init_size:",
-        ("tests/test_kvcache.py::TestRecomputeSet::test_dsbcache_refresh_when_counter_crosses",),
+        CACHE_DECISIONS,
+    ),
+    Mutant(
+        "dual anchored at the previous step",
+        "kvcache.py",
+        "refresh.block_start >= window.init_size:",
+        "records[-1].block_start >= window.init_size:",
+        CACHE_DECISIONS,
+    ),
+    Mutant(
+        "prefix window slid from the last refresh",
+        "kvcache.py",
+        "window.start, records[-1].block_start)",
+        "window.start, refresh.block_start)",
+        CACHE_DECISIONS,
+    ),
+    Mutant(
+        "suffix window past the sequence end",
+        "kvcache.py",
+        "hi = min(seq_len, window.end + policy.suffix_len)",
+        "hi = window.end + policy.suffix_len",
+        CACHE_DECISIONS,
+    ),
+    Mutant(
+        "prefix window reflected at zero",
+        "kvcache.py",
+        "lo = max(0, window.start - pw)",
+        "lo = abs(window.start - pw)",
+        CACHE_DECISIONS,
+    ),
+    Mutant(
+        "refresh step's own commits counted",
+        "kvcache.py",
+        "        if refresh.cache_event == EVENT_REFRESH:\n"
+        "            break\n"
+        "        tokens_since_refresh += len(refresh.positions)\n",
+        "        tokens_since_refresh += len(refresh.positions)\n"
+        "        if refresh.cache_event == EVENT_REFRESH:\n"
+        "            break\n",
+        CACHE_DECISIONS,
+    ),
+    Mutant(
+        "nocache steps tagged as refreshes",
+        "kvcache.py",
+        "return range(seq_len), EVENT_NONE",
+        "return range(seq_len), EVENT_REFRESH",
+        CACHE_DECISIONS,
+    ),
+    Mutant(
+        "dual recomputes one row past the block",
+        "kvcache.py",
+        "return range(window.start, window.end), EVENT_PARTIAL",
+        "return range(window.start, min(seq_len, window.end + 1)), EVENT_PARTIAL",
+        CACHE_DECISIONS,
     ),
     Mutant(
         "strict > tau",
@@ -121,7 +176,21 @@ MUTANTS = (
         "schedulers.py",
         "end = min(end, start + window.max_size)",
         "end = end",
-        ("tests/test_schedulers.py::test_sliding_invariants_over_random_traces",),
+        ADVANCE,
+    ),
+    Mutant(
+        "naive's last block runs past the response",
+        "schedulers.py",
+        "min(window.end + window.init_size, state.seq_len)",
+        "window.end + window.init_size",
+        ADVANCE,
+    ),
+    Mutant(
+        "sliding right edge not clamped to the response",
+        "schedulers.py",
+        "max(start, min(end, state.seq_len))",
+        "max(start, end)",
+        ADVANCE,
     ),
     Mutant(
         "naive block moves on one slot early",

@@ -60,6 +60,48 @@ class SlidingBoundaryInterpreter:
         return self.start, self.end
 
 
+class CacheInterpreter:
+    """Step-by-step executor of the three cache policies' recompute rules.
+
+    ``policy`` is ``"nocache"``, ``"dual"`` or ``"dsbcache"``.  ``nocache``
+    recomputes every position.  The other two refresh every position on their
+    first step.  After that ``dual`` refreshes once the block start is
+    ``init_size`` past the last refresh's, and otherwise recomputes the block;
+    ``dsbcache`` refreshes once ``init_size`` commits have landed since the
+    last refresh, and otherwise recomputes [start - max(pmin, slide since the
+    previous step), end + suffix), cut to [0, seq_len).  A refresh step's own
+    commits are not counted.
+    """
+
+    def __init__(self, policy: str, init_size: int, seq_len: int, pmin: int = 1, suffix: int = 0):
+        self.policy, self.init_size, self.seq_len = policy, init_size, seq_len
+        self.pmin, self.suffix = pmin, suffix
+        self.anchor: Optional[int] = None  # block start at the last refresh
+        self.since = 0  # commits since that refresh
+        self.prev_start = 0  # the previous step's block start
+
+    def step(self, start: int, end: int, commits: int) -> Tuple[List[int], str]:
+        """This step's ``(ascending positions, event)``; then count its ``commits``."""
+        if self.policy == "nocache":
+            return list(range(self.seq_len)), "none"
+        if self.anchor is None:
+            refresh = True
+        elif self.policy == "dual":
+            refresh = start - self.anchor >= self.init_size
+        else:
+            refresh = self.since >= self.init_size
+        if refresh:
+            self.anchor, self.since, self.prev_start = start, 0, start
+            return list(range(self.seq_len)), "global-refresh"
+        if self.policy == "dual":
+            lo, hi = start, end
+        else:
+            lo, hi = start - max(self.pmin, start - self.prev_start), end + self.suffix
+        self.since += commits
+        self.prev_start = start
+        return [p for p in range(lo, hi) if 0 <= p < self.seq_len], "partial"
+
+
 def advance_reference(kind, window, masked: List[bool], prompt_len: int) -> Tuple[int, int]:
     """One boundary update of either schedule, from the masked flags of the
     response: ``(start, end)`` of the next window.

@@ -12,8 +12,10 @@ from dsb.kvcache import (
     prefix_window_len,
     recompute_set,
 )
-from dsb.schedulers import BlockWindow
-from dsb.state import EVENT_NONE, EVENT_PARTIAL, EVENT_REFRESH, StepRecord
+from dsb.schedulers import BlockWindow, NaiveBlock, SlidingBlock, advance, eligible_set, init_window
+from dsb.state import EVENT_NONE, EVENT_PARTIAL, EVENT_REFRESH, StepRecord, Vocab, new_sequence
+
+from reference import CacheInterpreter
 
 
 class TestPrefixWindowLen:
@@ -126,55 +128,12 @@ class TestRecomputeSet:
             recompute_set(NoCache(), BlockWindow(10, 30, 4, 4), primed_trace(10), 20)
 
 
-class TestTraceMovesTheNextDecision:
-    """How a finished step's record moves the next step's cache decision."""
-
-    def test_counter_accumulates_and_crosses(self):
-        window = BlockWindow(104, 110, 32, 32)
-        trace = primed_trace(100, tokens=30)
-        assert recompute_set(DSBCache(prefix_min=4), window, trace, 200)[1] == EVENT_PARTIAL
-        trace.append(record(104, EVENT_PARTIAL, 3))  # 30 + 3 commits since the refresh
-        _, event = recompute_set(DSBCache(prefix_min=4), window, trace, 200)
-        assert event == EVENT_REFRESH
-
-    def test_refresh_resets(self):
-        trace = primed_trace(100, tokens=33) + [record(104, EVENT_REFRESH, 5)]
-        # The refresh step's own 5 commits are not counted: 28 more stay below 32.
-        counted = trace + [record(104, EVENT_PARTIAL, 28)]
-        rset, event = recompute_set(DSBCache(prefix_min=4), BlockWindow(104, 136, 32, 32), counted, 200)
-        assert (rset, event) == (range(100, 136), EVENT_PARTIAL)
-        # Its block start is the previous start, sizing the prefix window.
-        rset, _ = recompute_set(DSBCache(prefix_min=4), BlockWindow(110, 142, 32, 32), trace, 200)
-        assert rset == range(104, 142)
-        # And the dual anchor: a full pass once the start is a block width past 104.
-        assert recompute_set(DualCache(), BlockWindow(135, 167, 32, 32), trace, 200)[1] == EVENT_PARTIAL
-        assert recompute_set(DualCache(), BlockWindow(136, 168, 32, 32), trace, 200)[1] == EVENT_REFRESH
-
-    def test_zero_commits_noop(self):
-        window = BlockWindow(100, 132, 32, 32)
-        for tokens in (31, 32):
-            trace = primed_trace(100, tokens=tokens)
-            before = recompute_set(DSBCache(prefix_min=4), window, trace, 200)
-            trace.append(record(100, EVENT_PARTIAL, 0))
-            assert recompute_set(DSBCache(prefix_min=4), window, trace, 200) == before
-
-    def test_empty_trace_refreshes(self):
-        window = BlockWindow(10, 14, 4, 4)
-        for policy in (DualCache(), DSBCache(prefix_min=4)):
-            assert recompute_set(policy, window, [], 20) == (range(20), EVENT_REFRESH)
-        assert recompute_set(NoCache(), window, [], 20) == (range(20), EVENT_NONE)
-
-
 def test_coverage_and_validity_discipline_over_randomized_traces():
-    """Two trace-level invariants, checked on 1000 random decodes:
-
-    every recompute set covers the active block, and positions outside the
-    recompute set were always written by an earlier step (so the denoiser's
-    integrity check can never fire under any policy).
-    """
-    from dsb.schedulers import NaiveBlock, SlidingBlock, advance, eligible_set, init_window
-    from dsb.state import Vocab, new_sequence
-
+    """Every cache decision of 1000 random decodes, checked step by step: the
+    recompute set and event equal :class:`CacheInterpreter`'s, the set is a
+    step-1 range that covers the active block, and every position outside it
+    was written by an earlier step (so the denoiser's integrity check can never
+    fire under any policy).  Steps may commit nothing."""
     vocab = Vocab(16, 15)
     rng = np.random.default_rng(17)
     for trial in range(1000):
@@ -185,34 +144,31 @@ def test_coverage_and_validity_discipline_over_randomized_traces():
         scheduler = [NaiveBlock(size), SlidingBlock(size, size), SlidingBlock(size, None)][
             int(rng.integers(0, 3))
         ]
-        policy = [NoCache(), DualCache(), DSBCache(prefix_min=int(rng.integers(1, 9)))][
-            trial % 3
-        ]
+        pmin, suffix = int(rng.integers(1, 9)), int(rng.integers(0, 5))
+        name, policy = [("nocache", NoCache()), ("dual", DualCache()),
+                        ("dsbcache", DSBCache(pmin, suffix))][trial % 3]
+        reference = CacheInterpreter(name, size, seq_len, pmin, suffix)
         state = new_sequence([1] * prompt_len, gen_len, vocab)
         window = init_window(scheduler, prompt_len, gen_len)
         records = []
         written = np.zeros(seq_len, dtype=bool)
         while state.decoded_count < gen_len:
+            eligible = eligible_set(window, state)
+            assert len(eligible), f"trial {trial}: the window holds no mask before the decode ends"
+            take = int(rng.integers(0, len(eligible) + 1))
+            positions = np.sort(rng.choice(eligible, take, replace=False)).tolist()
             rset, event = recompute_set(policy, window, records, seq_len)
-            assert isinstance(rset, range) and rset.step == 1, f"trial {trial}: {rset!r} is not a step-1 range"
-            outside = np.setdiff1d(np.arange(seq_len), rset)
-            assert written[outside].all(), (
-                f"trial {trial}: step would read never-written positions "
-                f"{outside[~written[outside]][:5].tolist()}"
-            )
+            where = f"trial {trial}, step {len(records)}"
+            assert (list(rset), event) == reference.step(window.start, window.end, len(positions)), where
+            assert isinstance(rset, range) and rset.step == 1, f"{where}: {rset!r} is not a step-1 range"
+            assert rset.start <= window.start and window.end <= rset.stop, f"{where}: block not covered"
             written[rset] = True
-            block = set(range(window.start, window.end))
-            assert block <= set(int(r) for r in rset), (
-                f"trial {trial}: active block not covered by the recompute set"
-            )
-            eligible = sorted(eligible_set(window, state))
-            take = int(rng.integers(1, len(eligible) + 1))
-            positions = [int(p) for p in eligible[:take]]
+            assert written.all(), f"{where}: reads never-written rows {np.flatnonzero(~written)[:5]}"
             for pos in positions:
                 state.commit(pos, 1)
             records.append(StepRecord(
                 step=len(records), block_start=window.start, block_end=window.end,
-                positions=positions, tokens=[1] * take, confidences=[1.0] * take,
+                positions=positions, tokens=[1] * len(positions), confidences=[1.0] * len(positions),
                 recompute_count=len(rset), cache_event=event, fallback=False,
             ))
             window = advance(scheduler, window, state)
