@@ -22,7 +22,8 @@ class Mutant(NamedTuple):
 
 KEPT_MAPS = ("tests/test_oracle.py::test_kept_maps_equal_the_reference_at_their_scoring_step",)
 CACHE_DECISIONS = ("tests/test_kvcache.py::test_coverage_and_validity_discipline_over_randomized_traces",)
-ADVANCE = ("tests/test_schedulers.py::test_advance_matches_the_reference_over_random_traces",)
+NAIVE_ADVANCE = ("tests/test_schedulers.py::test_naive_invariants_over_random_traces",)
+SLIDING_ADVANCE = ("tests/test_schedulers.py::test_sliding_invariants_over_random_traces",)
 
 MUTANTS = (
     Mutant(
@@ -176,21 +177,21 @@ MUTANTS = (
         "schedulers.py",
         "end = min(end, start + window.max_size)",
         "end = end",
-        ADVANCE,
+        SLIDING_ADVANCE,
     ),
     Mutant(
         "naive's last block runs past the response",
         "schedulers.py",
         "min(window.end + window.init_size, state.seq_len)",
         "window.end + window.init_size",
-        ADVANCE,
+        NAIVE_ADVANCE,
     ),
     Mutant(
         "sliding right edge not clamped to the response",
         "schedulers.py",
         "max(start, min(end, state.seq_len))",
         "max(start, end)",
-        ADVANCE,
+        SLIDING_ADVANCE,
     ),
     Mutant(
         "naive block moves on one slot early",

@@ -186,24 +186,12 @@ def test_eligible_set_lists_the_masked_positions_of_the_window(data, prompt_len,
     assert out.dtype == np.int64 and out.tolist() == masked
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    prompt_len=st.integers(min_value=1, max_value=8),
-    gen_len=st.integers(min_value=2, max_value=48),
-    size=st.integers(min_value=1, max_value=12),
-    shape=st.sampled_from(["naive", 1, 2, None]),  # naive, or sliding capped at size × 1, × 2 or not
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_advance_matches_the_reference_over_random_traces(prompt_len, gen_len, size, shape, seed):
-    """Both schedules, decoded to the end by random commits (none, some or all
-    of the window): every update equals the brute-force reference, a step that
-    commits nothing leaves the window as it is, and the last window is the
-    empty one at the response end.  Criteria 1 and 2 check the sliding
-    boundaries' monotonicity, width cap and left-edge rule on their own."""
-    if shape == "naive":
-        kind = NaiveBlock(size)
-    else:
-        kind = SlidingBlock(size, None if shape is None else size * shape)
+def decode_to_the_end(kind, prompt_len, gen_len, seed):
+    """Decode to the end by random commits (none, some or all of the window):
+    every update equals the brute-force reference, a step that commits nothing
+    leaves the window as it is, and the last window is the empty one at the
+    response end.  Criteria 1 and 2 check the sliding boundaries'
+    monotonicity, width cap and left-edge rule on their own."""
     rng = np.random.default_rng(seed)
     state = make_state(prompt_len, gen_len)
     window = init_window(kind, prompt_len, gen_len)
@@ -218,3 +206,26 @@ def test_advance_matches_the_reference_over_random_traces(prompt_len, gen_len, s
             assert new is window, "a step that committed nothing moved the window"
         window = new
     assert (window.start, window.end) == (prompt_len + gen_len, prompt_len + gen_len)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    prompt_len=st.integers(min_value=1, max_value=8),
+    gen_len=st.integers(min_value=2, max_value=48),
+    size=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_naive_invariants_over_random_traces(prompt_len, gen_len, size, seed):
+    decode_to_the_end(NaiveBlock(size), prompt_len, gen_len, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    prompt_len=st.integers(min_value=1, max_value=8),
+    gen_len=st.integers(min_value=2, max_value=48),
+    size=st.integers(min_value=1, max_value=12),
+    cap=st.sampled_from([1, 2, None]),  # capped at size × 1, × 2 or not
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sliding_invariants_over_random_traces(prompt_len, gen_len, size, cap, seed):
+    decode_to_the_end(SlidingBlock(size, None if cap is None else size * cap), prompt_len, gen_len, seed)
