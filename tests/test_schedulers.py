@@ -219,7 +219,7 @@ def test_naive_invariants_over_random_traces(prompt_len, gen_len, size, seed):
     decode_to_the_end(NaiveBlock(size), prompt_len, gen_len, seed)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     prompt_len=st.integers(min_value=1, max_value=8),
     gen_len=st.integers(min_value=2, max_value=48),
