@@ -16,6 +16,7 @@ Exits 1 if any mutant survives or its run breaks, naming it.
 import argparse
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -30,14 +31,21 @@ from mutants import MUTANTS  # noqa: E402
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=mutants"]
 FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)
 TIMEOUT_S = 600
+MEMORY_LIMIT = 4 << 30  # bytes of address space per pytest run
+
+
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
 def run_pytest(src, args):
     """pytest's exit code, the node ids that failed or erred, and its output,
     for a run on ``args`` that imports dsb from ``src``.  A mutant can make a
-    loop spin forever, so a run past TIMEOUT_S stops the script."""
+    loop spin forever, or grow a list while it spins, so a run past TIMEOUT_S
+    stops the script and one past MEMORY_LIMIT fails with MemoryError."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(PYTEST + args, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    proc = subprocess.run(PYTEST + args, cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=TIMEOUT_S, preexec_fn=limit_memory)
     return proc.returncode, set(FAILED.findall(proc.stdout)), proc.stdout + proc.stderr
 
 

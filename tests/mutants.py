@@ -24,6 +24,7 @@ KEPT_MAPS = ("tests/test_oracle.py::test_kept_maps_equal_the_reference_at_their_
 CACHE_DECISIONS = ("tests/test_kvcache.py::test_coverage_and_validity_discipline_over_randomized_traces",)
 NAIVE_ADVANCE = ("tests/test_schedulers.py::test_naive_invariants_over_random_traces",)
 SLIDING_ADVANCE = ("tests/test_schedulers.py::test_sliding_invariants_over_random_traces",)
+REFERENCE_DECODE = ("tests/test_engine.py::test_oracle_decode_matches_scalar_reference_oracle",)
 
 MUTANTS = (
     Mutant(
@@ -199,5 +200,26 @@ MUTANTS = (
         "< window.width:",
         "< window.width - 1:",
         ("tests/test_acceptance.py::test_criterion_3_vanilla_step_identity",),
+    ),
+    Mutant(
+        "fallback never recorded",
+        "engine.py",
+        "fallback=fallback,",
+        "fallback=False,",
+        REFERENCE_DECODE,
+    ),
+    Mutant(
+        "step counter never advances",
+        "engine.py",
+        "        state.step += 1\n",
+        "",
+        REFERENCE_DECODE,
+    ),
+    Mutant(
+        "eligible set ignores the window",
+        "engine.py",
+        "eligible = eligible_set(window, state)",
+        "eligible = state.masked_positions(state.prompt_len, seq_len)",
+        REFERENCE_DECODE,
     ),
 )

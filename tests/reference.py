@@ -7,6 +7,7 @@ agreement between the two is a real check, not a tautology.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
@@ -188,55 +189,6 @@ def loop_forward_reference(model, tokens) -> "list":
     return [matvec(row, p["w_out"], p["b_out"]) for row in final]
 
 
-ConfidenceFn = Callable[[List[bool], int], Dict[int, Tuple[int, float]]]
-"""(masked flags per response position, step index) -> {abs pos: (token, conf)}."""
-
-
-def fixed_block_decode(
-    confidence_fn: ConfidenceFn,
-    prompt_len: int,
-    gen_len: int,
-    block_size: int,
-    tau: Optional[float],
-) -> List[Tuple[int, List[Tuple[int, int]]]]:
-    """Literal fixed-block decode: blocks strictly in order, one step at a
-    time, committing everything at or above ``tau`` (or the single best
-    position when ``tau`` is None or nothing clears it).
-
-    Returns [(step index, [(abs position, token), ...]), ...].
-    """
-    masked = [True] * gen_len
-    trace: List[Tuple[int, List[Tuple[int, int]]]] = []
-    step = 0
-    block_lo = prompt_len
-    limit = prompt_len + gen_len
-    while block_lo < limit:
-        block_hi = min(block_lo + block_size, limit)
-        while any(masked[p - prompt_len] for p in range(block_lo, block_hi)):
-            conf = confidence_fn(masked, step)
-            eligible = [
-                p for p in range(block_lo, block_hi) if masked[p - prompt_len] and p in conf
-            ]
-            assert eligible, "fixed-block reference has nothing to score"
-            if tau is not None:
-                picks = [p for p in eligible if conf[p][1] >= tau]
-            else:
-                picks = []
-            if not picks:
-                best = eligible[0]
-                for p in eligible[1:]:
-                    if conf[p][1] > conf[best][1]:
-                        best = p
-                picks = [best]
-            commits = [(p, conf[p][0]) for p in sorted(picks)]
-            for p, _ in commits:
-                masked[p - prompt_len] = False
-            trace.append((step, commits))
-            step += 1
-        block_lo = block_hi
-    return trace
-
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -326,3 +278,44 @@ def select_reference(
             return picks, False
     best = max(positions, key=lambda p: (conf[p][1], -p))
     return [(best, conf[best][0])], tau is not None
+
+
+ConfidenceFn = Callable[[List[bool], int], Dict[int, Tuple[int, float]]]
+"""(masked flags per response position, step index) -> {abs pos: (token, conf)}."""
+
+
+def reference_decode(
+    confidence_fn: ConfidenceFn, kind, tau: Optional[float], prompt_len: int, gen_len: int
+) -> List[Tuple[int, int, int, List[Tuple[int, int, float]], bool]]:
+    """Literal decode under either schedule, one step at a time:
+    ``[(step, block_start, block_end, [(abs pos, token, conf)], fallback)]``.
+
+    ``kind`` is read by attribute only: a ``block_size`` gives the fixed
+    schedule with init = max = block size, any other kind its ``init_size``
+    and ``max_size``.  Each step scores with ``confidence_fn(masked, step)``,
+    chooses among the window's masked positions with
+    :func:`select_reference`, commits, and moves the window with
+    :func:`advance_reference`.
+    """
+    if hasattr(kind, "block_size"):
+        init = cap = kind.block_size
+    else:
+        init, cap = kind.init_size, kind.max_size
+    limit = prompt_len + gen_len
+    window = SimpleNamespace(start=prompt_len, end=min(prompt_len + init, limit),
+                             init_size=init, max_size=cap)
+    masked = [True] * gen_len
+    trace = []
+    step = 0
+    while any(masked):
+        conf = confidence_fn(masked, step)
+        eligible = {p: conf[p] for p in range(window.start, window.end) if masked[p - prompt_len]}
+        assert eligible, f"step {step}: the window [{window.start}, {window.end}) holds no mask"
+        commits, fallback = select_reference(eligible, tau)
+        for p, _ in commits:
+            masked[p - prompt_len] = False
+        trace.append((step, window.start, window.end,
+                      [(p, tok, eligible[p][1]) for p, tok in commits], fallback))
+        window.start, window.end = advance_reference(kind, window, masked, prompt_len)
+        step += 1
+    return trace

@@ -23,9 +23,9 @@ from dsb.oracle import OracleDenoiser, hard_easy_profile, make_profile, save_pro
 from dsb.samplers import ConfidenceThreshold, VanillaTop1, parse_sampler
 from dsb.schedulers import NaiveBlock, SlidingBlock, parse_scheduler
 from dsb.metrics import exact_match_rate, summarize
-from dsb.state import ConfidenceMap, SequenceState, Vocab
+from dsb.state import Vocab
 
-from reference import fixed_block_decode, scalar_oracle_confidences, triples
+from reference import reference_decode, scalar_oracle_confidences
 
 VOCAB = Vocab(size=16, mask_id=15)
 TOY = DenoiserConfig(vocab_size=33, width=32, heads=2, depth=2, max_len=96, seed=5)
@@ -145,57 +145,6 @@ class TestDecodeBasics:
         assert allocations == []
 
 
-class TestReferenceEquivalence:
-    def test_threshold_fixed_block_trace_matches_reference(self):
-        """Step-exact check of the composed loop against the literal interpreter."""
-        gen_len, lp, block = 8, 2, 4
-        profile = hard_easy_profile(gen_len, hard_position=2, vocab=VOCAB, radius=2, seed=13)
-        den = OracleDenoiser(profile, VOCAB)
-
-        def conf_fn(masked_flags, step):
-            state = SequenceState(
-                tokens=np.array(
-                    [1] * lp + [VOCAB.mask_id if m else 1 for m in masked_flags], dtype=np.int64
-                ),
-                prompt_len=lp,
-                vocab=VOCAB,
-                step=step,
-            )
-            return {pos: (tok, conf) for pos, tok, conf in
-                    triples(OracleDenoiser(profile, VOCAB).confidence_map(
-                        state, state.masked_positions(lp, state.seq_len)))}
-
-        expected = fixed_block_decode(conf_fn, lp, gen_len, block, tau=0.9)
-        res = decode(den, NaiveBlock(block), ConfidenceThreshold(0.9), NoCache(), [1] * lp, gen_len)
-        got = [(rec.step, list(zip(rec.positions, rec.tokens))) for rec in res.records]
-        assert got == expected
-
-    def test_vanilla_fixed_block_trace_matches_reference(self):
-        gen_len, lp, block = 12, 3, 4
-        profile = make_profile(
-            np.linspace(0.1, 0.9, gen_len).tolist(), 0.4, 3, [2] * gen_len, 21
-        )
-        den = OracleDenoiser(profile, VOCAB)
-
-        def conf_fn(masked_flags, step):
-            state = SequenceState(
-                tokens=np.array(
-                    [1] * lp + [VOCAB.mask_id if m else 2 for m in masked_flags], dtype=np.int64
-                ),
-                prompt_len=lp,
-                vocab=VOCAB,
-                step=step,
-            )
-            return {pos: (tok, conf) for pos, tok, conf in
-                    triples(OracleDenoiser(profile, VOCAB).confidence_map(
-                        state, state.masked_positions(lp, state.seq_len)))}
-
-        expected = fixed_block_decode(conf_fn, lp, gen_len, block, tau=None)
-        res = decode(den, NaiveBlock(block), VanillaTop1(), NoCache(), [1] * lp, gen_len)
-        got = [(rec.step, list(zip(rec.positions, rec.tokens))) for rec in res.records]
-        assert got == expected
-
-
 class FullPassDenoiser:
     """Test-only toy wrapper whose cached forward ignores the store it is
     handed and returns a fresh full pass, as the ``nocache`` path once ran."""
@@ -241,35 +190,13 @@ def test_decode_allocates_one_store_and_never_runs_forward_full(monkeypatch):
         assert calls == ["empty_cache"], cache
 
 
-class ScalarOracle:
-    """Test-only oracle scored by the per-position reference loop.
-
-    It scores every masked position, as the engine's oracle path once did,
-    and returns the positions the engine asked for.
-    """
-
-    supports_kv = False
-
-    def __init__(self, profile, vocab):
-        self.profile = profile
-        self.vocab = vocab
-        self.check_lengths = OracleDenoiser(profile, vocab).check_lengths
-
-    def confidence_map(self, state, positions):
-        masked = (state.response == self.vocab.mask_id).tolist()
-        conf = scalar_oracle_confidences(
-            self.profile, masked, state.step, state.prompt_len,
-            self.vocab.mask_id, self.vocab.size,
-        )
-        asked = sorted(int(p) for p in positions)
-        return ConfidenceMap(asked, [conf[p][0] for p in asked], [conf[p][1] for p in asked])
-
-
 @pytest.mark.parametrize("sampler", [VanillaTop1(), ConfidenceThreshold(0.9)])
 @pytest.mark.parametrize(
     "scheduler", [NaiveBlock(8), SlidingBlock(8, 8), SlidingBlock(8, None)]
 )
 def test_oracle_decode_matches_scalar_reference_oracle(scheduler, sampler):
+    """Every step of the oracle decode (window, commits, confidences, fallback)
+    is the literal reference decode's over the per-position oracle."""
     gen_len = 48
     rng = np.random.default_rng(7)
     profile = make_profile(
@@ -277,10 +204,18 @@ def test_oracle_decode_matches_scalar_reference_oracle(scheduler, sampler):
         rng.integers(0, VOCAB.mask_id, gen_len).tolist(), 2**63 + 11,
     )
     prompt = [1, 2, 3]
-    fast = decode(OracleDenoiser(profile, VOCAB), scheduler, sampler, NoCache(), prompt, gen_len)
-    slow = decode(ScalarOracle(profile, VOCAB), scheduler, sampler, NoCache(), prompt, gen_len)
-    assert fast.records == slow.records
-    assert np.array_equal(fast.response, slow.response)
+    res = decode(OracleDenoiser(profile, VOCAB), scheduler, sampler, NoCache(), prompt, gen_len)
+    expected = reference_decode(
+        lambda masked, step: scalar_oracle_confidences(
+            profile, masked, step, len(prompt), VOCAB.mask_id, VOCAB.size),
+        scheduler, getattr(sampler, "tau", None), len(prompt), gen_len,
+    )
+    got = [(rec.step, rec.block_start, rec.block_end,
+            list(zip(rec.positions, rec.tokens, rec.confidences)), rec.fallback)
+           for rec in res.records]
+    assert got == expected
+    assert all(rec.recompute_count == res.state.seq_len and rec.cache_event == "none"
+               for rec in res.records)
 
 
 def _contract_decode(path):

@@ -8,7 +8,6 @@ from dsb.schedulers import (
     NaiveBlock,
     SlidingBlock,
     advance,
-    advance_naive,
     advance_sliding,
     eligible_set,
     format_scheduler,
@@ -78,31 +77,6 @@ class TestInitWindow:
     def test_naive(self):
         w = init_window(NaiveBlock(8), prompt_len=10, gen_len=64)
         assert (w.start, w.end) == (10, 18)
-
-
-class TestAdvanceNaive:
-    def test_stays_while_masked(self):
-        state = make_state(10, 8, decoded=[10, 11, 13])  # 12 still masked
-        w = init_window(NaiveBlock(4), 10, 8)
-        assert advance_naive(w, state) == w
-
-    def test_moves_when_complete(self):
-        state = make_state(10, 8, decoded=[10, 11, 12, 13])
-        w = init_window(NaiveBlock(4), 10, 8)
-        w2 = advance_naive(w, state)
-        assert (w2.start, w2.end) == (14, 18)
-
-    def test_terminal_after_final_block(self):
-        state = make_state(10, 4, decoded=[10, 11, 12, 13])
-        w = init_window(NaiveBlock(4), 10, 4)
-        w2 = advance_naive(w, state)
-        assert (w2.start, w2.end) == (14, 14)
-
-    def test_last_block_truncated(self):
-        state = make_state(10, 6, decoded=[10, 11, 12, 13])
-        w = init_window(NaiveBlock(4), 10, 6)
-        w2 = advance_naive(w, state)
-        assert (w2.start, w2.end) == (14, 16)
 
 
 class TestAdvanceSliding:
