@@ -9,8 +9,8 @@ of positions, overwrites those rows of the KV store, and serves every other
 key/value from the store as-is; stale entries between refreshes are accepted
 by design, and a validity vector guards slots never written.  A decode keeps
 one store, and ``nocache`` recomputes every row of it;
-:meth:`TinyDenoiser.forward_full` is the same forward on a fresh store, the
-tests' reference.
+:meth:`TinyDenoiser.forward_full` is the same forward on a fresh store.  The
+tests' reference is the loop forward in ``tests/reference.py``.
 
 The KV store is head-major, laid out as attention reads it: keys
 ``(depth, heads, dh, seq_len)``, values ``(depth, heads, seq_len, dh)``, plus

@@ -25,6 +25,7 @@ CACHE_DECISIONS = ("tests/test_kvcache.py::test_coverage_and_validity_discipline
 NAIVE_ADVANCE = ("tests/test_schedulers.py::test_naive_invariants_over_random_traces",)
 SLIDING_ADVANCE = ("tests/test_schedulers.py::test_sliding_invariants_over_random_traces",)
 REFERENCE_DECODE = ("tests/test_engine.py::test_oracle_decode_matches_scalar_reference_oracle",)
+REFERENCE_FORWARD = ("tests/test_denoiser.py::test_forward_matches_loop_reference",)
 
 MUTANTS = (
     Mutant(
@@ -221,5 +222,78 @@ MUTANTS = (
         "eligible = eligible_set(window, state)",
         "eligible = state.masked_positions(state.prompt_len, seq_len)",
         REFERENCE_DECODE,
+    ),
+    Mutant(
+        "score scale 1/dh",
+        "denoiser.py",
+        "np.sqrt(config.width // config.heads)",
+        "(config.width // config.heads)",
+        REFERENCE_FORWARD,
+    ),
+    Mutant(
+        "shift never taken",
+        "denoiser.py",
+        "weights -= weights.max(axis=-1, keepdims=True)",
+        "pass",
+        REFERENCE_FORWARD,
+    ),
+    Mutant(
+        "scored rows cut at the first layer",
+        "denoiser.py",
+        "i == self.config.depth - 1:",
+        "i == 0:",
+        REFERENCE_FORWARD,
+    ),
+    Mutant(
+        "attention reads only the recomputed rows",
+        "denoiser.py",
+        "cache.keys[i], cache.values[i]",
+        "np.ascontiguousarray(cache.keys[i][..., rows]), np.ascontiguousarray(cache.values[i][:, rows])",
+        REFERENCE_FORWARD,
+    ),
+    Mutant(
+        "score taken as row offsets",
+        "denoiser.py",
+        "np.asarray(score, dtype=np.int64) - recompute.start",
+        "np.asarray(score, dtype=np.int64)",
+        REFERENCE_FORWARD,
+    ),
+    Mutant(
+        "row sums over the query block only",
+        "denoiser.py",
+        "np.matmul(weights, self._ones[:nk])",
+        "np.matmul(weights[..., :nq], self._ones[:nq])",
+        REFERENCE_FORWARD,
+    ),
+    Mutant(
+        "K/V written after the layer attends",
+        "denoiser.py",
+        "            cache.keys[i][..., rows] = qkv[:, d:2 * d].reshape(split).transpose(1, 2, 0)\n"
+        "            cache.values[i][:, rows] = qkv[:, 2 * d:].reshape(split).transpose(1, 0, 2)\n"
+        "            q = qkv[:, :d]\n"
+        "            if keep is not None and i == self.config.depth - 1:\n"
+        "                x, q = x[keep], q[keep]\n"
+        "            x += self._attend(q, cache.keys[i], cache.values[i], cache.scores, self._bounds[i]) @ w.wo\n",
+        "            q = qkv[:, :d]\n"
+        "            if keep is not None and i == self.config.depth - 1:\n"
+        "                x, q = x[keep], q[keep]\n"
+        "            x += self._attend(q, cache.keys[i], cache.values[i], cache.scores, self._bounds[i]) @ w.wo\n"
+        "            cache.keys[i][..., rows] = qkv[:, d:2 * d].reshape(split).transpose(1, 2, 0)\n"
+        "            cache.values[i][:, rows] = qkv[:, 2 * d:].reshape(split).transpose(1, 0, 2)\n",
+        REFERENCE_FORWARD,
+    ),
+    Mutant(
+        "score bound 100x too small",
+        "denoiser.py",
+        "1.01 *",
+        "0.0101 *",
+        ("tests/test_denoiser.py::test_every_score_lies_within_its_layers_bound",),
+    ),
+    Mutant(
+        "mask id left in the softmax",
+        "denoiser.py",
+        "    scores[:, vocab.mask_id] = -np.inf\n",
+        "",
+        ("tests/test_denoiser.py::TestConfidences::test_mask_never_wins",),
     ),
 )

@@ -126,12 +126,16 @@ def advance_reference(kind, window, masked: List[bool], prompt_len: int) -> Tupl
     return start, max(start, min(end, limit))
 
 
-def loop_forward_reference(model, tokens) -> "list":
-    """Re-derive the toy transformer's full forward pass with explicit
-    position and head loops (no einsum, no reshaping tricks).
+def loop_forward_reference(model, tokens, rows=None, stored=None) -> tuple:
+    """Re-derive the toy transformer's forward pass with explicit position and
+    head loops (no einsum, no reshaping tricks), recomputing only ``rows``.
 
-    Returns logits as a list of per-position lists; float64 accumulation,
-    so agreement with the float32 production path is approximate.
+    ``rows`` (default: every position) get residual streams, queries, keys and
+    values; attention at every other position reads ``stored[layer][pos] =
+    (key, value)``, width-d lists, as a cache serves stale entries.  Returns
+    ``(logits, kv)``: one logits list per row in ``rows``' order, and
+    ``kv[layer][pos] = (key, value)`` as written for each row.  float64
+    accumulation, so agreement with the float32 production path is approximate.
     """
     import math
 
@@ -140,6 +144,7 @@ def loop_forward_reference(model, tokens) -> "list":
     heads = model.config.heads
     dh = d // heads
     n = len(tokens)
+    rows = list(range(n)) if rows is None else list(rows)
 
     def layer_norm(vec, gain, bias):
         mean = sum(vec) / len(vec)
@@ -151,19 +156,23 @@ def loop_forward_reference(model, tokens) -> "list":
         cols = len(mat[0])
         return [sum(vec[i] * mat[i][j] for i in range(len(vec))) + bias[j] for j in range(cols)]
 
-    x = [
-        [p["tok_emb"][tok][j] + p["pos_emb"][i][j] for j in range(d)]
-        for i, tok in enumerate(tokens)
-    ]
+    x = {i: [p["tok_emb"][tokens[i]][j] + p["pos_emb"][i][j] for j in range(d)] for i in rows}
+    kv = []
     for li in range(model.config.depth):
-        normed = [layer_norm(row, p[f"l{li}.ln1_g"], p[f"l{li}.ln1_b"]) for row in x]
-        q = [matvec(row, p[f"l{li}.wq"], p[f"l{li}.bq"]) for row in normed]
-        k = [matvec(row, p[f"l{li}.wk"], p[f"l{li}.bk"]) for row in normed]
-        v = [matvec(row, p[f"l{li}.wv"], p[f"l{li}.bv"]) for row in normed]
-        attn_out = [[0.0] * d for _ in range(n)]
+        normed = {i: layer_norm(x[i], p[f"l{li}.ln1_g"], p[f"l{li}.ln1_b"]) for i in rows}
+        q = {i: matvec(normed[i], p[f"l{li}.wq"], p[f"l{li}.bq"]) for i in rows}
+        written = {
+            i: (matvec(normed[i], p[f"l{li}.wk"], p[f"l{li}.bk"]),
+                matvec(normed[i], p[f"l{li}.wv"], p[f"l{li}.bv"]))
+            for i in rows
+        }
+        kv.append(written)
+        k = [written[j][0] if j in written else stored[li][j][0] for j in range(n)]
+        v = [written[j][1] if j in written else stored[li][j][1] for j in range(n)]
+        attn_out = {i: [0.0] * d for i in rows}
         for h in range(heads):
             lo = h * dh
-            for qi in range(n):
+            for qi in rows:
                 scores = []
                 for ki in range(n):
                     dot = sum(q[qi][lo + a] * k[ki][lo + a] for a in range(dh))
@@ -176,17 +185,15 @@ def loop_forward_reference(model, tokens) -> "list":
                     attn_out[qi][lo + a] = sum(
                         weights[ki] * v[ki][lo + a] for ki in range(n)
                     )
-        projected = [matvec(row, p[f"l{li}.wo"], p[f"l{li}.bo"]) for row in attn_out]
-        x = [[xi + pi for xi, pi in zip(xrow, prow)] for xrow, prow in zip(x, projected)]
-        normed2 = [layer_norm(row, p[f"l{li}.ln2_g"], p[f"l{li}.ln2_b"]) for row in x]
-        hidden = [
-            [max(val, 0.0) for val in matvec(row, p[f"l{li}.w_up"], p[f"l{li}.b_up"])]
-            for row in normed2
-        ]
-        down = [matvec(row, p[f"l{li}.w_down"], p[f"l{li}.b_down"]) for row in hidden]
-        x = [[xi + di for xi, di in zip(xrow, drow)] for xrow, drow in zip(x, down)]
-    final = [layer_norm(row, p["ln_f_g"], p["ln_f_b"]) for row in x]
-    return [matvec(row, p["w_out"], p["b_out"]) for row in final]
+        for i in rows:
+            projected = matvec(attn_out[i], p[f"l{li}.wo"], p[f"l{li}.bo"])
+            x[i] = [xi + pi for xi, pi in zip(x[i], projected)]
+            normed2 = layer_norm(x[i], p[f"l{li}.ln2_g"], p[f"l{li}.ln2_b"])
+            hidden = [max(val, 0.0) for val in matvec(normed2, p[f"l{li}.w_up"], p[f"l{li}.b_up"])]
+            down = matvec(hidden, p[f"l{li}.w_down"], p[f"l{li}.b_down"])
+            x[i] = [xi + di for xi, di in zip(x[i], down)]
+    final = [layer_norm(x[i], p["ln_f_g"], p["ln_f_b"]) for i in rows]
+    return [matvec(row, p["w_out"], p["b_out"]) for row in final], kv
 
 
 _MASK64 = (1 << 64) - 1
