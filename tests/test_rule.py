@@ -1,0 +1,67 @@
+"""Decodes of the rule model (tests/rule.py), where a stale K/V read changes what is committed.
+
+In the nine cells below every confidence a step scores is at least 0.99 or at
+most 0.2, far from tau 0.9, and a row with no neighbour known is flat to the
+bit (1/16), so which tokens a decode commits does not move with float rounding.
+"""
+
+import hashlib
+import json
+
+from dsb.engine import decode
+from dsb.kvcache import parse_cache
+from dsb.metrics import PREMATURE_FLOOR, premature_commit_count
+from dsb.samplers import parse_sampler
+from dsb.schedulers import parse_scheduler
+
+from rule import rule_model
+
+NAIVE, DSB_FIXED, DSB_UNBOUNDED = "naive:B=32", "dsb:init=32,max=32", "dsb:init=32,max=unbounded"
+
+
+def commits(model, truth, scheduler, cache, gen_len):
+    """The decode's records and its (step, positions, tokens) per step, from the prompt ``truth[:8]``."""
+    records = decode(model, parse_scheduler(scheduler), parse_sampler("threshold:tau=0.9"),
+                     parse_cache(cache), truth[:8].tolist(), gen_len).records
+    return records, [(r.step, r.positions, r.tokens) for r in records]
+
+
+# sha256 of the JSON list of (step, positions, tokens) of the nine rule-cached
+# cells: reach 8, right 1, seed 0, gen_len 256.  Confidences stay out, so a
+# change that only moves rounding keeps them.  On nocache naive/dsb:32,32/
+# dsb:32,unbounded take 32/25/19 steps with 7/0/0 premature commits.
+GOLDEN_COMMIT_DIGESTS = {
+    (NAIVE, "nocache"): "3c9bfb9760e03bb4fedf479fa8a83e347afa668317eed7871ba29465757e486d",
+    (NAIVE, "dual"): "680482dfa808ab63f97bade2eaeafa7ff594da3ac2f1479d1d904b0344fdfa24",
+    (NAIVE, "dsbcache:pmin=8"): "3c9bfb9760e03bb4fedf479fa8a83e347afa668317eed7871ba29465757e486d",
+    (DSB_FIXED, "nocache"): "c4678d71a8697808049fd8209b6257c9e903186e774b7a7ac8784e88ef494905",
+    (DSB_FIXED, "dual"): "29fbbdb299cfb5a6725652269cb4ec693abf6fb50455bd68f1158df66bd44b7f",
+    (DSB_FIXED, "dsbcache:pmin=8"): "c4678d71a8697808049fd8209b6257c9e903186e774b7a7ac8784e88ef494905",
+    (DSB_UNBOUNDED, "nocache"): "09d853db7b42e917b1856c93bed709db8affe8a44239afbf693d51c84af6e239",
+    (DSB_UNBOUNDED, "dual"): "812af8d4c28c62d1a66cb906e1e50dd3aaabfadd4d7d7df7003ded6eb81b1171",
+    (DSB_UNBOUNDED, "dsbcache:pmin=8"): "09d853db7b42e917b1856c93bed709db8affe8a44239afbf693d51c84af6e239",
+}
+
+
+def test_rule_cached_commits_match_the_golden_digests():
+    model, truth = rule_model(8, right=1.0)
+    got = {}
+    for scheduler, cache in GOLDEN_COMMIT_DIGESTS:
+        _, steps = commits(model, truth, scheduler, cache, 256)
+        got[scheduler, cache] = hashlib.sha256(json.dumps(steps).encode()).hexdigest()
+    assert got == GOLDEN_COMMIT_DIGESTS
+
+
+def test_sliding_schedules_beat_naive_at_the_block_boundary():
+    """Right-only positions end naive's blocks, so naive commits them by fallback before
+    their right neighbour is known; both sliding schedules wait for it and still take
+    fewer steps.  The DSB cache commits what a full recompute does."""
+    for seed in range(5):
+        model, truth = rule_model(8, right=1.0, seed=seed, max_len=8 + 128)
+        runs = {}
+        for scheduler in (NAIVE, DSB_FIXED, DSB_UNBOUNDED):
+            records, steps = commits(model, truth, scheduler, "nocache", 128)
+            assert commits(model, truth, scheduler, "dsbcache:pmin=8", 128)[1] == steps, (seed, scheduler)
+            runs[scheduler] = len(records), premature_commit_count(records, PREMATURE_FLOOR)
+        for scheduler in (DSB_FIXED, DSB_UNBOUNDED):
+            assert runs[scheduler][0] < runs[NAIVE][0] and runs[scheduler][1] < runs[NAIVE][1], (seed, runs)
