@@ -8,7 +8,8 @@ fails on the copy, so a test that already fails there never counts.
 Usage:
     python scripts/mutants.py               # each mutant against its named killers
     python scripts/mutants.py LABEL [...]   # only the mutants with these labels
-    python scripts/mutants.py --all         # tier-1 against each mutant; lists every killer
+    python scripts/mutants.py --all         # tier-1 against each mutant; lists every killer,
+                                            # then the mutants with one killer and those killers
 
 Exits 1 if any mutant survives or its run breaks, naming it.
 """
@@ -22,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,6 +84,7 @@ def main(argv=None):
         sys.exit(f"the clean tree's run is not usable (pytest exit {code}):\n{out}")
 
     killed = 0
+    sole = {}  # mutant label -> its only killer
     with tempfile.TemporaryDirectory() as tmp:
         for m in table:
             start = time.perf_counter()
@@ -92,12 +95,22 @@ def main(argv=None):
             else:
                 status = f"BROKEN (pytest exit {code})"
             killed += status == "killed"
+            if len(killers) == 1:
+                sole[m.label] = killers[0]
             print(f"{status:<9} {time.perf_counter() - start:5.1f} s  {m.path:<14} {m.label}")
             for k in killers:
                 print(f"{'':<18}{k}")
             if status.startswith("BROKEN"):
                 print(out[-2000:])
     print(f"{killed} of {len(table)} mutants killed")
+    if args.all:  # a test that is some mutant's only killer cannot be deleted by itself
+        print(f"{len(sole)} mutants with one killer:")
+        for label, killer in sole.items():
+            print(f"  {label}: {killer}")
+        only = Counter(sole.values())
+        print(f"{len(only)} tests that are some mutant's only killer (of how many mutants):")
+        for killer, n in sorted(only.items()):
+            print(f"  {killer} ({n})")
     return 0 if killed == len(table) else 1
 
 

@@ -286,9 +286,9 @@ class TinyDenoiser:
         everywhere else.  Rows outside the recompute set must have been written
         before, otherwise :class:`CacheIntegrityError`.  Each layer writes all
         recomputed rows before it attends, so the store never depends on
-        ``score`` (a subset of the rows, which the last layer cuts to), and a
-        full recompute ignores what the store held.  Logits rows follow
-        ascending position order (``score``'s order if given).
+        ``score`` (a non-empty subset of the rows, which the last layer cuts
+        to), and a full recompute ignores what the store held.  Logits rows
+        follow ascending position order (``score``'s order if given).
         """
         tokens = self._check_tokens(tokens)
         n = tokens.shape[0]
@@ -302,8 +302,8 @@ class TinyDenoiser:
         keep = None
         if score is not None:
             keep = np.asarray(score, dtype=np.int64) - recompute.start
-            if ((keep < 0) | (keep >= len(recompute))).any():
-                raise ValueError("score positions must be a subset of the recomputed rows")
+            if keep.size == 0 or ((keep < 0) | (keep >= len(recompute))).any():
+                raise ValueError("score positions must be a non-empty subset of the recomputed rows")
         if not cache.valid.all():
             unwritten = ~cache.valid
             unwritten[rows] = False

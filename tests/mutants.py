@@ -26,6 +26,7 @@ NAIVE_ADVANCE = ("tests/test_schedulers.py::test_naive_invariants_over_random_tr
 SLIDING_ADVANCE = ("tests/test_schedulers.py::test_sliding_invariants_over_random_traces",)
 REFERENCE_DECODE = ("tests/test_engine.py::test_oracle_decode_matches_scalar_reference_oracle",)
 REFERENCE_FORWARD = ("tests/test_denoiser.py::test_forward_matches_loop_reference",)
+REJECTION = ("tests/test_cli.py::test_every_rejected_invocation_exits_2_before_any_output",)
 
 MUTANTS = (
     Mutant(
@@ -295,5 +296,61 @@ MUTANTS = (
         "    scores[:, vocab.mask_id] = -np.inf\n",
         "",
         ("tests/test_denoiser.py::TestConfidences::test_mask_never_wins",),
+    ),
+    Mutant(
+        "prompt may hold the mask id",
+        "state.py",
+        " | (prompt_arr == vocab.mask_id)]",
+        "]",
+        REJECTION,
+    ),
+    Mutant(
+        "grid file keeps the last of a duplicated key",
+        "engine.py",
+        "        if key in raw:\n"
+        "            raise ValueError(f\"{path}:{lineno}: duplicate key {key!r}\")\n",
+        "",
+        REJECTION,
+    ),
+    Mutant(
+        "eos id equal to the vocabulary size accepted",
+        "engine.py",
+        "0 <= eos_id < vocab.size",
+        "0 <= eos_id <= vocab.size",
+        REJECTION,
+    ),
+    Mutant(
+        "undecodable byte reported without its line",
+        "configstr.py",
+        "raise ValueError(f\"{path}:{lineno}: {exc}\") from None",
+        "raise ValueError(f\"{path}: {exc}\") from None",
+        REJECTION,
+    ),
+    Mutant(
+        "a spec's value error leaves out the spec",
+        "configstr.py",
+        "        raise ValueError(f\"{exc} in {spec!r}\") from None\n",
+        "        raise ValueError(str(exc)) from None\n",
+        REJECTION,
+    ),
+    Mutant(
+        "a rejection exits 1",
+        "cli.py",
+        "        print(f\"error: {exc}\", file=sys.stderr)\n        return 2\n",
+        "        print(f\"error: {exc}\", file=sys.stderr)\n        return 1\n",
+        REJECTION,
+    ),
+    Mutant(
+        "decode truncates its outputs before check_config",
+        "cli.py",
+        "    engine.check_config(denoiser, kinds[2], len(prompt), args.gen_len, args.eos_id)\n"
+        "    for path in (args.csv, args.trace):  # a bad config or unwritable output fails before the decode\n"
+        "        if path:\n"
+        "            open(path, \"w\").close()\n",
+        "    for path in (args.csv, args.trace):\n"
+        "        if path:\n"
+        "            open(path, \"w\").close()\n"
+        "    engine.check_config(denoiser, kinds[2], len(prompt), args.gen_len, args.eos_id)\n",
+        REJECTION,
     ),
 )

@@ -1,8 +1,13 @@
 import csv
+import os
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsb.engine
 from dsb.cli import _read_prompt, main
@@ -17,6 +22,18 @@ def prompt_file(tmp_path):
     path = tmp_path / "p.tok"
     path.write_text("1 2 3\n")
     return str(path)
+
+
+TOY = "toy:seed=5,v=33,d=32,h=2,layers=2,maxlen=64"
+# A decode of 8 tokens by fixed blocks of 4, top-1 commits and no cache on the toy model.
+DECODE = {"--scheduler": "naive:B=4", "--sampler": "vanilla", "--cache": "nocache", "--denoiser": TOY,
+          "--gen-len": "8"}
+
+
+def decode(prompt_file, *flags):
+    """`dsb decode` of ``prompt_file`` with DECODE's flags, each of ``flags`` (flag, value, ...) in its place."""
+    args = {**DECODE, "--prompt-file": str(prompt_file), **dict(zip(flags[::2], flags[1::2]))}
+    return main(["decode", *chain.from_iterable(args.items())])
 
 
 def test_decode_writes_trace_and_csv(tmp_path, prompt_file, capsys):
@@ -48,16 +65,7 @@ def test_decode_with_oracle_profile(tmp_path, prompt_file, capsys):
     profile = hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=3)
     ppath = tmp_path / "profile.txt"
     save_profile(profile, str(ppath))
-    code = main([
-        "decode",
-        "--scheduler", "naive:B=4",
-        "--sampler", "vanilla",
-        "--cache", "nocache",
-        "--denoiser", f"oracle:profile={ppath}",
-        "--prompt-file", prompt_file,
-        "--gen-len", "8",
-    ])
-    assert code == 0
+    assert decode(prompt_file, "--denoiser", f"oracle:profile={ppath}") == 0
     assert "steps=8" in capsys.readouterr().out
 
 
@@ -102,16 +110,7 @@ def test_oracle_with_kv_cache_is_a_clean_error(tmp_path, prompt_file, cache, cap
     profile = hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=3)
     ppath = tmp_path / "profile.txt"
     save_profile(profile, str(ppath))
-    code = main([
-        "decode",
-        "--scheduler", "naive:B=4",
-        "--sampler", "vanilla",
-        "--cache", cache,
-        "--denoiser", f"oracle:profile={ppath}",
-        "--prompt-file", prompt_file,
-        "--gen-len", "8",
-    ])
-    assert code == 2
+    assert decode(prompt_file, "--cache", cache, "--denoiser", f"oracle:profile={ppath}") == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nocache" in err
 
@@ -137,7 +136,135 @@ def test_grid_command(tmp_path, capsys):
     assert "steps_mean" in capsys.readouterr().out
 
 
-TOY = "toy:seed=5,v=33,d=32,h=2,layers=2,maxlen=64"
+# The rejection contract: a bad invocation exits 2 with an `error:` line that
+# names the culprit, before any decode or grid cell runs and before any output
+# is touched.  A row's edits turn a valid `decode` (of the toy or the oracle) or
+# `grid` (of both) into a bad one: a flag's value (a spec flag's value becomes
+# the first entry of the grid's axis) or a file's content (None deletes it).
+# "{d}" stands for the run's directory.
+PROFILE = "gain=0.5\nradius=2\nseed=1\n" + "".join(f"{i} 0.5 {i + 1}\n" for i in range(8))
+GRID = ("gen_len = 8\nprompt_len = 2\nseeds = 0\nschedulers = naive:B=4\nsamplers = vanilla\n"
+        f"caches = nocache\ndenoisers = {TOY}; oracle:profile={{d}}/p,v=33\n")
+AXES = {"--scheduler": "schedulers", "--sampler": "samplers", "--cache": "caches", "--denoiser": "denoisers"}
+DECODES, ALL = ("toy", "oracle"), ("toy", "oracle", "grid")
+KV = "cache policies other than nocache need a denoiser with KV support"
+NO_FILE = "No such file or directory: '{d}/"
+
+
+def grid(old, new):
+    return ("grid",), {"grid.cfg": GRID.replace(old, new)}
+
+
+REJECTIONS = {  # family -> rows of (kinds, edits, text the error must contain)
+    "spec string": [
+        (ALL, {"--scheduler": "naive:B=0"}, "block size must be >= 1, got 0 in 'naive:B=0'"),
+        (ALL, {"--scheduler": "dsb:init=8,max=4"}, "max size 4 smaller than init size 8 in 'dsb:init=8,max=4'"),
+        (ALL, {"--scheduler": "dsb:init=32,max=x"}, "parameter 'max' in 'dsb:init=32,max=x' is not an integer"),
+        (ALL, {"--sampler": "threshold:tau=2"}, "tau must lie in (0, 1], got 2.0 in 'threshold:tau=2'"),
+        (ALL, {"--sampler": "vanilla:tau=0.9"}, "unknown parameter(s) ['tau'] in 'vanilla:tau=0.9'"),
+        (ALL, {"--cache": "dsbcache:pmin=0"}, "prefix_min must be >= 1, got 0 in 'dsbcache:pmin=0'"),
+        (ALL, {"--cache": "lru"}, "unknown cache policy 'lru' in 'lru'"),
+        (ALL, {"--denoiser": "toy:v=33,h=0"}, "heads must be >= 1, got 0 in 'toy:v=33,h=0'"),
+        (ALL, {"--denoiser": "toy:seed=-1"}, "seed must be >= 0, got -1 in 'toy:seed=-1'"),
+        # 10**15 positions need 455 PiB, which no 64-bit address space maps, so the allocation fails at once.
+        (ALL, {"--denoiser": "toy:maxlen=1000000000000000"}, "in 'toy:maxlen=1000000000000000'"),
+        (ALL, {"--denoiser": "oracle:profile={d}/p,v=2"}, "two non-mask tokens in 'oracle:profile={d}/p,v=2'"),
+    ],
+    "specs that check_config rejects together": [
+        (("toy",), {"--gen-len": "62"}, "prompt + response length 65 exceeds max_len 64"),
+        (("oracle",), {"--gen-len": "9"}, "profile scripted for length 8, got gen_len 9"),
+        (DECODES, {"--gen-len": "0"}, "gen_len must be >= 1, got 0"),
+        (("oracle", "grid"), {"--cache": "dual"}, KV),
+        (*grid("gen_len = 8", "gen_len = 63"),
+         f"denoiser {TOY!r} with cache 'nocache': prompt + response length 65 exceeds max_len 64"),
+    ],
+    "grid key or value": [
+        (*grid("caches", "premature_floor = 0.5\ncaches"), "{d}/grid.cfg: unknown key(s) ['premature_floor']"),
+        (*grid("schedulers = naive:B=4\n", ""), "{d}/grid.cfg: missing required key 'schedulers'"),
+        (*grid("gen_len = 8", "gen_len = x"), "{d}/grid.cfg: key 'gen_len' needs an integer, got 'x'"),
+        (*grid("seeds = 0", "seeds = 0 -1"), "grid seeds must be >= 0, got -1"),
+        (*grid("= vanilla", "= ;"), "{d}/grid.cfg: key 'samplers' has no entries"),
+        (*grid("= vanilla", "vanilla"), "{d}/grid.cfg:5: expected `key = value`, got 'samplers vanilla'"),
+    ],
+    "duplicated grid key": [
+        (*grid("caches", "seeds = 1\ncaches"), "{d}/grid.cfg:6: duplicate key 'seeds'"),
+        (*grid("prompt_len", "gen_len = 8\nprompt_len"), "{d}/grid.cfg:2: duplicate key 'gen_len'"),
+    ],
+    "file bytes": [
+        (DECODES, {"p.tok": b"1 2\n3\xff\n"}, "{d}/p.tok:2: 'utf-8' codec can't decode byte 0xff"),
+        (("oracle", "grid"), {"p": PROFILE.encode() + b"\xe9\n"}, "{d}/p:12: 'utf-8' codec can't decode"),
+        (("grid",), {"grid.cfg": GRID.encode() + b"# caf\xe9\n"}, "{d}/grid.cfg:8: 'utf-8' codec can't decode"),
+        (DECODES, {"p.tok": "1 2\n3 x\n"}, "{d}/p.tok:2: token id needs an integer, got 'x'"),
+        (("oracle", "grid"), {"p": PROFILE.replace("3 0.5", "3 x")}, "{d}/p:7: delta needs a number, got 'x'"),
+    ],
+    "missing file or directory": [
+        (DECODES, {"--prompt-file": "{d}/absent"}, NO_FILE + "absent'"),
+        (("oracle", "grid"), {"p": None}, NO_FILE + "p'"),
+        (("grid",), {"--config": "{d}/absent"}, NO_FILE + "absent'"),
+        (ALL, {"--csv": "{d}/absent/rows.csv"}, NO_FILE + "absent/rows.csv'"),
+    ],
+    "prompt id": [
+        (DECODES, {"p.tok": f"1 {bad}\n3\n"}, f"prompt token id {bad} is outside the vocabulary or the mask id")
+        for bad in (32, 33, -1, 10**23)
+    ],
+    "eos id": [(DECODES, {"--eos-id": str(eos)}, f"eos_id {eos} can never be committed") for eos in (32, 33, -1)],
+}
+
+
+def spy(fn, calls):
+    def recorded(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return recorded
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(sorted(REJECTIONS)), data=st.data())
+def test_every_rejected_invocation_exits_2_before_any_output(tmp_path_factory, family, data):
+    """A row of a family, on a valid invocation of a kind it names, exits 2 with an
+    `error:` line holding the row's text; no decode or grid cell runs, and every
+    file is as it was, with none added.  The valid invocation exits 0 first, and
+    each of its outputs is kept or deleted."""
+    kinds, edits, error = data.draw(st.sampled_from(REJECTIONS[family]))
+    kind = data.draw(st.sampled_from(kinds))
+    d = tmp_path_factory.mktemp("cli")
+    files = {"p": PROFILE, **({"grid.cfg": GRID} if kind == "grid" else {"p.tok": "1 2\n3\n"})}
+    flags = ({"--config": "{d}/grid.cfg", "--csv": "{d}/rows.csv"} if kind == "grid" else
+             {**DECODE, "--denoiser": "oracle:profile={d}/p,v=33" if kind == "oracle" else TOY,
+              "--prompt-file": "{d}/p.tok", "--csv": "{d}/out.csv", "--trace": "{d}/out.trace"})
+    calls = []
+
+    def listing():
+        return {path: path.read_bytes() if path.is_file() else None for path in d.rglob("*")}
+
+    def run():
+        for name, content in files.items():
+            if content is None:
+                (d / name).unlink()
+            else:
+                raw = content if isinstance(content, bytes) else content.encode()
+                (d / name).write_bytes(raw.replace(b"{d}", str(d).encode()))
+        before = listing()
+        argv = [arg.replace("{d}", str(d)) for arg in chain.from_iterable(flags.items())]
+        with pytest.MonkeyPatch.context() as m, redirect_stderr(StringIO()) as err, redirect_stdout(StringIO()):
+            for name in ("decode", "new_sequence"):
+                m.setattr(dsb.engine, name, spy(getattr(dsb.engine, name), calls))
+            return main(["grid" if kind == "grid" else "decode", *argv]), err.getvalue(), before
+
+    assert run()[0] == 0 and calls, "the valid invocation decodes"
+    for output in ("--csv", "--trace"):
+        if output in flags and data.draw(st.booleans(), label=f"delete {output}"):
+            os.unlink(flags[output].replace("{d}", str(d)))
+    for key, value in edits.items():
+        if kind == "grid" and key in AXES:
+            files["grid.cfg"] = files["grid.cfg"].replace(f"{AXES[key]} = ", f"{AXES[key]} = {value}; ")
+        else:
+            (flags if key.startswith("--") else files)[key] = value
+    calls.clear()
+    code, err, before = run()
+    assert code == 2 and err.startswith("error: ") and error.replace("{d}", str(d)) in err, err
+    assert calls == [], "a decode or grid cell ran"
+    assert listing() == before
 
 
 @pytest.mark.parametrize(
@@ -175,35 +302,6 @@ def test_bad_grid_fails_before_the_first_cell(tmp_path, monkeypatch, capsys, cac
     assert cells == [] and not out_csv.exists()
 
 
-def test_grid_with_unknown_key_runs_no_cell(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(
-        "gen_len = 8\nprompt_len = 2\nschedulers = naive:B=4\nsamplers = vanilla\n"
-        f"caches = nocache\ndenoisers = {TOY}\npremature_floor = 0.5\n"
-    )
-    cells = []
-    monkeypatch.setattr(dsb.engine, "decode", lambda *args, **kw: cells.append(args))
-    out_csv = tmp_path / "rows.csv"
-    code = main(["grid", "--config", str(cfg), "--csv", str(out_csv)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: {cfg}: unknown key(s) ['premature_floor']")
-    assert cells == [] and not out_csv.exists()
-
-
-def test_grid_with_unwritable_csv_runs_no_cell(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(
-        "gen_len = 8\nprompt_len = 2\nschedulers = naive:B=4\nsamplers = vanilla\n"
-        f"caches = nocache\ndenoisers = {TOY}\n"
-    )
-    cells = []
-    monkeypatch.setattr(dsb.engine, "decode", lambda *args, **kw: cells.append(args))
-    code = main(["grid", "--config", str(cfg), "--csv", str(tmp_path / "missing_dir" / "rows.csv")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert cells == []
-
-
 @pytest.mark.parametrize(
     "flag, spec",
     [
@@ -218,32 +316,9 @@ def test_bad_config_string_is_a_clean_error(tmp_path, prompt_file, capsys, flag,
     profile = tmp_path / "profile.txt"
     save_profile(hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=3), str(profile))
     spec = spec.format(profile=profile)
-    specs = {"--scheduler": "naive:B=4", "--sampler": "vanilla", "--cache": "nocache", "--denoiser": TOY}
-    specs[flag] = spec
-    code = main(["decode", *chain.from_iterable(specs.items()), "--prompt-file", prompt_file, "--gen-len", "8"])
-    assert code == 2
+    assert decode(prompt_file, flag, spec) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(spec) in err
-
-
-def test_decode_with_unwritable_csv_runs_no_decode(tmp_path, prompt_file, monkeypatch, capsys):
-    decodes = []
-    monkeypatch.setattr(dsb.engine, "new_sequence", lambda *args, **kw: decodes.append(args))
-    trace = tmp_path / "out.trace"
-    code = main([
-        "decode",
-        "--scheduler", "naive:B=4",
-        "--sampler", "vanilla",
-        "--cache", "nocache",
-        "--denoiser", TOY,
-        "--prompt-file", prompt_file,
-        "--gen-len", "8",
-        "--trace", str(trace),
-        "--csv", str(tmp_path / "missing_dir" / "out.csv"),
-    ])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert decodes == [] and not trace.exists()
 
 
 @pytest.mark.parametrize(
@@ -265,53 +340,18 @@ def test_rejected_decode_leaves_existing_outputs_alone(tmp_path, capsys, flags, 
     outputs = {tmp_path / "out.csv": b"earlier,csv\n", tmp_path / "out.trace": b'{"earlier": "trace"}\n'}
     for path, content in outputs.items():
         path.write_bytes(content)
-    args = {"--scheduler": "naive:B=4", "--sampler": "vanilla", "--cache": "nocache",
-            "--denoiser": "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64", "--gen-len": "8"}
-    args.update(zip(flags[::2], (f.format(profile=profile) for f in flags[1::2])))
-    code = main(["decode", *chain.from_iterable(args.items()), "--prompt-file", str(prompt_file),
-                 "--csv", str(tmp_path / "out.csv"), "--trace", str(tmp_path / "out.trace")])
+    code = decode(prompt_file, *(f.format(profile=profile) for f in flags),
+                  "--csv", str(tmp_path / "out.csv"), "--trace", str(tmp_path / "out.trace"))
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert {path: path.read_bytes() for path in outputs} == outputs
-
-
-def test_prompt_id_past_int64_is_a_clean_error(tmp_path, capsys):
-    prompt = tmp_path / "p.tok"
-    prompt.write_text("1 99999999999999999999999 2\n")
-    code = main(["decode", "--scheduler", "naive:B=4", "--sampler", "vanilla", "--cache", "nocache",
-                 "--denoiser", TOY, "--prompt-file", str(prompt), "--gen-len", "8"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: prompt token id 99999999999999999999999 ")
-
-
-def test_missing_prompt_file_is_a_clean_error(tmp_path, capsys):
-    code = main([
-        "decode",
-        "--scheduler", "naive:B=4",
-        "--sampler", "vanilla",
-        "--cache", "nocache",
-        "--denoiser", "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64",
-        "--prompt-file", str(tmp_path / "absent.tok"),
-        "--gen-len", "8",
-    ])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
 
 
 # maxlen=10**15 needs 455 PiB, which no 64-bit address space maps, so the allocation fails at once.
 @pytest.mark.parametrize("bad", ["h=0", "d=0", "d=-4", "seed=-1", "maxlen=1000000000000000"])
 def test_bad_toy_value_is_a_clean_error_in_decode_and_grid(tmp_path, prompt_file, capsys, bad):
     spec = f"toy:v=33,layers=2,{bad}"
-    code = main([
-        "decode",
-        "--scheduler", "naive:B=4",
-        "--sampler", "vanilla",
-        "--cache", "nocache",
-        "--denoiser", spec,
-        "--prompt-file", prompt_file,
-        "--gen-len", "8",
-    ])
-    assert code == 2
+    assert decode(prompt_file, "--denoiser", spec) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(spec) in err
     cfg = tmp_path / "grid.cfg"
@@ -355,17 +395,7 @@ def test_uncommittable_eos_id_fails_before_decoding(prompt_file, monkeypatch, ca
     # check_config rejects the eos id before new_sequence, the decode's first allocation.
     decodes = []
     monkeypatch.setattr(dsb.engine, "new_sequence", lambda *args, **kw: decodes.append(args))
-    code = main([
-        "decode",
-        "--scheduler", "naive:B=4",
-        "--sampler", "vanilla",
-        "--cache", "nocache",
-        "--denoiser", "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64",
-        "--prompt-file", prompt_file,
-        "--gen-len", "8",
-        "--eos-id", eos_id,
-    ])
-    assert code == 2
+    assert decode(prompt_file, "--eos-id", eos_id) == 2
     assert capsys.readouterr().err.startswith(f"error: eos_id {eos_id} can never be committed")
     assert decodes == []
 
@@ -377,16 +407,9 @@ def save_mixed_profile(path):
 
 
 def decode_mixed_profile(profile, prompt_file, *extra):
-    return main([
-        "decode",
-        "--scheduler", "naive:B=32",
-        "--sampler", "threshold:tau=0.9",
-        "--cache", "nocache",
-        "--denoiser", f"oracle:profile={profile}",
-        "--prompt-file", prompt_file,
-        "--gen-len", "96",
-        *extra,
-    ])
+    return main(["decode", "--scheduler", "naive:B=32", "--sampler", "threshold:tau=0.9",
+                 "--cache", "nocache", "--denoiser", f"oracle:profile={profile}",
+                 "--prompt-file", prompt_file, "--gen-len", "96", *extra])
 
 
 def test_eos_id_stops_the_decode_early(tmp_path, prompt_file, capsys):
@@ -419,20 +442,11 @@ def test_bad_profile_exits_2_naming_the_file(tmp_path, prompt_file, capsys, spoi
 )
 def test_non_numeric_file_value_names_the_file_and_line(tmp_path, capsys, prompt, profile, where):
     (tmp_path / "p.tok").write_text(prompt)
-    denoiser = "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64"
+    denoiser = TOY
     if profile is not None:
         (tmp_path / "profile.txt").write_text(profile)
         denoiser = f"oracle:profile={tmp_path / 'profile.txt'}"
-    code = main([
-        "decode",
-        "--scheduler", "naive:B=2",
-        "--sampler", "vanilla",
-        "--cache", "nocache",
-        "--denoiser", denoiser,
-        "--prompt-file", str(tmp_path / "p.tok"),
-        "--gen-len", "2",
-    ])
-    assert code == 2
+    assert decode(tmp_path / "p.tok", "--scheduler", "naive:B=2", "--denoiser", denoiser, "--gen-len", "2") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / where}") and err.rstrip().endswith("got 'x'")
 
@@ -457,22 +471,6 @@ def test_non_utf8_file_names_the_file_and_line(tmp_path, kind, newline):
         read(str(path))
     assert type(info.value) is ValueError
     assert str(info.value).startswith(f"{path}:2: 'utf-8' codec can't decode byte ")
-
-
-def test_non_utf8_prompt_exits_2_naming_the_file(tmp_path, capsys):
-    prompt = tmp_path / "p.tok"
-    prompt.write_bytes(b"1 2 3\xff\n")
-    code = main([
-        "decode",
-        "--scheduler", "naive:B=2",
-        "--sampler", "vanilla",
-        "--cache", "nocache",
-        "--denoiser", "toy:seed=1,v=33,d=32,h=2,layers=2,maxlen=64",
-        "--prompt-file", str(prompt),
-        "--gen-len", "2",
-    ])
-    assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: {prompt}:1: ")
 
 
 @pytest.mark.parametrize("key", ["seeds", "gen_len", "prompt_len"])

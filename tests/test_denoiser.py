@@ -463,7 +463,7 @@ def test_folded_projections_match_float64_unfolded_form(fixture, request):
 def test_score_outside_recomputed_rows_rejected(model):
     toks = tokens_for(model, 10)
     _, kv = model.forward_full(toks)
-    for score in ([4, 5], [1, 3], [11]):
+    for score in ([4, 5], [1, 3], [11], []):
         with pytest.raises(ValueError):
             model.forward_cached(toks, kv, range(2, 5), score)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ bit (1/16), so which tokens a decode commits does not move with float rounding.
 
 import hashlib
 import json
+from itertools import product
 
 from dsb.engine import decode
 from dsb.kvcache import parse_cache
@@ -65,3 +66,20 @@ def test_sliding_schedules_beat_naive_at_the_block_boundary():
             runs[scheduler] = len(records), premature_commit_count(records, PREMATURE_FLOOR)
         for scheduler in (DSB_FIXED, DSB_UNBOUNDED):
             assert runs[scheduler][0] < runs[NAIVE][0] and runs[scheduler][1] < runs[NAIVE][1], (seed, runs)
+
+
+def test_dsb_cache_is_exact_iff_the_prefix_window_covers_the_reach():
+    """Row i reads token i-1 through row i - reach, so a prefix window of ``reach``
+    rows keeps every read fresh: the DSB cache commits what nocache does on every
+    schedule.  One row short, both sliding schedules read a stale row that moves a
+    commit; naive opens a block only once the last one is decoded, so it moves a
+    commit two rows short."""
+    for reach, right in product((2, 5, 8), (0.0, 1.0)):
+        model, truth = rule_model(reach, right=right, seed=reach, max_len=8 + 64)
+        for scheduler in (NAIVE, DSB_FIXED, DSB_UNBOUNDED):
+            exact = commits(model, truth, scheduler, "nocache", 64)[1]
+            assert commits(model, truth, scheduler, f"dsbcache:pmin={reach}", 64)[1] == exact, (reach, right)
+            short = reach - (2 if scheduler == NAIVE else 1)
+            if short >= 1:
+                stale = commits(model, truth, scheduler, f"dsbcache:pmin={short}", 64)[1]
+                assert stale != exact, (reach, right, scheduler)
