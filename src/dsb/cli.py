@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -11,7 +12,7 @@ from .configstr import parse_number, read_lines
 from .kvcache import parse_cache
 from .samplers import parse_sampler
 from .schedulers import parse_scheduler
-from .state import CacheIntegrityError, NoCandidates, check_prompt
+from .state import check_prompt
 
 
 def _read_prompt(path: str) -> List[int]:
@@ -22,14 +23,30 @@ def _read_prompt(path: str) -> List[int]:
     return tokens
 
 
+def _empty_outputs(*paths: Optional[str]) -> None:
+    """Empty each given output file, creating it if absent, only once every one of
+    them opens for writing: else raise the first one's OSError with every file as
+    it was and none added."""
+    paths = [path for path in paths if path]
+    absent = [path for path in paths if not os.path.lexists(path)]
+    try:
+        for path in paths:
+            open(path, "a").close()  # opens for writing, truncating nothing
+    except OSError:
+        for path in absent:
+            if os.path.lexists(path):
+                os.remove(path)
+        raise
+    for path in paths:
+        open(path, "w").close()
+
+
 def _cmd_decode(args: argparse.Namespace) -> int:
     denoiser = engine.build_denoiser(args.denoiser)
     kinds = parse_scheduler(args.scheduler), parse_sampler(args.sampler), parse_cache(args.cache)
     prompt = check_prompt(_read_prompt(args.prompt_file), denoiser.vocab)
     engine.check_config(denoiser, kinds[2], len(prompt), args.gen_len, args.eos_id)
-    for path in (args.csv, args.trace):  # a bad config or unwritable output fails before the decode
-        if path:
-            open(path, "w").close()
+    _empty_outputs(args.csv, args.trace)  # a bad config or unwritable output fails before the decode
     result, row = engine.decode_row(args.denoiser, denoiser, *kinds, prompt, args.gen_len,
                                     eos_id=args.eos_id)
     if args.trace:
@@ -45,7 +62,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     spec = engine.parse_grid_file(args.config)
-    open(args.csv, "w").close()  # an unwritable --csv fails here, before the first cell
+    _empty_outputs(args.csv)  # an unwritable --csv fails here, before the first cell
     rows = engine.run_grid(spec)
     metrics.write_csv(rows, args.csv)
     if args.summary:
@@ -89,7 +106,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CacheIntegrityError, NoCandidates) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

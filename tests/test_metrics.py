@@ -55,6 +55,10 @@ class TestPrematureCommitCount:
         with pytest.raises(ValueError, match="premature floor must lie in"):
             premature_commit_count([], floor)
 
+    def test_a_commit_at_the_floor_is_not_premature(self):
+        records = [record(0, [0, 1, 2], [0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1)], 3)]
+        assert premature_commit_count(records, 0.5) == 1
+
 
 class TestSummarize:
     def base_row(self, seed, steps, premature=0):

@@ -1,17 +1,21 @@
 """Decodes of the rule model (tests/rule.py), where a stale K/V read changes what is committed.
 
-In the nine cells below every confidence a step scores is at least 0.99 or at
-most 0.2, far from tau 0.9, and a row with no neighbour known is flat to the
-bit (1/16), so which tokens a decode commits does not move with float rounding.
+In the nine digest cells below every confidence a step scores is at least 0.99
+or at most 0.2, far from tau 0.9, and a row with no neighbour known is flat to
+the bit (1/16), so which tokens a decode commits does not move with float
+rounding.  Decoys score in between, so the decoy test asserts only orderings
+of means over seeds.
 """
 
 import hashlib
 import json
 from itertools import product
 
+import numpy as np
+
 from dsb.engine import decode
 from dsb.kvcache import parse_cache
-from dsb.metrics import PREMATURE_FLOOR, premature_commit_count
+from dsb.metrics import PREMATURE_FLOOR, exact_match_rate, premature_commit_count
 from dsb.samplers import parse_sampler
 from dsb.schedulers import parse_scheduler
 
@@ -20,9 +24,9 @@ from rule import rule_model
 NAIVE, DSB_FIXED, DSB_UNBOUNDED = "naive:B=32", "dsb:init=32,max=32", "dsb:init=32,max=unbounded"
 
 
-def commits(model, truth, scheduler, cache, gen_len):
+def commits(model, truth, scheduler, cache, gen_len, tau=0.9):
     """The decode's records and its (step, positions, tokens) per step, from the prompt ``truth[:8]``."""
-    records = decode(model, parse_scheduler(scheduler), parse_sampler("threshold:tau=0.9"),
+    records = decode(model, parse_scheduler(scheduler), parse_sampler(f"threshold:tau={tau}"),
                      parse_cache(cache), truth[:8].tolist(), gen_len).records
     return records, [(r.step, r.positions, r.tokens) for r in records]
 
@@ -83,3 +87,26 @@ def test_dsb_cache_is_exact_iff_the_prefix_window_covers_the_reach():
             if short >= 1:
                 stale = commits(model, truth, scheduler, f"dsbcache:pmin={short}", 64)[1]
                 assert stale != exact, (reach, right, scheduler)
+
+
+def test_tau_trades_steps_for_exact_match_under_decoys():
+    """A decoy is a wrong token that row i sees while token i-1 is masked, and a
+    lower tau commits more of them: on means over seeds, exact match rises with
+    tau on every schedule, and dsb:32,unbounded takes more steps for it.  At each
+    tau both DSB schedules match naive's exact match at least, in fewer steps, and
+    the DSB cache commits what nocache does."""
+    taus, schedulers = (0.6, 0.7, 0.9), (NAIVE, DSB_FIXED, DSB_UNBOUNDED)
+    runs = {cell: [] for cell in product(taus, schedulers)}  # -> (steps, exact match) per seed
+    for seed in range(5):
+        model, truth = rule_model(8, right=1.0, decoy=0.5, seed=seed, max_len=8 + 128)
+        for tau, scheduler in runs:
+            records, steps = commits(model, truth, scheduler, "nocache", 128, tau)
+            assert commits(model, truth, scheduler, "dsbcache:pmin=8", 128, tau)[1] == steps, (seed, tau, scheduler)
+            runs[tau, scheduler].append((len(records), exact_match_rate(records, model.truth, 8)))
+    means = {cell: np.mean(seeds, axis=0) for cell, seeds in runs.items()}
+    steps, em = ({cell: m[k] for cell, m in means.items()} for k in (0, 1))
+    for scheduler in schedulers:
+        assert em[0.6, scheduler] < em[0.7, scheduler] < em[0.9, scheduler], (scheduler, em)
+    assert steps[0.6, DSB_UNBOUNDED] < steps[0.7, DSB_UNBOUNDED] < steps[0.9, DSB_UNBOUNDED], steps
+    for tau, scheduler in product(taus, (DSB_FIXED, DSB_UNBOUNDED)):
+        assert em[tau, scheduler] >= em[tau, NAIVE] and steps[tau, scheduler] < steps[tau, NAIVE], (tau, steps, em)
