@@ -45,7 +45,9 @@ def run_pytest(src, args):
     for a run on ``args`` that imports dsb from ``src``.  A mutant can make a
     loop spin forever, or grow a list while it spins, so a run past TIMEOUT_S
     stops the script and one past MEMORY_LIMIT fails with MemoryError."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # One BLAS thread per child, as perfbench/run.py sets it: the tests' matrices are small.
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
     proc = subprocess.run(PYTEST + args, cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=TIMEOUT_S, preexec_fn=limit_memory)
     return proc.returncode, set(FAILED.findall(proc.stdout)), proc.stdout + proc.stderr

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from itertools import product
+from pathlib import PurePath
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import metrics
 from .configstr import Kinds, format_spec, parse_number, parse_spec, read_lines
 from .denoiser import TOY, DenoiserConfig, TinyDenoiser, confidences
 from .kvcache import CachePolicy, NoCache, format_cache, parse_cache, recompute_set
-from .oracle import ORACLE, OracleDenoiser, load_profile
+from .oracle import ORACLE, OracleConfig, OracleDenoiser, load_profile
 from .samplers import SamplerKind, format_sampler, parse_sampler, select
 from .schedulers import (
     SchedulerKind,
@@ -260,13 +261,16 @@ def decode_row(
     Every config column holds the canonical spec; ``seed`` is the grid seed
     (None outside a grid); ``exact_match`` is None without a truth.
     """
+    config = parse_spec(denoiser_spec, DENOISERS, "denoiser")
+    if isinstance(config, OracleConfig):
+        # `./p.txt` is written `p.txt`; `..` stays, since `d/..` need not be `.` when d is a symlink.
+        config = config._replace(profile=str(PurePath(config.profile)))
     started = time.perf_counter()
     result = decode(denoiser, scheduler, sampler, cache, prompt, gen_len, eos_id=eos_id)
     elapsed = time.perf_counter() - started
     row: Dict[str, object] = dict(
         scheduler=format_scheduler(scheduler), sampler=format_sampler(sampler),
-        cache=format_cache(cache), seed=seed,
-        denoiser=format_spec(parse_spec(denoiser_spec, DENOISERS, "denoiser"), DENOISERS),
+        cache=format_cache(cache), seed=seed, denoiser=format_spec(config, DENOISERS),
     )
     row.update(metrics.run_stats(result.records, result.state.seq_len))
     row["exact_match"] = (None if denoiser.truth is None else

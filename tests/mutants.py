@@ -27,6 +27,7 @@ SLIDING_ADVANCE = ("tests/test_schedulers.py::test_sliding_invariants_over_rando
 REFERENCE_DECODE = ("tests/test_engine.py::test_oracle_decode_matches_scalar_reference_oracle",)
 REFERENCE_FORWARD = ("tests/test_denoiser.py::test_forward_matches_loop_reference",)
 REJECTION = ("tests/test_cli.py::test_every_rejected_invocation_exits_2_before_any_output",)
+RULE_CACHE = CACHE_DECISIONS + ("tests/test_rule.py::test_rule_cached_commits_match_the_golden_digests",)
 
 MUTANTS = (
     Mutant(
@@ -106,7 +107,7 @@ MUTANTS = (
         "kvcache.py",
         "if window.start - refresh.block_start >= window.init_size:",
         "if False:",
-        CACHE_DECISIONS,
+        RULE_CACHE,
     ),
     Mutant(
         "DSB refresh one commit late",
@@ -127,7 +128,7 @@ MUTANTS = (
         "kvcache.py",
         "window.start, records[-1].block_start)",
         "window.start, refresh.block_start)",
-        CACHE_DECISIONS,
+        RULE_CACHE,
     ),
     Mutant(
         "suffix window past the sequence end",
@@ -166,7 +167,7 @@ MUTANTS = (
         "kvcache.py",
         "return range(window.start, window.end), EVENT_PARTIAL",
         "return range(window.start, min(seq_len, window.end + 1)), EVENT_PARTIAL",
-        CACHE_DECISIONS,
+        RULE_CACHE,
     ),
     Mutant(
         "strict > tau",

@@ -105,16 +105,6 @@ def test_decode_csv_row_equals_the_grid_cell_row(tmp_path):
     assert rows[0] == rows[1]
 
 
-@pytest.mark.parametrize("cache", ["dual", "dsbcache:pmin=4"])
-def test_oracle_with_kv_cache_is_a_clean_error(tmp_path, prompt_file, cache, capsys):
-    profile = hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=3)
-    ppath = tmp_path / "profile.txt"
-    save_profile(profile, str(ppath))
-    assert decode(prompt_file, "--cache", cache, "--denoiser", f"oracle:profile={ppath}") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "nocache" in err
-
-
 def test_grid_command(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(
@@ -175,6 +165,7 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must contain)
         (("oracle",), {"--gen-len": "9"}, "profile scripted for length 8, got gen_len 9"),
         (DECODES, {"--gen-len": "0"}, "gen_len must be >= 1, got 0"),
         (("oracle", "grid"), {"--cache": "dual"}, KV),
+        (("oracle",), {"--cache": "dsbcache:pmin=4"}, KV),
         (*grid("gen_len = 8", "gen_len = 63"),
          f"denoiser {TOY!r} with cache 'nocache': prompt + response length 65 exceeds max_len 64"),
     ],
@@ -343,14 +334,20 @@ def test_bad_toy_value_is_a_clean_error_in_decode_and_grid(tmp_path, prompt_file
 
 SPELLINGS = ["toy:v=33,d=32,h=2,layers=2,maxlen=96", "toy:seed=0,v=33,d=32,h=2,layers=2,maxlen=96"]
 TAUS = ["threshold:tau=0.9", "threshold:tau=0.9000001"]
+# One profile file named three ways is one group; `d/..` stays, as d may be a symlink.
+PATHS = [f"oracle:profile={path}" for path in ("p.txt", "./p.txt", ".//p.txt", "d/../p.txt")]
 
 
 @pytest.mark.parametrize(
     "column, specs, written, n_runs",
-    [("denoiser", SPELLINGS, [SPELLINGS[1]] * 2, ["2"]), ("sampler", TAUS, TAUS, ["1", "1"])],
-    ids=["one-model-two-spellings", "two-taus"],
+    [("denoiser", SPELLINGS, [SPELLINGS[1]] * 2, ["2"]), ("sampler", TAUS, TAUS, ["1", "1"]),
+     ("denoiser", PATHS, [f"{PATHS[0]},v=65"] * 3 + [f"{PATHS[3]},v=65"], ["3", "1"])],
+    ids=["one-model-two-spellings", "two-taus", "one-profile-two-paths"],
 )
-def test_summary_groups_by_canonical_spec(tmp_path, capsys, column, specs, written, n_runs):
+def test_summary_groups_by_canonical_spec(tmp_path, monkeypatch, capsys, column, specs, written, n_runs):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "p.txt").write_text(PROFILE)
     axes = {"sampler": "vanilla", "denoiser": SPELLINGS[1], column: "; ".join(specs)}
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(

@@ -13,7 +13,7 @@ from dsb.kvcache import (
     recompute_set,
 )
 from dsb.schedulers import BlockWindow, NaiveBlock, SlidingBlock, advance, eligible_set, init_window
-from dsb.state import EVENT_NONE, EVENT_PARTIAL, EVENT_REFRESH, StepRecord, Vocab, new_sequence
+from dsb.state import StepRecord, Vocab, new_sequence
 
 from reference import CacheInterpreter
 
@@ -32,73 +32,10 @@ class TestPrefixWindowLen:
         assert prefix_window_len(pmin, prev + delta, prev) == max(pmin, delta)
 
 
-def record(block_start, event, commits):
-    """A step record at ``block_start`` that committed ``commits`` positions."""
-    positions = list(range(block_start, block_start + commits))
-    return StepRecord(step=0, block_start=block_start, block_end=block_start + commits,
-                      positions=positions, tokens=[1] * commits, confidences=[1.0] * commits,
-                      recompute_count=0, cache_event=event, fallback=False)
-
-
-def primed_trace(prev_start, anchor=None, tokens=0):
-    """A trace whose last refresh ran at ``anchor`` (default ``prev_start``), followed,
-    when needed, by a partial step at ``prev_start`` that committed ``tokens`` positions."""
-    anchor = prev_start if anchor is None else anchor
-    trace = [record(anchor, EVENT_REFRESH, 1)]
-    if prev_start != anchor or tokens:
-        trace.append(record(prev_start, EVENT_PARTIAL, tokens))
-    return trace
-
-
 class TestRecomputeSet:
-    def test_nocache_everything(self):
-        window = BlockWindow(10, 14, 4, 4)
-        rset, event = recompute_set(NoCache(), window, primed_trace(10), 20)
-        assert list(rset) == list(range(20))
-        assert event == EVENT_NONE
-
-    def test_dsbcache_suffix_clipped_at_end(self):
-        window = BlockWindow(110, 142, 32, 32)
-        rset, _ = recompute_set(DSBCache(prefix_min=24, suffix_len=8), window,
-                                primed_trace(110), 145)
-        assert rset[-1] == 144
-
-    def test_dsbcache_refresh_when_counter_crosses(self):
-        window = BlockWindow(110, 142, 32, 32)
-        trace = primed_trace(110, tokens=32)
-        rset, event = recompute_set(DSBCache(prefix_min=24), window, trace, 200)
-        assert len(rset) == 200
-        assert event == EVENT_REFRESH
-
-    def test_dsbcache_prefix_clipped_at_zero(self):
-        window = BlockWindow(4, 12, 8, 8)
-        rset, _ = recompute_set(DSBCache(prefix_min=24), window, primed_trace(4), 40)
-        assert rset[0] == 0
-
-    def test_dual_mid_block(self):
-        window = BlockWindow(110, 142, 32, 32)
-        rset, event = recompute_set(DualCache(), window, primed_trace(110, anchor=110), 200)
-        assert list(rset) == list(range(110, 142))
-        assert event == EVENT_PARTIAL
-
-    def test_dual_resync_on_block_completion(self):
-        window = BlockWindow(142, 174, 32, 32)
-        trace = primed_trace(110, anchor=110)  # start jumped by one block
-        rset, event = recompute_set(DualCache(), window, trace, 200)
-        assert len(rset) == 200
-        assert event == EVENT_REFRESH
-
-    def test_unprimed_always_full(self):
-        window = BlockWindow(10, 14, 4, 4)
-        for policy in (DualCache(), DSBCache(prefix_min=4)):
-            for trace in ([], [record(10, EVENT_PARTIAL, 1)]):  # no refresh has run yet
-                rset, event = recompute_set(policy, window, trace, 20)
-                assert len(rset) == 20
-                assert event == EVENT_REFRESH
-
     def test_window_bounds_checked(self):
         with pytest.raises(ValueError):
-            recompute_set(NoCache(), BlockWindow(10, 30, 4, 4), primed_trace(10), 20)
+            recompute_set(NoCache(), BlockWindow(10, 30, 4, 4), [], 20)
 
 
 def test_coverage_and_validity_discipline_over_randomized_traces():

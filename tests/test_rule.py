@@ -48,13 +48,35 @@ GOLDEN_COMMIT_DIGESTS = {
 }
 
 
+# sha256 of the JSON list of (step, recompute_count, cache_event) of the same
+# cells, so a cache fault that moves only the recompute set shows.  The
+# dsbcache:pmin=8 cells recompute 2992/2360/2242 rows in all.
+GOLDEN_RECOMPUTE_DIGESTS = {
+    (NAIVE, "nocache"): "5c4a73adc7f97b235f06aa7c3a6d17532de8be1de46b5a5f59bce4c5144cd0c3",
+    (NAIVE, "dual"): "7455267d74fa9f6fe7357157217be965f4c5127d0cbcd459f2416e864d896deb",
+    (NAIVE, "dsbcache:pmin=8"): "cad60e3a1dfd36ffc128a0a08e9a95940d232cab7a07b366f8bb6333062e813f",
+    (DSB_FIXED, "nocache"): "4a4fa1e9d4ffb1dae64656f7aef99421c29853f5f712bf49ef194e1af8ca2045",
+    (DSB_FIXED, "dual"): "84445956732cc35e7fab50d59aab2ea5e3dfdd9d82cd3ea033d2fee596828924",
+    (DSB_FIXED, "dsbcache:pmin=8"): "83f3f2c2b6b22672640b369b0e98f9e7ce64bf9a9c85cb99e203990291185358",
+    (DSB_UNBOUNDED, "nocache"): "61de2686426aaed25895dc858503a204ba36089e46b4a8e1ca8b52176c94f607",
+    (DSB_UNBOUNDED, "dual"): "c5adaaa92553af296cb6a04c14ac5740e27f2219eb891355465136fc2163666a",
+    (DSB_UNBOUNDED, "dsbcache:pmin=8"): "5bd66ca8bfba739085b1217eb0d76d72fd19858bc7ff5382f16753fe36743ab2",
+}
+
+
+def digest(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 def test_rule_cached_commits_match_the_golden_digests():
     model, truth = rule_model(8, right=1.0)
-    got = {}
+    got, recomputed = {}, {}
     for scheduler, cache in GOLDEN_COMMIT_DIGESTS:
-        _, steps = commits(model, truth, scheduler, cache, 256)
-        got[scheduler, cache] = hashlib.sha256(json.dumps(steps).encode()).hexdigest()
+        records, steps = commits(model, truth, scheduler, cache, 256)
+        got[scheduler, cache] = digest(steps)
+        recomputed[scheduler, cache] = digest([(r.step, r.recompute_count, r.cache_event) for r in records])
     assert got == GOLDEN_COMMIT_DIGESTS
+    assert recomputed == GOLDEN_RECOMPUTE_DIGESTS
 
 
 def test_sliding_schedules_beat_naive_at_the_block_boundary():

@@ -8,7 +8,6 @@ from dsb.schedulers import (
     NaiveBlock,
     SlidingBlock,
     advance,
-    advance_sliding,
     eligible_set,
     format_scheduler,
     init_window,
@@ -77,39 +76,6 @@ class TestInitWindow:
     def test_naive(self):
         w = init_window(NaiveBlock(8), prompt_len=10, gen_len=64)
         assert (w.start, w.end) == (10, 18)
-
-
-class TestAdvanceSliding:
-    def test_slide_and_grow(self):
-        # window [10,14), commits at {11,12}, masks left at {10,13}
-        state = make_state(10, 64, decoded=[11, 12])
-        w = init_window(SlidingBlock(4, 8), 10, 64)
-        w2 = advance_sliding(w, state)
-        assert (w2.start, w2.end) == (10, 16)
-
-    def test_whole_window_decoded(self):
-        state = make_state(10, 64, decoded=[10, 11, 12, 13])
-        w = init_window(SlidingBlock(4, 8), 10, 64)
-        w2 = advance_sliding(w, state)
-        assert (w2.start, w2.end) == (14, 18)
-
-    def test_constant_width_pure_slide(self):
-        state = make_state(10, 64, decoded=[10, 11])
-        w = init_window(SlidingBlock(4, 4), 10, 64)
-        w2 = advance_sliding(w, state)
-        assert (w2.start, w2.end) == (12, 16)
-
-    def test_unbounded_drops_width_cap(self):
-        state = make_state(10, 64, decoded=[10, 11])
-        w = init_window(SlidingBlock(4, None), 10, 64)
-        w2 = advance_sliding(w, state)
-        assert (w2.start, w2.end) == (12, 16)  # init + decoded term still applies
-
-    def test_right_edge_clamped(self):
-        state = make_state(10, 6, decoded=[10, 11, 12, 13])
-        w = init_window(SlidingBlock(4, None), 10, 6)
-        w2 = advance_sliding(w, state)
-        assert (w2.start, w2.end) == (14, 16)
 
 
 class TestEligibleSet:
