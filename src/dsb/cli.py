@@ -5,11 +5,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from . import engine, metrics
-from .configstr import parse_number, read_lines
+from .configstr import parse_number, parse_spec, read_lines
 from .kvcache import parse_cache
+from .oracle import OracleConfig
 from .samplers import parse_sampler
 from .schedulers import parse_scheduler
 from .state import check_prompt
@@ -21,6 +22,32 @@ def _read_prompt(path: str) -> List[int]:
     if not tokens:
         raise ValueError(f"prompt file {path} contains no token ids")
     return tokens
+
+
+def _profiles(denoiser_specs: Iterable[str]) -> List[Tuple[str, str]]:
+    """("oracle profile", path) for each `oracle:` spec among ``denoiser_specs``."""
+    configs = [parse_spec(spec, engine.DENOISERS, "denoiser") for spec in denoiser_specs]
+    return [("oracle profile", config.profile) for config in configs if isinstance(config, OracleConfig)]
+
+
+def _same_file(a: str, b: str) -> bool:
+    """One real path, or two existing paths to one file (a hard link)."""
+    try:
+        return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
+    except OSError:  # samefile of an absent path
+        return False
+
+
+def _check_outputs(outputs: List[Tuple[str, Optional[str]]], inputs: List[Tuple[str, str]]) -> None:
+    """Raise ValueError if an output (flag, path) names the file of an input
+    (what, path) or of an output before it."""
+    named = list(inputs)
+    for flag, path in outputs:
+        if path:
+            for what, other in named:
+                if _same_file(path, other):
+                    raise ValueError(f"{flag} {path} names the same file as {what} {other}")
+            named.append((flag, path))
 
 
 def _empty_outputs(*paths: Optional[str]) -> None:
@@ -45,6 +72,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     denoiser = engine.build_denoiser(args.denoiser)
     kinds = parse_scheduler(args.scheduler), parse_sampler(args.sampler), parse_cache(args.cache)
     prompt = check_prompt(_read_prompt(args.prompt_file), denoiser.vocab)
+    _check_outputs([("--csv", args.csv), ("--trace", args.trace)],
+                   [("--prompt-file", args.prompt_file), *_profiles([args.denoiser])])
     engine.check_config(denoiser, kinds[2], len(prompt), args.gen_len, args.eos_id)
     _empty_outputs(args.csv, args.trace)  # a bad config or unwritable output fails before the decode
     result, row = engine.decode_row(args.denoiser, denoiser, *kinds, prompt, args.gen_len,
@@ -62,6 +91,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     spec = engine.parse_grid_file(args.config)
+    _check_outputs([("--csv", args.csv)], [("--config", args.config), *_profiles(spec.denoisers)])
     _empty_outputs(args.csv)  # an unwritable --csv fails here, before the first cell
     rows = engine.run_grid(spec)
     metrics.write_csv(rows, args.csv)

@@ -360,6 +360,20 @@ MUTANTS = (
         REJECTION,
     ),
     Mutant(
+        "an output may name an input file",
+        "cli.py",
+        "    named = list(inputs)\n",
+        "    named = []\n",
+        REJECTION,
+    ),
+    Mutant(
+        "two outputs may name one file",
+        "cli.py",
+        "            named.append((flag, path))\n",
+        "",
+        REJECTION,
+    ),
+    Mutant(
         "a commit at the premature floor counts as premature",
         "metrics.py",
         "if conf < floor)",

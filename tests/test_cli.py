@@ -195,6 +195,13 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must contain)
         (ALL, {"--csv": "{d}/absent/rows.csv"}, NO_FILE + "absent/rows.csv'"),
         (DECODES, {"--trace": "{d}/absent/out.trace"}, NO_FILE + "absent/out.trace'"),
     ],
+    "output naming an input or another output": [
+        (DECODES, {"--trace": "{d}/out.csv"}, "--trace {d}/out.csv names the same file as --csv {d}/out.csv"),
+        (DECODES, {"--trace": "{d}/p.tok"}, "--trace {d}/p.tok names the same file as --prompt-file {d}/p.tok"),
+        (("oracle",), {"--csv": "{d}/./p"}, "--csv {d}/./p names the same file as oracle profile {d}/p"),
+        (("grid",), {"--csv": "{d}/grid.cfg"}, "--csv {d}/grid.cfg names the same file as --config {d}/grid.cfg"),
+        (("grid",), {"--csv": "{d}/p"}, "--csv {d}/p names the same file as oracle profile {d}/p"),
+    ],
     "prompt id": [
         (DECODES, {"p.tok": f"1 {bad}\n3\n"}, f"prompt token id {bad} is outside the vocabulary or the mask id")
         for bad in (32, 33, -1, 10**23)
@@ -294,25 +301,6 @@ def test_bad_grid_fails_before_the_first_cell(tmp_path, monkeypatch, capsys, cac
     assert cells == [] and not out_csv.exists()
 
 
-@pytest.mark.parametrize(
-    "flag, spec",
-    [
-        ("--scheduler", "naive:B=0"),
-        ("--scheduler", "dsb:init=32,max=x"),
-        ("--cache", "dsbcache:pmin=0"),
-        ("--denoiser", "oracle:profile={profile},v=2"),
-    ],
-    ids=["naive-block-0", "dsb-max-x", "dsbcache-pmin-0", "oracle-v-2"],
-)
-def test_bad_config_string_is_a_clean_error(tmp_path, prompt_file, capsys, flag, spec):
-    profile = tmp_path / "profile.txt"
-    save_profile(hard_easy_profile(8, hard_position=2, vocab=Vocab(65, 64), radius=2, seed=3), str(profile))
-    spec = spec.format(profile=profile)
-    assert decode(prompt_file, flag, spec) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(spec) in err
-
-
 # maxlen=10**15 needs 455 PiB, which no 64-bit address space maps, so the allocation fails at once.
 @pytest.mark.parametrize("bad", ["h=0", "d=0", "d=-4", "seed=-1", "maxlen=1000000000000000"])
 def test_bad_toy_value_is_a_clean_error_in_decode_and_grid(tmp_path, prompt_file, capsys, bad):
@@ -360,16 +348,6 @@ def test_summary_groups_by_canonical_spec(tmp_path, monkeypatch, capsys, column,
     assert [row.split()[header.split().index("n_runs")] for row in rows] == n_runs
     with open(out_csv) as fh:
         assert [row[column] for row in csv.DictReader(fh)] == written
-
-
-@pytest.mark.parametrize("eos_id", ["32", "33", "-1"], ids=["mask-id", "vocab-size", "negative"])
-def test_uncommittable_eos_id_fails_before_decoding(prompt_file, monkeypatch, capsys, eos_id):
-    # check_config rejects the eos id before new_sequence, the decode's first allocation.
-    decodes = []
-    monkeypatch.setattr(dsb.engine, "new_sequence", lambda *args, **kw: decodes.append(args))
-    assert decode(prompt_file, "--eos-id", eos_id) == 2
-    assert capsys.readouterr().err.startswith(f"error: eos_id {eos_id} can never be committed")
-    assert decodes == []
 
 
 def save_mixed_profile(path):

@@ -36,30 +36,6 @@ def all_masked(state):
 
 
 class TestConfidenceFormula:
-    def test_easy_limit(self):
-        prof = profile_of([0.0] * 6, gain=0.0, radius=2)
-        state = new_sequence([1], 6, VOCAB)
-        conf = OracleDenoiser(prof, VOCAB).confidence_map(state, all_masked(state))
-        assert all(abs(c - 1.0) < 1e-12 for _, _, c in triples(conf))
-
-    def test_full_context_limit(self):
-        prof = profile_of([1.0] * 5, gain=1.0, radius=2)
-        state = new_sequence([1], 5, VOCAB)
-        for i in [0, 1, 3, 4]:
-            state.commit(1 + i, 2)
-        ((pos, _, c),) = triples(OracleDenoiser(prof, VOCAB).confidence_map(state, all_masked(state)))
-        assert pos == 1 + 2 and abs(c - 1.0) < 1e-12
-
-    def test_half_context_arithmetic(self):
-        # delta=0.6, gain=0.5, half of the neighbors decoded -> 0.4 + 0.25
-        prof = profile_of([0.6] * 5, gain=0.5, radius=2)
-        state = new_sequence([1], 5, VOCAB)
-        state.commit(1, 2)  # response indices 0 and 1
-        state.commit(2, 2)
-        conf = OracleDenoiser(prof, VOCAB).confidence_map(state, all_masked(state))
-        conf = dict((p, c) for p, _, c in triples(conf))
-        assert abs(conf[1 + 2] - 0.65) < 1e-12
-
     def test_validation(self):
         with pytest.raises(ValueError):
             profile_of([1.2], gain=0.5, radius=2)
@@ -85,18 +61,6 @@ def context_map(decoded, radius):
     """Context fraction per masked response index, read through the oracle."""
     den, state = context_case(decoded, radius)
     return {p - 1: c for p, _, c in triples(den.confidence_map(state, all_masked(state)))}
-
-
-class TestContextFractions:
-    def test_counts_neighbors_not_self(self):
-        f = context_map([True, False, True, False, False], radius=1)
-        assert f[1] == 1.0  # both neighbors decoded
-        assert f[3] == 0.5
-        assert f[4] == 0.0
-
-    def test_edges_have_fewer_neighbors(self):
-        f = context_map([False, True, False, False], radius=2)
-        assert f[0] == 0.5  # neighbors {1, 2}, one decoded
 
 
 @settings(max_examples=150, deadline=None)

@@ -79,21 +79,6 @@ class TestInitWindow:
 
 
 class TestEligibleSet:
-    def test_masks_in_window(self):
-        state = make_state(10, 8, decoded=[11, 12])
-        w = BlockWindow(10, 14, 4, 8)
-        assert eligible_set(w, state).tolist() == [10, 13]
-
-    def test_terminal_empty(self):
-        state = make_state(10, 8)
-        w = BlockWindow(18, 18, 4, 8)
-        assert eligible_set(w, state).tolist() == []
-
-    def test_unbounded_window_spans_all_masks(self):
-        state = make_state(10, 8, decoded=[10])
-        w = BlockWindow(11, 18, 4, None)
-        assert eligible_set(w, state).tolist() == [11, 12, 13, 14, 15, 16, 17]
-
     def test_window_past_the_response_end_or_inverted_rejected(self):
         state = make_state(10, 8)
         with pytest.raises(ValueError):

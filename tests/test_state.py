@@ -63,57 +63,6 @@ class TestNewSequence:
             new_sequence([1, bad, 2], 4, VOCAB)
 
 
-class TestCommit:
-    def test_basic(self):
-        state = new_sequence([1], 2, VOCAB)
-        state.commit(1, 9)
-        assert state.response.tolist() == [9, 15]
-        assert state.decoded_count == 1
-
-    def test_double_commit(self):
-        state = new_sequence([1], 2, VOCAB)
-        state.commit(1, 9)
-        with pytest.raises(IllegalTransition):
-            state.commit(1, 3)
-
-    def test_commit_mask_token(self):
-        state = new_sequence([1], 2, VOCAB)
-        with pytest.raises(ValueError):
-            state.commit(1, VOCAB.mask_id)
-
-    def test_bounds(self):
-        state = new_sequence([1], 2, VOCAB)
-        with pytest.raises(ValueError):
-            state.commit(3, 1)
-        with pytest.raises(ValueError):
-            state.commit(1, 16)
-
-
-class TestMaskedPositions:
-    def test_partial(self):
-        state = new_sequence([1], 4, VOCAB)
-        state.commit(1, 9)
-        state.commit(4, 4)
-        assert state.masked_positions(1, 5).tolist() == [2, 3]
-
-    def test_fully_decoded(self):
-        state = new_sequence([1], 2, VOCAB)
-        state.commit(1, 9)
-        state.commit(2, 4)
-        assert state.masked_positions(1, 3).tolist() == []
-
-    def test_subrange(self):
-        state = new_sequence([1], 4, VOCAB)
-        assert state.masked_positions(2, 4).tolist() == [2, 3]
-
-    def test_out_of_bounds(self):
-        state = new_sequence([1], 4, VOCAB)
-        with pytest.raises(ValueError):
-            state.masked_positions(1, 6)
-        with pytest.raises(ValueError):
-            state.masked_positions(-1, 3)
-
-
 @given(
     gen_len=st.integers(min_value=1, max_value=24),
     order=st.randoms(use_true_random=False),
