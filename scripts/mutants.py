@@ -9,7 +9,8 @@ Usage:
     python scripts/mutants.py               # each mutant against its named killers
     python scripts/mutants.py LABEL [...]   # only the mutants with these labels
     python scripts/mutants.py --all         # tier-1 against each mutant; lists every killer,
-                                            # then the mutants with one killer and those killers
+                                            # then the mutants with one killer and those killers,
+                                            # and ends with each mutant's number of killers
 
 Exits 1 if any mutant survives or its run breaks, naming it.
 """
@@ -87,6 +88,7 @@ def main(argv=None):
 
     killed = 0
     sole = {}  # mutant label -> its only killer
+    counts = []  # each mutant's number of killers, in table order
     with tempfile.TemporaryDirectory() as tmp:
         for m in table:
             start = time.perf_counter()
@@ -97,6 +99,7 @@ def main(argv=None):
             else:
                 status = f"BROKEN (pytest exit {code})"
             killed += status == "killed"
+            counts.append(len(killers))
             if len(killers) == 1:
                 sole[m.label] = killers[0]
             print(f"{status:<9} {time.perf_counter() - start:5.1f} s  {m.path:<14} {m.label}")
@@ -113,6 +116,8 @@ def main(argv=None):
         print(f"{len(only)} tests that are some mutant's only killer (of how many mutants):")
         for killer, n in sorted(only.items()):
             print(f"  {killer} ({n})")
+        # Two runs' last lines differ only where a mutant gained or lost killers.
+        print("killers per mutant, in table order:", *counts)
     return 0 if killed == len(table) else 1
 
 

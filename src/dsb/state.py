@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -183,6 +183,7 @@ def new_sequence(prompt: Sequence[int], gen_len: int, vocab: Vocab) -> SequenceS
 EVENT_NONE = "none"
 EVENT_PARTIAL = "partial"
 EVENT_REFRESH = "global-refresh"
+CACHE_EVENTS = (EVENT_NONE, EVENT_PARTIAL, EVENT_REFRESH)
 
 
 @dataclass
@@ -215,4 +216,21 @@ class StepRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "StepRecord":
-        return cls(**json.loads(line))
+        """The record a trace line holds: ``TypeError`` unless it is an object of
+        exactly the record's fields, each of its declared type (``List[int]`` a
+        list of ints); ``ValueError`` if it is not JSON, names an unknown cache
+        event, or its commit lists differ in length."""
+        rec = cls(**json.loads(line))
+        for name, hint in _FIELD_TYPES.items():
+            value, item = getattr(rec, name), get_args(hint)  # item is (int,) for List[int]
+            ok = type(value) is list and all(type(v) is item[0] for v in value) if item else type(value) is hint
+            if not ok:
+                raise TypeError(f"field {name!r} has the wrong type: {value!r}")
+        if rec.cache_event not in CACHE_EVENTS:
+            raise ValueError(f"unknown cache event {rec.cache_event!r}")
+        if not len(rec.positions) == len(rec.tokens) == len(rec.confidences):
+            raise ValueError("positions, tokens and confidences differ in length")
+        return rec
+
+
+_FIELD_TYPES = get_type_hints(StepRecord)

@@ -374,6 +374,78 @@ MUTANTS = (
         REJECTION,
     ),
     Mutant(
+        "a prompt token error leaves out its line",
+        "cli.py",
+        "f\"{path}:{lineno}: token id\"",
+        "f\"{path}: token id\"",
+        REJECTION,
+    ),
+    Mutant(
+        "a toy construction error leaves out the spec",
+        "engine.py",
+        "        except MemoryError as exc:\n            raise ValueError(f\"{exc} in {spec!r}\") from None\n",
+        "        except MemoryError as exc:\n            raise ValueError(str(exc)) from None\n",
+        REJECTION,
+    ),
+    Mutant(
+        "a grid checks only its first denoiser",
+        "engine.py",
+        "for d in self.denoisers:",
+        "for d in self.denoisers[:1]:",
+        REJECTION,
+    ),
+    Mutant(
+        "a grid checks each denoiser with its first cache only",
+        "engine.py",
+        "zip(self.caches, self.kinds[2])",
+        "zip(self.caches[:1], self.kinds[2])",
+        REJECTION,
+    ),
+    Mutant(
+        "a missing grid key named without the file",
+        "engine.py",
+        "raise ValueError(f\"{path}: missing required key {exc.args[0]!r}\")",
+        "raise ValueError(f\"missing required key {exc.args[0]!r}\")",
+        REJECTION,
+    ),
+    Mutant(
+        "a grid number error leaves out its key",
+        "engine.py",
+        "parse_number(kind, text, f\"{path}: key {key!r}\")",
+        "parse_number(kind, text, path)",
+        REJECTION,
+    ),
+    Mutant(
+        "a profile header error leaves out the path",
+        "oracle.py",
+        "raise ValueError(f\"{path}:{lineno}: {problem} header key {key!r}\")",
+        "raise ValueError(f\"{problem} header key {key!r}\")",
+        REJECTION,
+    ),
+    Mutant(
+        "a profile header value named without its line",
+        "oracle.py",
+        "header[key] = value.strip(), f\"{path}:{lineno}: key {key!r}\"",
+        "header[key] = value.strip(), f\"{path}: key {key!r}\"",
+        REJECTION,
+    ),
+    Mutant(
+        "a profile value error leaves out the path",
+        "oracle.py",
+        "        raise ValueError(f\"{path}: {exc}\") from None\n",
+        "        raise ValueError(str(exc)) from None\n",
+        REJECTION,
+    ),
+    Mutant(
+        "a trace record's types, event and lengths go unchecked",
+        "state.py",
+        "        rec = cls(**json.loads(line))\n"
+        "        for name, hint in _FIELD_TYPES.items():\n",
+        "        return cls(**json.loads(line))\n"
+        "        for name, hint in _FIELD_TYPES.items():\n",
+        ("tests/test_engine.py::TestTraceIO::test_bad_line_reports_its_location",),
+    ),
+    Mutant(
         "a commit at the premature floor counts as premature",
         "metrics.py",
         "if conf < floor)",

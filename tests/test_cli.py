@@ -1,13 +1,8 @@
 import csv
 import os
-import re
-from contextlib import redirect_stderr, redirect_stdout
-from io import StringIO
-from itertools import chain
+from itertools import chain, compress, product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dsb.engine
 from dsb.cli import _read_prompt, main
@@ -131,7 +126,8 @@ def test_grid_command(tmp_path, capsys):
 # is touched.  A row's edits turn a valid `decode` (of the toy or the oracle) or
 # `grid` (of both) into a bad one: a flag's value (a spec flag's value becomes
 # the first entry of the grid's axis) or a file's content (None deletes it).
-# "{d}" stands for the run's directory.
+# "{d}" stands for the run's directory.  A row's text is held in the error, or,
+# when it starts with "error: ", is the whole of stderr's one line.
 PROFILE = "gain=0.5\nradius=2\nseed=1\n" + "".join(f"{i} 0.5 {i + 1}\n" for i in range(8))
 GRID = ("gen_len = 8\nprompt_len = 2\nseeds = 0\nschedulers = naive:B=4\nsamplers = vanilla\n"
         f"caches = nocache\ndenoisers = {TOY}; oracle:profile={{d}}/p,v=33\n")
@@ -139,13 +135,14 @@ AXES = {"--scheduler": "schedulers", "--sampler": "samplers", "--cache": "caches
 DECODES, ALL = ("toy", "oracle"), ("toy", "oracle", "grid")
 KV = "cache policies other than nocache need a denoiser with KV support"
 NO_FILE = "No such file or directory: '{d}/"
+ORACLE_CELL = "error: denoiser 'oracle:profile={d}/p,v=33' with cache"
 
 
 def grid(old, new):
     return ("grid",), {"grid.cfg": GRID.replace(old, new)}
 
 
-REJECTIONS = {  # family -> rows of (kinds, edits, text the error must contain)
+REJECTIONS = {  # family -> rows of (kinds, edits, text the error must hold or be)
     "spec string": [
         (ALL, {"--scheduler": "naive:B=0"}, "block size must be >= 1, got 0 in 'naive:B=0'"),
         (ALL, {"--scheduler": "dsb:init=8,max=4"}, "max size 4 smaller than init size 8 in 'dsb:init=8,max=4'"),
@@ -155,6 +152,8 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must contain)
         (ALL, {"--cache": "dsbcache:pmin=0"}, "prefix_min must be >= 1, got 0 in 'dsbcache:pmin=0'"),
         (ALL, {"--cache": "lru"}, "unknown cache policy 'lru' in 'lru'"),
         (ALL, {"--denoiser": "toy:v=33,h=0"}, "heads must be >= 1, got 0 in 'toy:v=33,h=0'"),
+        (ALL, {"--denoiser": "toy:v=33,d=0"}, "width must be >= 1, got 0 in 'toy:v=33,d=0'"),
+        (ALL, {"--denoiser": "toy:v=33,d=-4"}, "width must be >= 1, got -4 in 'toy:v=33,d=-4'"),
         (ALL, {"--denoiser": "toy:seed=-1"}, "seed must be >= 0, got -1 in 'toy:seed=-1'"),
         # 10**15 positions need 455 PiB, which no 64-bit address space maps, so the allocation fails at once.
         (ALL, {"--denoiser": "toy:maxlen=1000000000000000"}, "in 'toy:maxlen=1000000000000000'"),
@@ -169,10 +168,26 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must contain)
         (*grid("gen_len = 8", "gen_len = 63"),
          f"denoiser {TOY!r} with cache 'nocache': prompt + response length 65 exceeds max_len 64"),
     ],
+    "a grid entry after a valid one": [
+        (*grid("= nocache", "= nocache; dual"), f"{ORACLE_CELL} 'dual': {KV}"),
+        (*grid(f"{TOY}; ", f"{TOY}; toy:seed=1,bogus=2; "),
+         "error: unknown parameter(s) ['bogus'] in 'toy:seed=1,bogus=2'"),
+        (*grid(f"{TOY}; ", f"{TOY}; toy:seed=1,maxlen=9; "), "error: denoiser 'toy:seed=1,maxlen=9' with "
+         "cache 'nocache': prompt + response length 10 exceeds max_len 9"),
+        (*grid(",v=33", ",v=3"),
+         "error: ground-truth token 2 invalid for the vocabulary in 'oracle:profile={d}/p,v=3'"),
+        (("grid",), {"p": PROFILE.replace("6 0.5 7\n7 0.5 8\n", "")},
+         f"{ORACLE_CELL} 'nocache': profile scripted for length 6, got gen_len 8"),
+    ],
     "grid key or value": [
         (*grid("caches", "premature_floor = 0.5\ncaches"), "{d}/grid.cfg: unknown key(s) ['premature_floor']"),
-        (*grid("schedulers = naive:B=4\n", ""), "{d}/grid.cfg: missing required key 'schedulers'"),
-        (*grid("gen_len = 8", "gen_len = x"), "{d}/grid.cfg: key 'gen_len' needs an integer, got 'x'"),
+        *((*grid(line, ""), f"error: {{d}}/grid.cfg: missing required key {line.split()[0]!r}")
+          for line in GRID.splitlines(keepends=True)
+          if line.split()[0] in ("schedulers", "samplers", "caches", "denoisers", "gen_len")),
+        (*grid("gen_len = 8", "gen_len = x"), "error: {d}/grid.cfg: key 'gen_len' needs an integer, got 'x'"),
+        (*grid("prompt_len = 2", "prompt_len = x"),
+         "error: {d}/grid.cfg: key 'prompt_len' needs an integer, got 'x'"),
+        (*grid("seeds = 0", "seeds = 0 x"), "error: {d}/grid.cfg: key 'seeds' needs an integer, got 'x'"),
         (*grid("seeds = 0", "seeds = 0 -1"), "grid seeds must be >= 0, got -1"),
         (*grid("= vanilla", "= ;"), "{d}/grid.cfg: key 'samplers' has no entries"),
         (*grid("= vanilla", "vanilla"), "{d}/grid.cfg:5: expected `key = value`, got 'samplers vanilla'"),
@@ -181,16 +196,23 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must contain)
         (*grid("caches", "seeds = 1\ncaches"), "{d}/grid.cfg:6: duplicate key 'seeds'"),
         (*grid("prompt_len", "gen_len = 8\nprompt_len"), "{d}/grid.cfg:2: duplicate key 'gen_len'"),
     ],
+    "profile header": [
+        (("oracle", "grid"), {"p": "gain=0.5\n" + PROFILE}, "error: {d}/p:2: duplicate header key 'gain'"),
+        (("oracle", "grid"), {"p": PROFILE.replace("gain=0.5", "gain=5")},
+         "error: {d}/p: context_gain must lie in [0, 1], got 5.0"),
+        (("oracle", "grid"), {"p": PROFILE.replace("radius=2", "radius=x")},
+         "error: {d}/p:2: key 'radius' needs an integer, got 'x'"),
+    ],
     "file bytes": [
         (DECODES, {"p.tok": b"1 2\n3\xff\n"}, "{d}/p.tok:2: 'utf-8' codec can't decode byte 0xff"),
         (("oracle", "grid"), {"p": PROFILE.encode() + b"\xe9\n"}, "{d}/p:12: 'utf-8' codec can't decode"),
         (("grid",), {"grid.cfg": GRID.encode() + b"# caf\xe9\n"}, "{d}/grid.cfg:8: 'utf-8' codec can't decode"),
-        (DECODES, {"p.tok": "1 2\n3 x\n"}, "{d}/p.tok:2: token id needs an integer, got 'x'"),
-        (("oracle", "grid"), {"p": PROFILE.replace("3 0.5", "3 x")}, "{d}/p:7: delta needs a number, got 'x'"),
+        (DECODES, {"p.tok": "1 2\n3 x\n"}, "error: {d}/p.tok:2: token id needs an integer, got 'x'"),
+        (("oracle", "grid"), {"p": PROFILE.replace("3 0.5", "3 x")}, "error: {d}/p:7: delta needs a number, got 'x'"),
     ],
     "missing file or directory": [
         (DECODES, {"--prompt-file": "{d}/absent"}, NO_FILE + "absent'"),
-        (("oracle", "grid"), {"p": None}, NO_FILE + "p'"),
+        (("oracle", "grid"), {"p": None}, NO_FILE + "p'"),  # the grid's oracle is its second denoiser
         (("grid",), {"--config": "{d}/absent"}, NO_FILE + "absent'"),
         (ALL, {"--csv": "{d}/absent/rows.csv"}, NO_FILE + "absent/rows.csv'"),
         (DECODES, {"--trace": "{d}/absent/out.trace"}, NO_FILE + "absent/out.trace'"),
@@ -217,107 +239,64 @@ def spy(fn, calls):
     return recorded
 
 
-@settings(max_examples=100, deadline=None)
-@given(family=st.sampled_from(sorted(REJECTIONS)), data=st.data())
-def test_every_rejected_invocation_exits_2_before_any_output(tmp_path_factory, family, data):
-    """A row of a family, on a valid invocation of a kind it names, exits 2 with an
-    `error:` line holding the row's text; no decode or grid cell runs, and every
-    file is as it was, with none added.  The valid invocation exits 0 first, and
-    each of its outputs is kept or deleted."""
-    kinds, edits, error = data.draw(st.sampled_from(REJECTIONS[family]))
-    kind = data.draw(st.sampled_from(kinds))
-    d = tmp_path_factory.mktemp("cli")
-    files = {"p": PROFILE, **({"grid.cfg": GRID} if kind == "grid" else {"p.tok": "1 2\n3\n"})}
-    flags = ({"--config": "{d}/grid.cfg", "--csv": "{d}/rows.csv"} if kind == "grid" else
-             {**DECODE, "--denoiser": "oracle:profile={d}/p,v=33" if kind == "oracle" else TOY,
-              "--prompt-file": "{d}/p.tok", "--csv": "{d}/out.csv", "--trace": "{d}/out.trace"})
+def test_every_rejected_invocation_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
+    """Every row of every family, on a valid invocation of each kind it names,
+    with each of that invocation's outputs kept or deleted, exits 2 with an
+    `error:` line holding or being the row's text; no decode or grid cell runs,
+    and every file is as it was, with none added.  The valid invocation of each
+    kind exits 0 first, and its directory is restored before each case."""
     calls = []
+    for name in ("decode", "new_sequence"):
+        monkeypatch.setattr(dsb.engine, name, spy(getattr(dsb.engine, name), calls))
+    for kind in ALL:
+        d = tmp_path / kind
+        d.mkdir()
 
-    def listing():
-        return {path: path.read_bytes() if path.is_file() else None for path in d.rglob("*")}
+        def write(name, content):
+            raw = content if isinstance(content, bytes) else content.encode()
+            (d / name).write_bytes(raw.replace(b"{d}", str(d).encode()))
 
-    def run():
+        def listing():
+            return {path: path.read_bytes() if path.is_file() else None for path in d.rglob("*")}
+
+        def run(flags):
+            argv = [arg.replace("{d}", str(d)) for arg in chain.from_iterable(flags.items())]
+            calls.clear()
+            return main(["grid" if kind == "grid" else "decode", *argv]), capsys.readouterr().err
+
+        files = {"p": PROFILE, **({"grid.cfg": GRID} if kind == "grid" else {"p.tok": "1 2\n3\n"})}
+        flags = ({"--config": "{d}/grid.cfg", "--csv": "{d}/rows.csv"} if kind == "grid" else
+                 {**DECODE, "--denoiser": "oracle:profile={d}/p,v=33" if kind == "oracle" else TOY,
+                  "--prompt-file": "{d}/p.tok", "--csv": "{d}/out.csv", "--trace": "{d}/out.trace"})
         for name, content in files.items():
-            if content is None:
-                (d / name).unlink()
-            else:
-                raw = content if isinstance(content, bytes) else content.encode()
-                (d / name).write_bytes(raw.replace(b"{d}", str(d).encode()))
-        before = listing()
-        argv = [arg.replace("{d}", str(d)) for arg in chain.from_iterable(flags.items())]
-        with pytest.MonkeyPatch.context() as m, redirect_stderr(StringIO()) as err, redirect_stdout(StringIO()):
-            for name in ("decode", "new_sequence"):
-                m.setattr(dsb.engine, name, spy(getattr(dsb.engine, name), calls))
-            return main(["grid" if kind == "grid" else "decode", *argv]), err.getvalue(), before
-
-    assert run()[0] == 0 and calls, "the valid invocation decodes"
-    for output in ("--csv", "--trace"):
-        if output in flags and data.draw(st.booleans(), label=f"delete {output}"):
-            os.unlink(flags[output].replace("{d}", str(d)))
-    for key, value in edits.items():
-        if kind == "grid" and key in AXES:
-            files["grid.cfg"] = files["grid.cfg"].replace(f"{AXES[key]} = ", f"{AXES[key]} = {value}; ")
-        else:
-            (flags if key.startswith("--") else files)[key] = value
-    calls.clear()
-    code, err, before = run()
-    assert code == 2 and err.startswith("error: ") and error.replace("{d}", str(d)) in err, err
-    assert calls == [], "a decode or grid cell ran"
-    assert listing() == before
-
-
-@pytest.mark.parametrize(
-    "caches, denoisers",
-    [
-        ("nocache; dual", f"{TOY}; oracle:profile={{profile}}"),
-        ("nocache", f"{TOY}; toy:seed=1,bogus=2"),
-        ("nocache", f"{TOY}; toy:seed=1,maxlen=9"),
-        ("nocache", f"{TOY}; oracle:profile={{profile}},v=3"),
-        ("nocache", f"{TOY}; oracle:profile={{short_profile}}"),
-        ("nocache", f"{TOY}; oracle:profile={{profile}}.missing"),
-    ],
-    ids=["oracle-dual", "unknown-param", "over-maxlen", "bad-truth", "bad-length", "no-profile"],
-)
-def test_bad_grid_fails_before_the_first_cell(tmp_path, monkeypatch, capsys, caches, denoisers):
-    paths = {}
-    for name, gen_len in (("profile", 8), ("short_profile", 6)):
-        paths[name] = tmp_path / f"{name}.txt"
-        save_profile(hard_easy_profile(gen_len, 2, Vocab(65, 64), radius=2, seed=3), str(paths[name]))
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(
-        "gen_len = 8\n"
-        "prompt_len = 2\n"
-        "schedulers = naive:B=4\n"
-        "samplers = vanilla\n"
-        f"caches = {caches}\n"
-        f"denoisers = {denoisers.format(**paths)}\n"
-    )
-    cells = []
-    monkeypatch.setattr(dsb.engine, "decode", lambda *args, **kw: cells.append(args))
-    out_csv = tmp_path / "rows.csv"
-    code = main(["grid", "--config", str(cfg), "--csv", str(out_csv)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert cells == [] and not out_csv.exists()
-
-
-# maxlen=10**15 needs 455 PiB, which no 64-bit address space maps, so the allocation fails at once.
-@pytest.mark.parametrize("bad", ["h=0", "d=0", "d=-4", "seed=-1", "maxlen=1000000000000000"])
-def test_bad_toy_value_is_a_clean_error_in_decode_and_grid(tmp_path, prompt_file, capsys, bad):
-    spec = f"toy:v=33,layers=2,{bad}"
-    assert decode(prompt_file, "--denoiser", spec) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(spec) in err
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(
-        "gen_len = 8\nprompt_len = 2\nschedulers = naive:B=4\nsamplers = vanilla\n"
-        f"caches = nocache\ndenoisers = {spec}\n"
-    )
-    out_csv = tmp_path / "rows.csv"
-    assert main(["grid", "--config", str(cfg), "--csv", str(out_csv)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(spec) in err
-    assert not out_csv.exists()
+            write(name, content)
+        assert run(flags)[0] == 0 and calls, f"the valid {kind} invocation decodes"
+        valid = listing()
+        outputs = [flag for flag in ("--csv", "--trace") if flag in flags]
+        rows = [(family, row) for family, table in REJECTIONS.items() for row in table if kind in row[0]]
+        for (family, (_, edits, error)), deleted in product(rows, product((False, True), repeat=len(outputs))):
+            for path, raw in valid.items():
+                path.write_bytes(raw)
+            for output in compress(outputs, deleted):
+                os.unlink(flags[output].replace("{d}", str(d)))
+            case_flags = dict(flags)
+            for key, value in edits.items():
+                if kind == "grid" and key in AXES:
+                    write("grid.cfg", GRID.replace(f"{AXES[key]} = ", f"{AXES[key]} = {value}; "))
+                elif key.startswith("--"):
+                    case_flags[key] = value
+                elif value is None:
+                    (d / key).unlink()
+                else:
+                    write(key, value)
+            before = listing()
+            code, err = run(case_flags)
+            case = f"{family} row {error!r} on {kind}, outputs deleted: {list(compress(outputs, deleted))}"
+            text = error.replace("{d}", str(d))
+            assert code == 2 and err.startswith("error: "), (case, err)
+            assert err == text + "\n" if text.startswith("error: ") else text in err, (case, err)
+            assert calls == [], f"a decode or grid cell ran: {case}"
+            assert listing() == before, case
 
 
 SPELLINGS = ["toy:v=33,d=32,h=2,layers=2,maxlen=96", "toy:seed=0,v=33,d=32,h=2,layers=2,maxlen=96"]
@@ -350,55 +329,13 @@ def test_summary_groups_by_canonical_spec(tmp_path, monkeypatch, capsys, column,
         assert [row[column] for row in csv.DictReader(fh)] == written
 
 
-def save_mixed_profile(path):
-    n = 96
+def test_eos_id_stops_the_decode_early(tmp_path, prompt_file, capsys):
+    n, path = 96, tmp_path / "mixed.profile"
     save_profile(make_profile([(i * 37 % n) / 120 for i in range(n)], 0.6, 3,
                               [(5 * i + 3) % 64 for i in range(n)], 2**63 + 7), str(path))
-
-
-def decode_mixed_profile(profile, prompt_file, *extra):
-    return main(["decode", "--scheduler", "naive:B=32", "--sampler", "threshold:tau=0.9",
-                 "--cache", "nocache", "--denoiser", f"oracle:profile={profile}",
-                 "--prompt-file", prompt_file, "--gen-len", "96", *extra])
-
-
-def test_eos_id_stops_the_decode_early(tmp_path, prompt_file, capsys):
-    save_mixed_profile(tmp_path / "mixed.profile")
-    assert decode_mixed_profile(tmp_path / "mixed.profile", prompt_file, "--eos-id", "28") == 0
+    assert decode(prompt_file, "--scheduler", "naive:B=32", "--sampler", "threshold:tau=0.9",
+                  "--denoiser", f"oracle:profile={path}", "--gen-len", "96", "--eos-id", "28") == 0
     assert "early_stopped=True" in capsys.readouterr().out.splitlines()[0]
-
-
-@pytest.mark.parametrize(
-    "spoil",
-    [lambda text: "gain=0.5\n" + text, lambda text: re.sub(r"^gain=.*$", "gain=5", text, flags=re.M)],
-    ids=["duplicate-header", "gain-5"],
-)
-def test_bad_profile_exits_2_naming_the_file(tmp_path, prompt_file, capsys, spoil):
-    good, bad = tmp_path / "mixed.profile", tmp_path / "bad.profile"
-    save_mixed_profile(good)
-    bad.write_text(spoil(good.read_text()))
-    assert decode_mixed_profile(bad, prompt_file) == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}")
-
-
-@pytest.mark.parametrize(
-    "prompt, profile, where",
-    [
-        ("1 2\n3 x\n", None, "p.tok:2: token id"),
-        ("1 2 3\n", "gain=0.5\nradius=2\nseed=1\n0 0.5 4\n1 x 4\n", "profile.txt:5: delta"),
-        ("1 2 3\n", "gain=0.5\nradius=x\nseed=1\n0 0.5 4\n", "profile.txt:2: key 'radius'"),
-    ],
-    ids=["prompt-token", "profile-record", "profile-header"],
-)
-def test_non_numeric_file_value_names_the_file_and_line(tmp_path, capsys, prompt, profile, where):
-    (tmp_path / "p.tok").write_text(prompt)
-    denoiser = TOY
-    if profile is not None:
-        (tmp_path / "profile.txt").write_text(profile)
-        denoiser = f"oracle:profile={tmp_path / 'profile.txt'}"
-    assert decode(tmp_path / "p.tok", "--scheduler", "naive:B=2", "--denoiser", denoiser, "--gen-len", "2") == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / where}") and err.rstrip().endswith("got 'x'")
 
 
 # Each reader's file: a valid first line, then a line holding a byte that is not UTF-8.
@@ -421,19 +358,3 @@ def test_non_utf8_file_names_the_file_and_line(tmp_path, kind, newline):
         read(str(path))
     assert type(info.value) is ValueError
     assert str(info.value).startswith(f"{path}:2: 'utf-8' codec can't decode byte ")
-
-
-@pytest.mark.parametrize("key", ["seeds", "gen_len", "prompt_len"])
-def test_non_numeric_grid_value_names_the_file_and_key(tmp_path, capsys, key):
-    lines = {"gen_len": "8", "prompt_len": "2", "seeds": "0 1"}
-    lines[key] = "0 x" if key == "seeds" else "x"
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(
-        "".join(f"{k} = {v}\n" for k, v in lines.items())
-        + f"schedulers = naive:B=4\nsamplers = vanilla\ncaches = nocache\ndenoisers = {TOY}\n"
-    )
-    out_csv = tmp_path / "rows.csv"
-    assert main(["grid", "--config", str(cfg), "--csv", str(out_csv)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg}: key '{key}' needs ") and err.rstrip().endswith("got 'x'")
-    assert not out_csv.exists()
