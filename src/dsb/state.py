@@ -219,7 +219,9 @@ class StepRecord:
         """The record a trace line holds: ``TypeError`` unless it is an object of
         exactly the record's fields, each of its declared type (``List[int]`` a
         list of ints); ``ValueError`` if it is not JSON, names an unknown cache
-        event, or its commit lists differ in length."""
+        event, its commit lists differ in length, it commits nothing, it is a
+        fallback with other than one commit, its positions are not ascending
+        and non-negative, or a confidence lies outside [0, 1]."""
         rec = cls(**json.loads(line))
         for name, hint in _FIELD_TYPES.items():
             value, item = getattr(rec, name), get_args(hint)  # item is (int,) for List[int]
@@ -230,6 +232,14 @@ class StepRecord:
             raise ValueError(f"unknown cache event {rec.cache_event!r}")
         if not len(rec.positions) == len(rec.tokens) == len(rec.confidences):
             raise ValueError("positions, tokens and confidences differ in length")
+        if not rec.positions:
+            raise ValueError("a step commits at least one position")
+        if rec.fallback and len(rec.positions) != 1:
+            raise ValueError(f"a fallback step commits one position, not {len(rec.positions)}")
+        if rec.positions[0] < 0 or any(a >= b for a, b in zip(rec.positions, rec.positions[1:])):
+            raise ValueError(f"positions {rec.positions} are not ascending and non-negative")
+        if not all(0.0 <= c <= 1.0 for c in rec.confidences):  # NaN fails both comparisons
+            raise ValueError(f"confidences {rec.confidences} do not all lie in [0, 1]")
         return rec
 
 

@@ -446,6 +446,13 @@ MUTANTS = (
         ("tests/test_engine.py::TestTraceIO::test_bad_line_reports_its_location",),
     ),
     Mutant(
+        "a trace record's commits go unchecked",
+        "state.py",
+        "        if not rec.positions:\n",
+        "        return rec\n        if not rec.positions:\n",
+        ("tests/test_engine.py::TestTraceIO::test_bad_line_reports_its_location",),
+    ),
+    Mutant(
         "a commit at the premature floor counts as premature",
         "metrics.py",
         "if conf < floor)",

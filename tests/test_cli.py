@@ -202,6 +202,18 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must hold or b
          "error: {d}/p: context_gain must lie in [0, 1], got 5.0"),
         (("oracle", "grid"), {"p": PROFILE.replace("radius=2", "radius=x")},
          "error: {d}/p:2: key 'radius' needs an integer, got 'x'"),
+        (("oracle", "grid"), {"p": PROFILE.replace("radius=2", "radius=-2")},
+         "error: {d}/p: radius must be >= 1, got -2"),
+        (("oracle", "grid"), {"p": PROFILE.replace("seed=1\n", "")}, "error: {d}/p: missing header field 'seed'"),
+    ],
+    "profile records": [
+        (("oracle", "grid"), {"p": PROFILE.replace("3 0.5 4", "3 0.5")},
+         "error: {d}/p:7: expected `index delta truth`, got '3 0.5'"),
+        (("oracle", "grid"), {"p": PROFILE.replace("3 0.5 4\n", "")},
+         "error: {d}/p: position records must cover 0..N-1 exactly once"),
+        (("oracle", "grid"), {"p": PROFILE.replace("3 0.5", "3 3")},
+         "error: {d}/p:7: delta must lie in [0, 1], got 3.0"),
+        (("oracle", "grid"), {"p": "gain=0.5\nradius=2\nseed=1\n"}, "error: {d}/p: a profile needs at least one position"),
     ],
     "file bytes": [
         (DECODES, {"p.tok": b"1 2\n3\xff\n"}, "{d}/p.tok:2: 'utf-8' codec can't decode byte 0xff"),

@@ -1,3 +1,4 @@
+import json
 import re
 from itertools import product
 
@@ -296,8 +297,14 @@ class TestTraceIO:
         lambda good: re.sub(r'"positions":\[.*?\]', '"positions":5', good),
         lambda good: good.replace('"cache_event":"none"', '"cache_event":"bogus"'),
         lambda good: good.replace('"tokens":[', '"tokens":[0,'),
+        *(lambda good, fields=fields: json.dumps({**json.loads(good), **fields}) for fields in [
+            {"positions": [], "tokens": [], "confidences": []}, {"positions": [-400]}, {"confidences": [1.5]},
+            {"confidences": [float("nan")]},
+        ] + [{"positions": p, "tokens": [3, 3], "confidences": [0.5, 0.5], "fallback": p == [1, 2]}
+             for p in ([1, 2], [9, 8], [8, 8])]),
     ], ids=["missing-field", "unknown-field", "not-an-object", "invalid-json", "wrong-type", "unknown-event",
-            "uneven-lists"])
+            "uneven-lists", "no-commit", "negative-position", "confidence-above-1", "nan-confidence",
+            "fallback-of-two", "descending", "repeated-position"])
     def test_bad_line_reports_its_location(self, tmp_path, spoil):
         res = decode(easy_oracle(8), SlidingBlock(4, 4), VanillaTop1(), NoCache(), [1], 8)
         good = res.records[0].to_json()
@@ -432,21 +439,6 @@ class TestGrid:
         assert spec.seeds == [0, 1]
         assert len(spec.schedulers) == 2
         assert len(run_grid(spec)) == 4
-
-    def test_parse_error_reports_line_number(self, tmp_path):
-        path = tmp_path / "grid.cfg"
-        path.write_text("gen_len = 8\nschedulers naive:B=4\n")
-        with pytest.raises(ValueError, match=r"grid\.cfg:2"):
-            parse_grid_file(str(path))
-
-    def test_bad_axis_entry_rejected_up_front(self, tmp_path):
-        path = tmp_path / "grid.cfg"
-        path.write_text(
-            "gen_len = 8\nschedulers = naive:B=0\nsamplers = vanilla\n"
-            "caches = nocache\ndenoisers = toy:seed=1\n"
-        )
-        with pytest.raises(ValueError):
-            parse_grid_file(str(path))
 
 
 def test_decode_row_scores_exact_match_for_any_denoiser_with_a_truth():

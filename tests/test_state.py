@@ -182,7 +182,7 @@ def test_step_record_json_round_trip():
         confidences=[0.75, 0.5],
         recompute_count=20,
         cache_event="partial",
-        fallback=True,
+        fallback=False,
     )
     again = StepRecord.from_json(rec.to_json())
     assert again == rec
