@@ -1,4 +1,5 @@
-"""Run the mutant table in tests/mutants.py.
+"""Run the mutant table in tests/mutants.py, and with ``--all`` the operator
+mutants of its GENERATED modules too.
 
 Each mutant is applied alone to a fresh copy of src/, and pytest runs with
 PYTHONPATH at the copy under the "mutants" hypothesis profile (fixed draws,
@@ -8,9 +9,11 @@ fails on the copy, so a test that already fails there never counts.
 Usage:
     python scripts/mutants.py               # each mutant against its named killers
     python scripts/mutants.py LABEL [...]   # only the mutants with these labels
-    python scripts/mutants.py --all         # tier-1's tests that can see each mutant; lists every
-                                            # killer, then the mutants with one killer and those
-                                            # killers, and ends with each mutant's number of killers
+    python scripts/mutants.py --all         # tier-1's tests that can see each mutant, the table's
+                                            # then the generated ones; lists every killer (a generated
+                                            # mutant's first), then the table mutants with one killer
+                                            # and those killers, and ends with each table mutant's
+                                            # number of killers
 
 ``--all`` runs tier-1 (less tests/test_mutants.py) once on the clean tree
 under the plugin in scripts/callmap.py, which maps each test to the ``dsb``
@@ -22,10 +25,20 @@ any function body (a module or class body, a ``def`` line, a default, a
 decorator), when its function is called outside every test (at import or
 collection), or when no test calls it.  The map is rebuilt on every run.
 
+After the table, ``--all`` runs the mutants that ``generate`` makes of the
+modules in GENERATED: each comparison, ``+``/``-`` and ``and``/``or`` swapped,
+and each int constant plus 1.  A generated mutant has no named killer.  It
+runs its selection with ``-x`` and the clean run's failures deselected, so it
+stops at its first killer, and a survivor fails the run as a table mutant's
+does.  Its label is ``module:qualname:operator:n`` and can be named with
+``--all``.  The whole of ``--all`` takes 13–15 minutes on a 2-core box,
+about 4 of them for the generated mutants.
+
 Exits 1 if any mutant survives or its run breaks, naming it.
 """
 
 import argparse
+import ast
 import json
 import os
 import re
@@ -36,17 +49,88 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 from callmap import function_key, select  # noqa: E402
-from mutants import MUTANTS  # noqa: E402
+from mutants import GENERATED, MUTANTS, Mutant  # noqa: E402
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=mutants"]
 FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)
 TIMEOUT_S = 600
 MEMORY_LIMIT = 4 << 30  # bytes of address space per pytest run
+
+
+# The operators' swaps, keyed by the operator's text.
+SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "is": "is not", "is not": "is",
+         "+": "-", "-": "+", "and": "or", "or": "and"}
+OPERATORS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+             ast.Is: "is", ast.IsNot: "is not", ast.Add: "+", ast.Sub: "-", ast.And: "and", ast.Or: "or"}
+
+
+def generate(path, source):
+    """The operator mutants of ``source``, the module at ``path`` under src/dsb.
+
+    One mutant per comparison operator, ``+`` or ``-`` and ``and``/``or``
+    expression, each swapped as in SWAPS, and per int constant, plus 1; bools
+    yield none.  A mutant's old text is the lines of the
+    statement around its operator (of a compound statement, only the
+    operator's lines), widened upwards until it occurs once in ``source``; its
+    new text differs only at the operator.  Its label is
+    ``module:qualname:operator:n``, the n-th such operator (from 1) in that
+    function or class body (``<module>`` outside any), so an edit elsewhere
+    leaves it be."""
+    lines = source.splitlines(keepends=True)
+    starts = [0, *accumulate(map(len, lines))]
+
+    def offset(line, col):  # ast counts columns in UTF-8 bytes
+        return starts[line - 1] + len(lines[line - 1].encode()[:col].decode())
+
+    def swap(left, op, right):  # the text between two operands, with the operator's swap
+        a, b = offset(left.end_lineno, left.end_col_offset), offset(right.lineno, right.col_offset)
+        return a, b, source[a:b].replace(op, SWAPS[op], 1)
+
+    found = []  # (scope, operator, node, statement, [(start, end, new text)])
+
+    def visit(node, scope, stmt):
+        stmt = node if isinstance(node, ast.stmt) else stmt
+        if isinstance(node, ast.Compare):
+            for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
+                if type(op) in OPERATORS:
+                    op = OPERATORS[type(op)]
+                    found.append((scope, op, node, stmt, [swap(left, op, right)]))
+        elif isinstance(node, (ast.BinOp, ast.BoolOp)) and type(node.op) in OPERATORS:
+            op = OPERATORS[type(node.op)]
+            operands = [node.left, node.right] if isinstance(node, ast.BinOp) else node.values
+            found.append((scope, op, node, stmt, [swap(l, op, r) for l, r in zip(operands, operands[1:])]))
+        elif isinstance(node, ast.Constant) and type(node.value) is int:  # not a bool
+            a, b = offset(node.lineno, node.col_offset), offset(node.end_lineno, node.end_col_offset)
+            found.append((scope, "int", node, stmt, [(a, b, str(node.value + 1))]))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, stmt)
+
+    visit(ast.parse(source), "", None)
+    mutants, seen = [], Counter()
+    for scope, op, node, stmt, edits in sorted(found, key=lambda f: f[4][0][0]):
+        seen[scope, op] += 1
+        first, last = (node.lineno, node.end_lineno) if hasattr(stmt, "body") else (stmt.lineno, stmt.end_lineno)
+        while first > 1 and source.count(source[starts[first - 1]:starts[last]]) != 1:
+            first -= 1
+        lo, new = starts[first - 1], source[starts[first - 1]:starts[last]]
+        for a, b, text in reversed(edits):
+            new = new[:a - lo] + text + new[b - lo:]
+        label = f"{Path(path).stem}:{scope or '<module>'}:{op}:{seen[scope, op]}"
+        mutants.append(Mutant(label, path, source[lo:starts[last]], new, ()))
+    return mutants
+
+
+def generated():
+    """Every operator mutant of the GENERATED modules, as they are now."""
+    return [m for path in GENERATED for m in generate(path, (ROOT / "src" / "dsb" / path).read_text())]
 
 
 def limit_memory():
@@ -84,21 +168,23 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("labels", nargs="*", help="run only these mutants (default: every one)")
     parser.add_argument("--all", action="store_true",
-                        help="run tier-1 (less tests/test_mutants.py) against each mutant and list every killer")
+                        help="run tier-1 (less tests/test_mutants.py) against each mutant, the generated ones "
+                             "after the table, and list every killer")
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.labels) - {m.label for m in MUTANTS})
+    pool = [*MUTANTS, *generated()] if args.all else MUTANTS
+    unknown = sorted(set(args.labels) - {m.label for m in pool})
     if unknown:
         parser.error(f"no mutant labelled {', '.join(map(repr, unknown))}")
-    table = [m for m in MUTANTS if not args.labels or m.label in args.labels]
+    chosen = [m for m in pool if not args.labels or m.label in args.labels]
 
     if args.all:
         suite = ["--ignore=tests/test_mutants.py"]
     else:
-        suite = list(dict.fromkeys(k for m in table for k in m.killers))
+        suite = list(dict.fromkeys(k for m in chosen for k in m.killers))
 
     killed = 0
     sole = {}  # mutant label -> its only killer
-    counts = []  # each mutant's number of killers, in table order
+    counts = []  # each table mutant's number of killers, in table order
     with tempfile.TemporaryDirectory() as tmp:
         call_map = Path(tmp) / "calls.json"
         traced = ["-p", "callmap", f"--call-map={call_map}"] if args.all else []
@@ -106,31 +192,35 @@ def main(argv=None):
         if code not in (0, 1) or (clean_failed and not args.all):
             sys.exit(f"the clean tree's run is not usable (pytest exit {code}):\n{out}")
         calls = json.loads(call_map.read_text()) if args.all else None
-        for m in table:
+        # A generated mutant stops at its first killer, so the clean run's failures must not run.
+        first_killer = ["-x", *(f"--deselect={t}" for t in sorted(clean_failed))]
+        for m in chosen:
             start = time.perf_counter()
             if args.all:
                 tests = select(calls, function_key(m.path, (ROOT / "src" / "dsb" / m.path).read_text(), m.old))
                 ran = f"  ({len(tests)} of {len(calls['tests'])} tests)" if tests else "  (all tests)"
             else:
                 tests, ran = ["-x", *m.killers], ""
-            code, failed, out = run_pytest(mutated_copy(m, tmp), tests or suite)
+            limit = [] if m.killers else first_killer
+            code, failed, out = run_pytest(mutated_copy(m, tmp), limit + (tests or suite))
             killers = sorted(failed - clean_failed)
             if code in (0, 1):
                 status = "killed" if killers else "SURVIVED"
             else:
                 status = f"BROKEN (pytest exit {code})"
             killed += status == "killed"
-            counts.append(len(killers))
-            if len(killers) == 1:
-                sole[m.label] = killers[0]
+            if m.killers:
+                counts.append(len(killers))
+                if len(killers) == 1:
+                    sole[m.label] = killers[0]
             print(f"{status:<9} {time.perf_counter() - start:5.1f} s  {m.path:<14} {m.label}{ran}")
             for k in killers:
                 print(f"{'':<18}{k}")
             if status.startswith("BROKEN"):
                 print(out[-2000:])
-    print(f"{killed} of {len(table)} mutants killed")
+    print(f"{killed} of {len(chosen)} mutants killed")
     if args.all:  # a test that is some mutant's only killer cannot be deleted by itself
-        print(f"{len(sole)} mutants with one killer:")
+        print(f"{len(sole)} table mutants with one killer:")
         for label, killer in sole.items():
             print(f"  {label}: {killer}")
         only = Counter(sole.values())
@@ -139,7 +229,7 @@ def main(argv=None):
             print(f"  {killer} ({n})")
         # Two runs' last lines differ only where a mutant gained or lost killers.
         print("killers per mutant, in table order:", *counts)
-    return 0 if killed == len(table) else 1
+    return 0 if killed == len(chosen) else 1
 
 
 if __name__ == "__main__":

@@ -79,9 +79,8 @@ def decode(
     records: List[StepRecord] = []
     early_stopped = False
 
+    # At most gen_len steps: each commits a masked slot, or NoCandidates or IllegalTransition raises.
     while state.decoded_count < gen_len:
-        if state.step > gen_len:
-            raise RuntimeError("decode failed to make progress")
         rset, event = recompute_set(cache, window, records, seq_len)
         eligible = eligible_set(window, state)
         if kv is not None:

@@ -42,7 +42,7 @@ class DualCache:
 class DSBCache:
     """Prefix-window refresh plus periodic global refresh, made for sliding blocks."""
 
-    prefix_min: int = 24
+    prefix_min: int
     suffix_len: int = 0
 
     def __post_init__(self) -> None:

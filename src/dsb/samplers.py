@@ -24,7 +24,7 @@ class ConfidenceThreshold:
     the decode loop always makes progress.
     """
 
-    tau: float = 0.9
+    tau: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau <= 1.0:

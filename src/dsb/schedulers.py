@@ -24,7 +24,7 @@ from .state import SequenceState
 class NaiveBlock:
     """Fixed partition into consecutive blocks of ``block_size`` positions."""
 
-    block_size: int = 32
+    block_size: int
 
     def __post_init__(self) -> None:
         if self.block_size < 1:
@@ -39,8 +39,8 @@ class SlidingBlock:
     ``max_size == init_size`` slides at constant width.
     """
 
-    init_size: int = 32
-    max_size: Optional[int] = None
+    init_size: int
+    max_size: Optional[int]
 
     def __post_init__(self) -> None:
         if self.init_size < 1:
@@ -79,8 +79,6 @@ class BlockWindow:
 
 def init_window(kind: SchedulerKind, prompt_len: int, gen_len: int) -> BlockWindow:
     """First active block: [prompt_len, prompt_len + initial width)."""
-    if prompt_len < 0 or gen_len < 1:
-        raise ValueError("prompt_len must be >= 0 and gen_len >= 1")
     limit = prompt_len + gen_len
     if isinstance(kind, NaiveBlock):
         end = min(prompt_len + kind.block_size, limit)

@@ -29,6 +29,10 @@ REFERENCE_FORWARD = ("tests/test_denoiser.py::test_forward_matches_loop_referenc
 REJECTION = ("tests/test_cli.py::test_every_rejected_invocation_exits_2_before_any_output",)
 RULE_CACHE = CACHE_DECISIONS + ("tests/test_rule.py::test_rule_cached_commits_match_the_golden_digests",)
 
+# The modules whose operator mutants (scripts/mutants.py's ``generate``) ``--all`` runs after the
+# table.  A generated mutant has no named killer; the tests that call its function must kill it.
+GENERATED = ("kvcache.py", "schedulers.py", "engine.py")
+
 MUTANTS = (
     Mutant(
         "map draws at the state's current step",

@@ -191,6 +191,7 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must hold or b
         (*grid("seeds = 0", "seeds = 0 -1"), "grid seeds must be >= 0, got -1"),
         (*grid("= vanilla", "= ;"), "{d}/grid.cfg: key 'samplers' has no entries"),
         (*grid("= vanilla", "vanilla"), "{d}/grid.cfg:5: expected `key = value`, got 'samplers vanilla'"),
+        (*grid("= vanilla", "="), "error: {d}/grid.cfg:5: expected `key = value`, got 'samplers ='"),
     ],
     "duplicated grid key": [
         (*grid("caches", "seeds = 1\ncaches"), "{d}/grid.cfg:6: duplicate key 'seeds'"),

@@ -1,4 +1,5 @@
 import copy
+import functools
 import tracemalloc
 
 import numpy as np
@@ -140,7 +141,11 @@ class TestForwardCached:
 INEXACT_SCALE = DenoiserConfig(vocab_size=11, width=12, heads=4, depth=2, max_len=16, seed=5)
 
 
-INEXACT_PARAMS = TinyDenoiser(INEXACT_SCALE).params
+@functools.cache
+def inexact_params():
+    """INEXACT_SCALE's seeded params, built at first use rather than at import, so that the
+    model's construction counts for the tests that use it (see scripts/callmap.py)."""
+    return TinyDenoiser(INEXACT_SCALE).params
 
 
 def sharp_params(factor, sink=0.0):
@@ -152,7 +157,7 @@ def sharp_params(factor, sink=0.0):
     """
     params = {
         name: arr * np.float32(factor) if name.endswith((".wq", ".wk")) else arr
-        for name, arr in INEXACT_PARAMS.items()
+        for name, arr in inexact_params().items()
     }
     if sink:
         params["l0.bq"] = np.full_like(params["l0.bq"], sink)

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from itertools import product
 
 import numpy as np
@@ -79,6 +80,10 @@ class TestDecodeBasics:
         for eos_id in (TOY.vocab_size - 1, TOY.vocab_size, -1):  # mask id, V, negative
             with pytest.raises(ValueError, match="eos_id"):
                 decode(model, NaiveBlock(4), VanillaTop1(), NoCache(), [1], 8, eos_id=eos_id)
+
+    def test_lowest_gen_len_and_eos_id_decode(self):
+        res = decode(TinyDenoiser(TOY), NaiveBlock(4), VanillaTop1(), NoCache(), [1], 1, eos_id=0)
+        assert res.steps == 1 and res.state.decoded_count == 1
 
     def test_nfe_and_recompute_accounting(self):
         model = TinyDenoiser(TOY)
@@ -326,11 +331,20 @@ class TestGrid:
             gen_len=8,
             prompt_len=2,
         )
+        started = time.perf_counter()
         rows = run_grid(spec)
+        elapsed = time.perf_counter() - started
         assert len(rows) == 3 * 2 * 2  # 6 cells per seed
         for row in rows:
             assert row["steps"] >= 1
-            assert row["wall_time_s"] > 0
+            assert 0 < row["wall_time_s"] <= elapsed
+
+    def test_one_slot_prompt_and_generation_run(self):
+        (row,) = run_grid(GridSpec(
+            schedulers=["naive:B=4"], samplers=["vanilla"], caches=["nocache"],
+            denoisers=["toy:seed=5,v=33,d=32,h=2,layers=2,maxlen=96"], seeds=[0], gen_len=1, prompt_len=1,
+        ))
+        assert row["steps"] == 1
 
     def test_taus_that_differ_past_six_digits_stay_two_groups(self):
         rows = run_grid(GridSpec(
@@ -462,6 +476,7 @@ class TestBuildDenoiser:
     def test_seed_offset_changes_weights(self):
         a = build_denoiser("toy:seed=9,v=33,d=32,h=2,layers=2,maxlen=96", seed_offset=0)
         b = build_denoiser("toy:seed=9,v=33,d=32,h=2,layers=2,maxlen=96", seed_offset=1)
+        assert b.config.seed == 10
         assert not all(np.array_equal(a.params[name], b.params[name]) for name in a.params)
 
     def test_oracle_spec(self, tmp_path):
@@ -556,13 +571,7 @@ def test_trace_invariants_random_soak():
 
 
 def test_library_defaults_match_reference_settings():
-    """Width 32 blocks, tau 0.9, prefix minimum 24, 256-slot generation."""
-    from dsb.denoiser import DenoiserConfig
-
-    assert NaiveBlock().block_size == 32
-    assert SlidingBlock().init_size == 32
-    assert ConfidenceThreshold().tau == 0.9
-    assert DSBCache().prefix_min == 24 and DSBCache().suffix_len == 0
+    """The toy model's defaults, with room for the CLI's 256-slot generation."""
     cfg = DenoiserConfig()
     assert (cfg.vocab_size, cfg.width, cfg.heads, cfg.depth, cfg.max_len) == (65, 64, 4, 4, 512)
     assert cfg.max_len >= 256  # room for the default generation length

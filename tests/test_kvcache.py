@@ -34,8 +34,12 @@ class TestPrefixWindowLen:
 
 class TestRecomputeSet:
     def test_window_bounds_checked(self):
-        with pytest.raises(ValueError):
-            recompute_set(NoCache(), BlockWindow(10, 30, 4, 4), [], 20)
+        """A window [start, end) must satisfy 0 <= start <= end <= seq_len, each edge included."""
+        for start, end in [(0, 4), (5, 5), (16, 20)]:
+            assert recompute_set(NoCache(), BlockWindow(start, end, 4, 4), [], 20) == (range(20), "none")
+        for start, end in [(-1, 4), (6, 5), (10, 30)]:
+            with pytest.raises(ValueError, match=r"outside \[0, 20\)"):
+                recompute_set(NoCache(), BlockWindow(start, end, 4, 4), [], 20)
 
 
 def test_coverage_and_validity_discipline_over_randomized_traces():

@@ -1,6 +1,7 @@
 """The mutant table stays runnable: every fault applies to the code as it is,
 every named killer exists, labels are unique, the runner kills the two cheapest
-mutants, and ``--all`` picks each mutant's tests by its rule."""
+mutants, ``--all`` picks each mutant's tests by its rule, and the operator
+generator's mutants apply to the GENERATED modules."""
 
 import ast
 import importlib.util
@@ -10,13 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from mutants import MUTANTS
+from mutants import GENERATED, MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
 CHEAPEST = ["dual never resyncs", "DSB refresh one commit late"]
-spec = importlib.util.spec_from_file_location("callmap", ROOT / "scripts" / "callmap.py")
-callmap = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(callmap)
+sys.path.append(str(ROOT / "scripts"))  # after tests/, so that `mutants` stays the table
+import callmap  # noqa: E402
+
+spec = importlib.util.spec_from_file_location("mutants_runner", ROOT / "scripts" / "mutants.py")
+runner = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(runner)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.label for m in MUTANTS])
@@ -54,6 +58,65 @@ def test_all_runs_the_callers_of_a_mutants_function_and_every_child_process_test
                        ("LIMIT = 3", None), ("x=LIMIT", None), ("y=1", None), ("@cached", None),  # outside any body
                        ("return 4", None)]:  # no test calls it
         assert callmap.select(calls, callmap.function_key("m.py", source, old)) == tests, old
+
+
+OPERATOR_SOURCE = '''"""Module docstring: a < b and c + 1 is not 2."""
+FLAG = True
+LIMIT = 3
+
+
+class Box:
+    """A class docstring: a == b - 1."""
+
+    def check(self, a, b, on=False):
+        return a < b
+
+
+def f(a, b):
+    """A function docstring: a <= b or a != 4."""
+    x = (a < b) + 1
+    y = [a <= b, a > b, a >= b, a == b, a != b,
+         a is b, a is not b, a - b, a and b or a]
+    return a < b
+'''
+Y = "y = [a <= b, a > b, a >= b, a == b, a != b,\n         a is b, a is not b, a - b, a and b or a]"
+# Each label, in source order, with its old and new text, stripped.  f's
+# `return a < b` also occurs inside Box.check's, so its old text is widened
+# upwards until it occurs once.
+OPERATOR_MUTANTS = [
+    ("m:<module>:int:1", "LIMIT = 3", "LIMIT = 4"),
+    ("m:Box.check:<:1", "return a < b", "return a <= b"),
+    ("m:f:<:1", "x = (a < b) + 1", "x = (a <= b) + 1"),
+    ("m:f:+:1", "x = (a < b) + 1", "x = (a < b) - 1"),
+    ("m:f:int:1", "x = (a < b) + 1", "x = (a < b) + 2"),
+    *((f"m:f:{op}:1", Y, Y.replace(old, new, 1)) for op, old, new in [
+        ("<=", "a <= b", "a < b"), (">", "a > b", "a >= b"), (">=", "a >= b", "a > b"), ("==", "a == b", "a != b"),
+        ("!=", "a != b", "a == b"), ("is", "a is b", "a is not b"), ("is not", "a is not b", "a is b"),
+        ("-", "a - b", "a + b"), ("and", "a and b", "a or b"), ("or", "b or a", "b and a")]),
+    ("m:f:<:2", "a is b, a is not b, a - b, a and b or a]\n    return a < b",
+     "a is b, a is not b, a - b, a and b or a]\n    return a <= b"),
+]
+
+
+def test_generator_swaps_each_operator_and_labels_by_function():
+    """Every operator's swap, no mutant from a docstring or a bool, old text that
+    occurs once, and labels that an inserted line leaves as they are."""
+    mutants = runner.generate("m.py", OPERATOR_SOURCE)
+    assert [(m.label, m.old.strip(), m.new.strip()) for m in mutants] == OPERATOR_MUTANTS
+    for m in mutants:
+        assert (m.path, m.killers, OPERATOR_SOURCE.count(m.old)) == ("m.py", (), 1), m.label
+    moved = OPERATOR_SOURCE.replace("\n\ndef f", "\nOTHER = None\n\ndef f").replace("class Box", "import os\nclass Box")
+    assert [m.label for m in runner.generate("m.py", moved)] == [m.label for m in mutants]
+
+
+def test_generated_mutants_apply_once_and_compile():
+    mutants = runner.generated()
+    assert {m.path for m in mutants} == set(GENERATED)
+    assert len({m.label for m in mutants}) == len(mutants)
+    for m in mutants:
+        text = (ROOT / "src" / "dsb" / m.path).read_text()
+        assert text.count(m.old) == 1 and m.new != m.old, m.label
+        compile(text.replace(m.old, m.new), m.path, "exec")
 
 
 def test_reference_imports_nothing_from_dsb():
