@@ -127,10 +127,11 @@ def _score_bound(wqkv: np.ndarray, bqkv: np.ndarray, heads: int) -> float:
     return 1.01 * float((reach[0] * reach[1]).max())  # 1% over for float32 rounding
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _param_shapes(config: DenoiserConfig) -> List[Tuple[str, Tuple[int, ...]]]:
@@ -352,6 +353,6 @@ def confidences(logits: np.ndarray, positions: Sequence[int], vocab: Vocab) -> C
         )
     scores = logits.astype(np.float32, copy=True)
     scores[:, vocab.mask_id] = -np.inf
-    probs = softmax(scores, axis=-1)
+    probs = softmax(scores)
     best = probs.argmax(axis=-1)
     return ConfidenceMap(positions, best, probs[np.arange(positions.size), best])

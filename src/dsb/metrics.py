@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -123,12 +123,9 @@ def write_csv(rows: Sequence[Dict[str, object]], path: str) -> None:
             writer.writerow([_formatted(row.get(col)) for col in ROW_COLUMNS])
 
 
-def format_table(rows: Sequence[Dict[str, object]], columns: Optional[List[str]] = None) -> str:
-    """Aligned plain-text table for stdout."""
-    if not rows:
-        return "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
+def format_table(rows: Sequence[Dict[str, object]]) -> str:
+    """Aligned plain-text table for stdout, one column per key of the first row."""
+    columns = list(rows[0].keys())
     cells = [[_formatted(row.get(col)) for col in columns] for row in rows]
     widths = [
         max(len(col), *(len(line[i]) for line in cells)) for i, col in enumerate(columns)

@@ -196,8 +196,8 @@ def hard_easy_profile(
     hard: float = 0.95,
     easy: float = 0.05,
     gain: float = 0.5,
-    radius: int = 4,
-    seed: int = 0,
+    radius: int,
+    seed: int,
 ) -> DifficultyProfile:
     """One hard position in an otherwise easy response: the boundary-failure script."""
     if not 0 <= hard_position < gen_len:

@@ -29,9 +29,18 @@ REFERENCE_FORWARD = ("tests/test_denoiser.py::test_forward_matches_loop_referenc
 REJECTION = ("tests/test_cli.py::test_every_rejected_invocation_exits_2_before_any_output",)
 RULE_CACHE = CACHE_DECISIONS + ("tests/test_rule.py::test_rule_cached_commits_match_the_golden_digests",)
 
-# The modules whose operator mutants (scripts/mutants.py's ``generate``) ``--all`` runs after the
-# table.  A generated mutant has no named killer; the tests that call its function must kill it.
-GENERATED = ("kvcache.py", "schedulers.py", "engine.py")
+# ``--all`` runs the operator mutants (scripts/mutants.py's ``generate``) of every module after the
+# table.  A generated mutant has no named killer; the tests that call its function must kill it,
+# unless it is listed here: by label, why no run can tell it from the code.
+EQUIVALENT = {
+    "oracle:OracleDenoiser.__init__:int:8": "count.max() + 2 adds a table column that is never read",
+    "oracle:OracleDenoiser._draw:<:1": "a 64-bit hash ratio equals a confidence with probability about 0",
+    "denoiser:_score_bound:int:4": "numpy reads a reshape size of -2 as 'infer', just as it reads -1",
+    "denoiser:_score_bound:int:9": "numpy reads a reshape size of -2 as 'infer', just as it reads -1",
+    "denoiser:TinyDenoiser._attend:>:1": "differs only when the bound equals 64 exactly; a shift moves only rounding",
+    "denoiser:TinyDenoiser._attend:>:2": "differs only when a score equals 64 exactly; a shift moves only rounding",
+    "denoiser:TinyDenoiser._attend:<:1": "differs only when a score equals -64 exactly; a shift moves only rounding",
+}
 
 MUTANTS = (
     Mutant(

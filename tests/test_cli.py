@@ -5,7 +5,7 @@ from itertools import chain, compress, product
 import pytest
 
 import dsb.engine
-from dsb.cli import _read_prompt, main
+from dsb.cli import _read_prompt, build_parser, main
 from dsb.engine import GridSpec, make_prompt, parse_grid_file, read_trace, run_grid
 from dsb.metrics import ROW_COLUMNS, write_csv
 from dsb.oracle import hard_easy_profile, load_profile, make_profile, save_profile
@@ -29,6 +29,12 @@ def decode(prompt_file, *flags):
     """`dsb decode` of ``prompt_file`` with DECODE's flags, each of ``flags`` (flag, value, ...) in its place."""
     args = {**DECODE, "--prompt-file": str(prompt_file), **dict(zip(flags[::2], flags[1::2]))}
     return main(["decode", *chain.from_iterable(args.items())])
+
+
+def test_gen_len_defaults_to_256():
+    flags = {**DECODE, "--prompt-file": "p.tok"}
+    del flags["--gen-len"]
+    assert build_parser().parse_args(["decode", *chain.from_iterable(flags.items())]).gen_len == 256
 
 
 def test_decode_writes_trace_and_csv(tmp_path, prompt_file, capsys):
@@ -147,6 +153,7 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must hold or b
         (ALL, {"--scheduler": "naive:B=0"}, "block size must be >= 1, got 0 in 'naive:B=0'"),
         (ALL, {"--scheduler": "dsb:init=8,max=4"}, "max size 4 smaller than init size 8 in 'dsb:init=8,max=4'"),
         (ALL, {"--scheduler": "dsb:init=32,max=x"}, "parameter 'max' in 'dsb:init=32,max=x' is not an integer"),
+        (ALL, {"--scheduler": "dsb:init"}, "malformed parameter 'init' in 'dsb:init'"),
         (ALL, {"--sampler": "threshold:tau=2"}, "tau must lie in (0, 1], got 2.0 in 'threshold:tau=2'"),
         (ALL, {"--sampler": "vanilla:tau=0.9"}, "unknown parameter(s) ['tau'] in 'vanilla:tau=0.9'"),
         (ALL, {"--cache": "dsbcache:pmin=0"}, "prefix_min must be >= 1, got 0 in 'dsbcache:pmin=0'"),
@@ -210,6 +217,10 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must hold or b
     "profile records": [
         (("oracle", "grid"), {"p": PROFILE.replace("3 0.5 4", "3 0.5")},
          "error: {d}/p:7: expected `index delta truth`, got '3 0.5'"),
+        (("oracle", "grid"), {"p": PROFILE.replace("3 0.5 4", "0=1")},
+         "error: {d}/p:7: expected `index delta truth`, got '0=1'"),
+        (("oracle", "grid"), {"p": PROFILE.replace("3 0.5 4", "3 0.5 33")},
+         "ground-truth token 33 invalid for the vocabulary"),
         (("oracle", "grid"), {"p": PROFILE.replace("3 0.5 4\n", "")},
          "error: {d}/p: position records must cover 0..N-1 exactly once"),
         (("oracle", "grid"), {"p": PROFILE.replace("3 0.5", "3 3")},

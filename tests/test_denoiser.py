@@ -86,7 +86,7 @@ class TestInit:
 class TestForwardFull:
     def test_rows_normalize(self, model):
         logits, _ = model.forward_full(tokens_for(model, 20))
-        probs = softmax(logits, axis=-1)
+        probs = softmax(logits)
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
         assert np.isfinite(logits).all()
 
@@ -107,6 +107,8 @@ class TestForwardFull:
     def test_bad_token_rejected(self, model):
         with pytest.raises(ValueError):
             model.forward_full([0, CFG.vocab_size])
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            model.forward_full([[0, 1], [2, 3]])
 
     def test_bidirectional_attention(self, model):
         """Changing a later token must move logits at earlier positions."""
@@ -502,7 +504,7 @@ def test_normalise_matches_float64_mean_var_form(x):
 def test_softmax_leaves_its_input_alone():
     x = np.array([[1.0, 3.0, -2.0], [0.5, 0.5, 9.0]], dtype=np.float32)
     before = x.copy()
-    probs = softmax(x, axis=-1)
+    probs = softmax(x)
     assert np.array_equal(x, before)
     assert np.allclose(probs.sum(axis=-1), 1.0)
 
@@ -552,7 +554,7 @@ class TestConfidences:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_row_count_must_match_positions(self, rows):
         vocab = Vocab(size=4, mask_id=3)
-        with pytest.raises(ValueError, match="one logits row per"):
+        with pytest.raises(ValueError, match=f"one logits row per .*, got {rows} rows"):
             confidences(np.zeros((rows, 4), dtype=np.float32), [5, 9], vocab)
 
     @pytest.mark.parametrize("positions", [[9, 5, 12], [5, 9, 9], [5, 5, 12]])

@@ -9,6 +9,7 @@ import pytest
 import dsb.engine
 
 from dsb.cli import main
+from dsb.configstr import parse_spec
 from dsb.denoiser import DenoiserConfig, TinyDenoiser
 from dsb.engine import (
     GridSpec,
@@ -170,11 +171,19 @@ class FullPassDenoiser:
         return self.inner.forward_full(tokens, score)[0]
 
 
-@pytest.mark.parametrize("sampler", [VanillaTop1(), ConfidenceThreshold(0.9)])
-@pytest.mark.parametrize("scheduler", [NaiveBlock(8), SlidingBlock(8, 8), SlidingBlock(8, None)])
+# Specs, parsed in the test, so that collection builds no scheduler or sampler
+# (whose checks would then run outside every test); ids numbered by position.
+EACH_SAMPLER = pytest.mark.parametrize("sampler", ["vanilla", "threshold:tau=0.9"], ids=["sampler0", "sampler1"])
+EACH_SCHEDULER = pytest.mark.parametrize("scheduler", ["naive:B=8", "dsb:init=8,max=8", "dsb:init=8,max=unbounded"],
+                                         ids=["scheduler0", "scheduler1", "scheduler2"])
+
+
+@EACH_SAMPLER
+@EACH_SCHEDULER
 def test_nocache_on_the_reused_store_matches_a_fresh_full_pass(scheduler, sampler):
     """Every row is rewritten before it is read, so the one store per decode
     gives the same trace, byte for byte, as a full pass on a fresh store."""
+    scheduler, sampler = parse_scheduler(scheduler), parse_sampler(sampler)
     model = TinyDenoiser(TOY)
     traces = [
         [rec.to_json() for rec in decode(den, scheduler, sampler, NoCache(), [1, 2, 3], 40).records]
@@ -197,13 +206,12 @@ def test_decode_allocates_one_store_and_never_runs_forward_full(monkeypatch):
         assert calls == ["empty_cache"], cache
 
 
-@pytest.mark.parametrize("sampler", [VanillaTop1(), ConfidenceThreshold(0.9)])
-@pytest.mark.parametrize(
-    "scheduler", [NaiveBlock(8), SlidingBlock(8, 8), SlidingBlock(8, None)]
-)
+@EACH_SAMPLER
+@EACH_SCHEDULER
 def test_oracle_decode_matches_scalar_reference_oracle(scheduler, sampler):
     """Every step of the oracle decode (window, commits, confidences, fallback)
     is the literal reference decode's over the per-position oracle."""
+    scheduler, sampler = parse_scheduler(scheduler), parse_sampler(sampler)
     gen_len = 48
     rng = np.random.default_rng(7)
     profile = make_profile(
@@ -304,12 +312,12 @@ class TestTraceIO:
         lambda good: good.replace('"tokens":[', '"tokens":[0,'),
         *(lambda good, fields=fields: json.dumps({**json.loads(good), **fields}) for fields in [
             {"positions": [], "tokens": [], "confidences": []}, {"positions": [-400]}, {"confidences": [1.5]},
-            {"confidences": [float("nan")]},
+            {"confidences": [float("nan")]}, {"tokens": ["3"]},
         ] + [{"positions": p, "tokens": [3, 3], "confidences": [0.5, 0.5], "fallback": p == [1, 2]}
              for p in ([1, 2], [9, 8], [8, 8])]),
     ], ids=["missing-field", "unknown-field", "not-an-object", "invalid-json", "wrong-type", "unknown-event",
             "uneven-lists", "no-commit", "negative-position", "confidence-above-1", "nan-confidence",
-            "fallback-of-two", "descending", "repeated-position"])
+            "string-token", "fallback-of-two", "descending", "repeated-position"])
     def test_bad_line_reports_its_location(self, tmp_path, spoil):
         res = decode(easy_oracle(8), SlidingBlock(4, 4), VanillaTop1(), NoCache(), [1], 8)
         good = res.records[0].to_json()
@@ -571,10 +579,12 @@ def test_trace_invariants_random_soak():
 
 
 def test_library_defaults_match_reference_settings():
-    """The toy model's defaults, with room for the CLI's 256-slot generation."""
+    """The toy model's defaults, with room for the CLI's 256-slot generation; a
+    bare `toy` spec builds the same config."""
     cfg = DenoiserConfig()
     assert (cfg.vocab_size, cfg.width, cfg.heads, cfg.depth, cfg.max_len) == (65, 64, 4, 4, 512)
     assert cfg.max_len >= 256  # room for the default generation length
+    assert parse_spec("toy", dsb.engine.DENOISERS, "denoiser") == cfg
 
 
 def test_make_prompt_deterministic_and_maskless():
@@ -597,7 +607,7 @@ def test_make_prompt_draws_as_a_choice_over_the_non_mask_ids(size):
                 expected = np.random.default_rng([seed, prompt_len]).choice(choices, size=prompt_len)
                 got = make_prompt(vocab, prompt_len, seed)
                 assert got.dtype == np.int64 and got.tolist() == expected.tolist()
-            truth = hard_easy_profile(24, 5, vocab, seed=seed).truth
+            truth = hard_easy_profile(24, 5, vocab, radius=4, seed=seed).truth
             assert list(truth) == np.random.default_rng(seed).choice(choices, size=24).tolist()
 
 
@@ -606,7 +616,7 @@ def test_make_prompt_cost_does_not_grow_with_the_vocabulary():
     non-mask ids, so a 2**62-id vocabulary costs what a small one does."""
     vocab = Vocab(2**62, 2**61)
     prompt = make_prompt(vocab, 8, seed=0)
-    truth = np.array(hard_easy_profile(8, 3, vocab).truth, dtype=np.int64)
+    truth = np.array(hard_easy_profile(8, 3, vocab, radius=4, seed=0).truth, dtype=np.int64)
     for ids in (prompt, truth):
         assert ids.shape == (8,) and vocab.mask_id not in ids.tolist()
         assert ((0 <= ids) & (ids < vocab.size)).all()

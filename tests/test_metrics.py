@@ -155,7 +155,8 @@ class TestOutput:
             assert list(csv.reader(fh)) == [ROW_COLUMNS]
 
     def test_table_alignment(self):
-        text = format_table(self.rows(), ["scheduler", "steps"])
-        lines = text.splitlines()
-        assert lines[0].startswith("scheduler")
-        assert "naive:B=4" in lines[1]
+        rows = self.rows() + [{**self.rows()[0], "scheduler": "dsb:init=4,max=unbounded", "steps": 12}]
+        lines = format_table(rows).splitlines()
+        assert lines[0].split() == list(rows[0])
+        steps = lines[0].index("steps")  # each row's cell starts under its column's name
+        assert [line[steps:].split()[0] for line in lines[1:]] == ["8", "12"]

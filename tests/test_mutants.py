@@ -1,7 +1,8 @@
 """The mutant table stays runnable: every fault applies to the code as it is,
 every named killer exists, labels are unique, the runner kills the two cheapest
-mutants, ``--all`` picks each mutant's tests by its rule, and the operator
-generator's mutants apply to the GENERATED modules."""
+mutants, ``--all`` picks each mutant's tests by its rule, the operator
+generator's mutants apply to every module, and each EQUIVALENT label is one
+that it makes."""
 
 import ast
 import importlib.util
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from mutants import GENERATED, MUTANTS
+from mutants import EQUIVALENT, MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "dsb").glob("*.py"))
 CHEAPEST = ["dual never resyncs", "DSB refresh one commit late"]
 sys.path.append(str(ROOT / "scripts"))  # after tests/, so that `mutants` stays the table
 import callmap  # noqa: E402
@@ -111,12 +113,20 @@ def test_generator_swaps_each_operator_and_labels_by_function():
 
 def test_generated_mutants_apply_once_and_compile():
     mutants = runner.generated()
-    assert {m.path for m in mutants} == set(GENERATED)
+    assert {m.path for m in mutants} == {p.name for p in MODULES} - {"__init__.py", "__main__.py"}
     assert len({m.label for m in mutants}) == len(mutants)
     for m in mutants:
         text = (ROOT / "src" / "dsb" / m.path).read_text()
         assert text.count(m.old) == 1 and m.new != m.old, m.label
         compile(text.replace(m.old, m.new), m.path, "exec")
+
+
+def test_equivalent_mutants_are_generated_and_have_a_reason():
+    """A stale label, one that the code no longer makes, fails here rather than in ``--all``."""
+    labels = {m.label for path in MODULES for m in runner.generate(path.name, path.read_text())}
+    for label, reason in EQUIVALENT.items():
+        assert label in labels and reason.strip(), label
+    assert not set(EQUIVALENT) & {m.label for m in runner.generated()}
 
 
 def test_reference_imports_nothing_from_dsb():

@@ -336,13 +336,24 @@ def test_exact_match_rate_counts_truth_hits():
     assert exact_match_rate(res.records, den.truth, 1) == 1.0
 
 
+def test_hard_position_lies_in_the_response():
+    for hard in (0, 11):
+        assert hard_easy_profile(12, hard, VOCAB, radius=2, seed=4).base_difficulty[hard] == 0.95
+    for hard in (-1, 12):
+        with pytest.raises(ValueError, match="hard_position outside the response"):
+            hard_easy_profile(12, hard, VOCAB, radius=2, seed=4)
+
+
 class TestProfileFile:
     def test_round_trip(self, tmp_path):
+        """A saved profile loads equal, and so does a copy with a blank and a `#` line."""
         prof = hard_easy_profile(12, hard_position=3, vocab=VOCAB, radius=2, seed=4)
-        path = tmp_path / "profile.txt"
+        path, copy = tmp_path / "profile.txt", tmp_path / "copy.txt"
         save_profile(prof, str(path))
         again = load_profile(str(path))
         assert again == prof
+        copy.write_text(path.read_text().replace("seed=4\n", "seed=4\n\n# comment\n"))
+        assert load_profile(str(copy)) == prof
 
     @pytest.mark.parametrize(
         "text, where",

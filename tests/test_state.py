@@ -173,6 +173,7 @@ def test_decoded_flags_agree_with_the_tokens_after_any_commits(data, prompt_len,
 
 
 def test_step_record_json_round_trip():
+    """A record round-trips, at ``from_json``'s edges too: position 0 and confidences 0 and 1."""
     rec = StepRecord(
         step=3,
         block_start=10,
@@ -184,9 +185,10 @@ def test_step_record_json_round_trip():
         cache_event="partial",
         fallback=False,
     )
-    again = StepRecord.from_json(rec.to_json())
-    assert again == rec
-    assert rec.to_json() == again.to_json()
+    for rec in (rec, dataclasses.replace(rec, positions=[0, 12], confidences=[0.0, 1.0])):
+        again = StepRecord.from_json(rec.to_json())
+        assert again == rec
+        assert rec.to_json() == again.to_json()
     assert list(json.loads(rec.to_json())) == [f.name for f in dataclasses.fields(StepRecord)]
 
 
