@@ -333,6 +333,21 @@ MUTANTS = (
         "0 <= eos_id <= vocab.size",
         REJECTION,
     ),
+    # `dsb decode` runs check_config before decode does, so no rejection row reaches decode's own call.
+    Mutant(
+        "decode checks no eos id",
+        "engine.py",
+        "check_config(denoiser, cache, len(prompt), gen_len, eos_id)",
+        "check_config(denoiser, cache, len(prompt), gen_len)",
+        ("tests/test_engine.py::TestDecodeBasics::test_uncommittable_eos_id_rejected",),
+    ),
+    Mutant(
+        "decode checks every cache as nocache",
+        "engine.py",
+        "check_config(denoiser, cache, len(prompt), gen_len, eos_id)",
+        "check_config(denoiser, NoCache(), len(prompt), gen_len, eos_id)",
+        ("tests/test_engine.py::TestDecodeBasics::test_oracle_with_kv_policy_rejected",),
+    ),
     Mutant(
         "undecodable byte reported without its line",
         "configstr.py",

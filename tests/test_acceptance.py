@@ -7,6 +7,7 @@ trace collections are built once per session.
 
 from __future__ import annotations
 
+import functools
 import subprocess
 import sys
 import time
@@ -38,7 +39,11 @@ from dsb.state import EVENT_REFRESH, Vocab, new_sequence
 
 from reference import SlidingBoundaryInterpreter
 
-VOCAB = Vocab(size=16, mask_id=15)
+
+@functools.cache
+def small_vocab():
+    """Built at first use, not at import, so its checks count for the tests that use it."""
+    return Vocab(size=16, mask_id=15)
 
 
 def max_rel_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -79,7 +84,7 @@ def boundary_traces():
         max_size = [init_size, 2 * init_size, None][int(rng.integers(0, 3))]
         prompt_len = int(rng.integers(1, 9))
         started = time.perf_counter()
-        state = new_sequence([1] * prompt_len, gen_len, VOCAB)
+        state = new_sequence([1] * prompt_len, gen_len, small_vocab())
         window = init_window(SlidingBlock(init_size, max_size), prompt_len, gen_len)
         ref = SlidingBoundaryInterpreter(prompt_len, gen_len, init_size, max_size)
         mismatches = int((window.start, window.end) != (ref.start, ref.end))
@@ -158,7 +163,7 @@ def test_criterion_3_vanilla_step_identity():
             deltas = rng.uniform(0, 1, size=gen_len).tolist()
             profile = make_profile(deltas, float(rng.uniform(0, 1)),
                                    int(rng.integers(1, 6)), [1] * gen_len, int(rng.integers(0, 999)))
-            den = OracleDenoiser(profile, VOCAB)
+            den = OracleDenoiser(profile, small_vocab())
         else:
             den = TinyDenoiser(DenoiserConfig(vocab_size=33, width=32, heads=2, depth=2,
                                               max_len=64, seed=int(rng.integers(0, 999))))
@@ -335,9 +340,9 @@ def _fig1_runs(seed: int):
     # context radius of the boundary), everything else easy.
     hard_position = 4 + seed % 4
     profile = hard_easy_profile(
-        gen_len, hard_position, VOCAB, hard=0.95, easy=0.05, gain=0.5, radius=4, seed=seed
+        gen_len, hard_position, small_vocab(), hard=0.95, easy=0.05, gain=0.5, radius=4, seed=seed
     )
-    den = OracleDenoiser(profile, VOCAB)
+    den = OracleDenoiser(profile, small_vocab())
     sampler = ConfidenceThreshold(0.9)
     prompt = [1, 2]
     out = {}
@@ -459,8 +464,8 @@ def test_criterion_9_trace_determinism(tmp_path):
         blobs.append(trace.read_bytes())
     assert blobs[0] == blobs[1], "CLI reruns must produce byte-identical traces"
 
-    profile = hard_easy_profile(24, hard_position=5, vocab=VOCAB, radius=4, seed=6)
-    den = OracleDenoiser(profile, VOCAB)
+    profile = hard_easy_profile(24, hard_position=5, vocab=small_vocab(), radius=4, seed=6)
+    den = OracleDenoiser(profile, small_vocab())
     paths = []
     for name in ("a.trace", "b.trace"):
         result = decode(den, SlidingBlock(8, None), ConfidenceThreshold(0.9), NoCache(), [1], 24)

@@ -1,5 +1,7 @@
 import csv
 import os
+import runpy
+import sys
 from itertools import chain, compress, product
 
 import pytest
@@ -35,6 +37,15 @@ def test_gen_len_defaults_to_256():
     flags = {**DECODE, "--prompt-file": "p.tok"}
     del flags["--gen-len"]
     assert build_parser().parse_args(["decode", *chain.from_iterable(flags.items())]).gen_len == 256
+
+
+def test_python_m_dsb_exits_with_mains_code(prompt_file, monkeypatch, capsys):
+    """`python -m dsb` hands main's return code to the shell, so a rejected invocation exits 2."""
+    flags = {**DECODE, "--prompt-file": prompt_file, "--gen-len": "0"}
+    monkeypatch.setattr(sys, "argv", ["dsb", "decode", *chain.from_iterable(flags.items())])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("dsb", run_name="__main__")
+    assert exit_.value.code == 2 and capsys.readouterr().err == "error: gen_len must be >= 1, got 0\n"
 
 
 def test_decode_writes_trace_and_csv(tmp_path, prompt_file, capsys):
@@ -165,6 +176,13 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must hold or b
         # 10**15 positions need 455 PiB, which no 64-bit address space maps, so the allocation fails at once.
         (ALL, {"--denoiser": "toy:maxlen=1000000000000000"}, "in 'toy:maxlen=1000000000000000'"),
         (ALL, {"--denoiser": "oracle:profile={d}/p,v=2"}, "two non-mask tokens in 'oracle:profile={d}/p,v=2'"),
+        (ALL, {"--denoiser": "oracle:profile={d}/p,v=x"},
+         "error: parameter 'v' in 'oracle:profile={d}/p,v=x' is not an integer"),
+        (ALL, {"--denoiser": "oracle:profile={d}/p,v=1"},
+         "error: vocab size must be >= 2, got 1 in 'oracle:profile={d}/p,v=1'"),
+        (ALL, {"--denoiser": "oracle:profile={d}/p,v=3"},  # 2 is the mask id
+         "error: ground-truth token 2 invalid for the vocabulary in 'oracle:profile={d}/p,v=3'"),
+        (ALL, {"--denoiser": "bert:seed=1"}, "error: unknown denoiser 'bert' in 'bert:seed=1'"),
     ],
     "specs that check_config rejects together": [
         (("toy",), {"--gen-len": "62"}, "prompt + response length 65 exceeds max_len 64"),
@@ -196,6 +214,8 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must hold or b
          "error: {d}/grid.cfg: key 'prompt_len' needs an integer, got 'x'"),
         (*grid("seeds = 0", "seeds = 0 x"), "error: {d}/grid.cfg: key 'seeds' needs an integer, got 'x'"),
         (*grid("seeds = 0", "seeds = 0 -1"), "grid seeds must be >= 0, got -1"),
+        (*grid("gen_len = 8", "gen_len = 0"), "error: gen_len must be >= 1, got 0"),
+        (*grid("prompt_len = 2", "prompt_len = 0"), "error: prompt_len must be >= 1, got 0"),
         (*grid("= vanilla", "= ;"), "{d}/grid.cfg: key 'samplers' has no entries"),
         (*grid("= vanilla", "vanilla"), "{d}/grid.cfg:5: expected `key = value`, got 'samplers vanilla'"),
         (*grid("= vanilla", "="), "error: {d}/grid.cfg:5: expected `key = value`, got 'samplers ='"),
@@ -206,6 +226,8 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must hold or b
     ],
     "profile header": [
         (("oracle", "grid"), {"p": "gain=0.5\n" + PROFILE}, "error: {d}/p:2: duplicate header key 'gain'"),
+        (("oracle", "grid"), {"p": PROFILE.replace("radius=2", "radus=9\nradius=2")},
+         "error: {d}/p:2: unknown header key 'radus'"),
         (("oracle", "grid"), {"p": PROFILE.replace("gain=0.5", "gain=5")},
          "error: {d}/p: context_gain must lie in [0, 1], got 5.0"),
         (("oracle", "grid"), {"p": PROFILE.replace("radius=2", "radius=x")},
@@ -221,6 +243,8 @@ REJECTIONS = {  # family -> rows of (kinds, edits, text the error must hold or b
          "error: {d}/p:7: expected `index delta truth`, got '0=1'"),
         (("oracle", "grid"), {"p": PROFILE.replace("3 0.5 4", "3 0.5 33")},
          "ground-truth token 33 invalid for the vocabulary"),
+        (("oracle", "grid"), {"p": PROFILE.replace("3 0.5 4", f"3 0.5 {10**20}")},
+         f"error: ground-truth token {10**20} invalid for the vocabulary in 'oracle:profile={{d}}/p,v=33'"),
         (("oracle", "grid"), {"p": PROFILE.replace("3 0.5 4\n", "")},
          "error: {d}/p: position records must cover 0..N-1 exactly once"),
         (("oracle", "grid"), {"p": PROFILE.replace("3 0.5", "3 3")},

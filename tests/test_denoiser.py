@@ -23,12 +23,16 @@ from dsb.state import CacheIntegrityError, Vocab
 
 from reference import triples
 
-CFG = DenoiserConfig(vocab_size=33, width=32, heads=4, depth=3, max_len=64, seed=42)
+@functools.cache
+def model_config():
+    """The ``model`` fixture's config, built at first use, not at import, so its checks count
+    for the tests that use it (see scripts/callmap.py)."""
+    return DenoiserConfig(vocab_size=33, width=32, heads=4, depth=3, max_len=64, seed=42)
 
 
 @pytest.fixture(scope="module")
 def model():
-    return TinyDenoiser(CFG)
+    return TinyDenoiser(model_config())
 
 
 def tokens_for(model, n, seed=0):
@@ -49,11 +53,11 @@ def same_params(a, b):
 
 class TestInit:
     def test_same_seed_identical(self):
-        assert same_params(TinyDenoiser(CFG), TinyDenoiser(CFG))
+        assert same_params(TinyDenoiser(model_config()), TinyDenoiser(model_config()))
 
     def test_different_seed_differs(self):
         other = DenoiserConfig(vocab_size=33, width=32, heads=4, depth=3, max_len=64, seed=43)
-        assert not same_params(TinyDenoiser(CFG), TinyDenoiser(other))
+        assert not same_params(TinyDenoiser(model_config()), TinyDenoiser(other))
 
     def test_width_not_divisible_by_heads(self):
         with pytest.raises(ValueError):
@@ -80,7 +84,7 @@ class TestInit:
         params = dict(model.params)
         edit(params)
         with pytest.raises(ValueError, match=match):
-            TinyDenoiser(CFG, params)
+            TinyDenoiser(model_config(), params)
 
 
 class TestForwardFull:
@@ -98,15 +102,15 @@ class TestForwardFull:
 
     def test_single_token_shape(self, model):
         logits, _ = model.forward_full([5])
-        assert logits.shape == (1, CFG.vocab_size)
+        assert logits.shape == (1, model_config().vocab_size)
 
     def test_overlong_rejected(self, model):
         with pytest.raises(ValueError):
-            model.forward_full(tokens_for(model, CFG.max_len + 1))
+            model.forward_full(tokens_for(model, model_config().max_len + 1))
 
     def test_bad_token_rejected(self, model):
         with pytest.raises(ValueError):
-            model.forward_full([0, CFG.vocab_size])
+            model.forward_full([0, model_config().vocab_size])
         with pytest.raises(ValueError, match="non-empty 1-d"):
             model.forward_full([[0, 1], [2, 3]])
 
@@ -115,7 +119,7 @@ class TestForwardFull:
         toks = tokens_for(model, 16)
         base, _ = model.forward_full(toks)
         flipped = toks.copy()
-        flipped[10] = (flipped[10] + 1) % CFG.vocab_size
+        flipped[10] = (flipped[10] + 1) % model_config().vocab_size
         moved, _ = model.forward_full(flipped)
         delta = np.abs(moved[:10] - base[:10]).max()
         assert delta > 0.0
@@ -138,20 +142,23 @@ class TestForwardCached:
         with pytest.raises(CacheIntegrityError):
             model.forward_cached(toks, kv, range(3))
 
+
 # dh = 3: 1/sqrt(dh) is not a power of two, so scaling the queries instead
 # of the scores rounds differently from the reference.
-INEXACT_SCALE = DenoiserConfig(vocab_size=11, width=12, heads=4, depth=2, max_len=16, seed=5)
+@functools.cache
+def inexact_config():
+    """Built at first use, as model_config is."""
+    return DenoiserConfig(vocab_size=11, width=12, heads=4, depth=2, max_len=16, seed=5)
 
 
 @functools.cache
 def inexact_params():
-    """INEXACT_SCALE's seeded params, built at first use rather than at import, so that the
-    model's construction counts for the tests that use it (see scripts/callmap.py)."""
-    return TinyDenoiser(INEXACT_SCALE).params
+    """inexact_config's seeded params, built at first use, as the config is."""
+    return TinyDenoiser(inexact_config()).params
 
 
 def sharp_params(factor, sink=0.0):
-    """INEXACT_SCALE's seeded params with wq and wk scaled by ``factor``.
+    """inexact_config's seeded params with wq and wk scaled by ``factor``.
 
     A nonzero ``sink`` sets the first layer's query bias to +sink and its key
     bias to -sink in every coordinate, which lowers all of its scores by
@@ -168,13 +175,14 @@ def sharp_params(factor, sink=0.0):
 
 
 def with_sharp_attention(factor):
-    """The seeded INEXACT_SCALE model with wq and wk scaled by ``factor``."""
-    return TinyDenoiser(INEXACT_SCALE, sharp_params(factor))
+    """The seeded inexact_config model with wq and wk scaled by ``factor``."""
+    return TinyDenoiser(inexact_config(), sharp_params(factor))
 
 
 def first_layer_scores(params, toks):
     """The first layer's attention scores in the log2 units the kernel's guard reads."""
-    n, h, dh = len(toks), INEXACT_SCALE.heads, INEXACT_SCALE.width // INEXACT_SCALE.heads
+    cfg = inexact_config()
+    n, h, dh = len(toks), cfg.heads, cfg.width // cfg.heads
     x = params["tok_emb"][toks] + params["pos_emb"][:n]
     x = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + LN_EPS)
     x = x * params["l0.ln1_g"] + params["l0.ln1_b"]
@@ -184,7 +192,7 @@ def first_layer_scores(params, toks):
 
 @pytest.fixture(scope="module")
 def sharp_model():
-    """INEXACT_SCALE with wq and wk scaled up 30x.
+    """The inexact_config model with wq and wk scaled up 30x.
 
     The seeded +-0.1 weights leave attention almost uniform, so a wrong
     score scale would move the logits by well under the 1e-5 tolerance.
@@ -215,8 +223,8 @@ def test_forward_matches_loop_reference(factor, store, n, data):
     """
     from reference import loop_forward_reference
 
-    m, depth = with_sharp_attention(factor), INEXACT_SCALE.depth
-    seq = st.lists(st.integers(0, INEXACT_SCALE.vocab_size - 1), min_size=n, max_size=n)
+    m, depth = with_sharp_attention(factor), inexact_config().depth
+    seq = st.lists(st.integers(0, inexact_config().vocab_size - 1), min_size=n, max_size=n)
     toks = data.draw(seq)
     if store == "empty":
         rows, kv = range(n), m.empty_cache(n)
@@ -286,7 +294,7 @@ def test_both_softmax_branches_match_loop_reference(case, seed, span):
     from reference import loop_forward_reference
 
     kind, target = case
-    toks = np.random.default_rng(seed).integers(0, INEXACT_SCALE.vocab_size, size=9)
+    toks = np.random.default_rng(seed).integers(0, inexact_config().vocab_size, size=9)
     if kind == "peak":
         reach = lambda f: np.abs(first_layer_scores(sharp_params(f), toks)).max()
         params = sharp_params(_bisect(reach, target, 1.0, 3000.0))
@@ -295,7 +303,7 @@ def test_both_softmax_branches_match_loop_reference(case, seed, span):
         depth = lambda b: -first_layer_scores(sharp_params(1.0, b), toks).max()
         params = sharp_params(1.0, _bisect(depth, target, 0.0, 40.0))
         assert abs(first_layer_scores(params, toks).max() + target) < 0.05
-    m = TinyDenoiser(INEXACT_SCALE, params)
+    m = TinyDenoiser(inexact_config(), params)
     rows = range(*span)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         full, kv = m.forward_full(toks)

@@ -1,8 +1,8 @@
 """The mutant table stays runnable: every fault applies to the code as it is,
 every named killer exists, labels are unique, the runner kills the two cheapest
 mutants, ``--all`` picks each mutant's tests by its rule, the operator
-generator's mutants apply to every module, and each EQUIVALENT label is one
-that it makes."""
+generator's mutants apply to every module, each EQUIVALENT label is one
+that it makes, and no generated mutant repeats a table entry."""
 
 import ast
 import importlib.util
@@ -127,6 +127,26 @@ def test_equivalent_mutants_are_generated_and_have_a_reason():
     for label, reason in EQUIVALENT.items():
         assert label in labels and reason.strip(), label
     assert not set(EQUIVALENT) & {m.label for m in runner.generated()}
+
+
+# Each generated mutant that makes the same module as a table entry, and that entry's label.
+TABLE_TWINS = {
+    "engine:check_config:<:2": "eos id equal to the vocabulary size accepted",
+    "kvcache:recompute_set:>=:2": "DSB refresh one commit late",
+    "metrics:premature_commit_count:<:3": "a commit at the premature floor counts as premature",
+    "samplers:select_threshold:>=:1": "strict > tau",
+}
+
+
+def test_generated_twins_of_table_entries_are_left_out():
+    """``--all`` runs each fault once: as the table's entry, not as its generated twin."""
+    made = {m.label: m for path in MODULES for m in runner.generate(path.name, path.read_text())}
+    assert set(made) - set(EQUIVALENT) - {m.label for m in runner.generated()} == set(TABLE_TWINS)
+    table = {m.label: m for m in MUTANTS}
+    for label, entry in TABLE_TWINS.items():
+        twin, m = made[label], table[entry]
+        text = (ROOT / "src" / "dsb" / m.path).read_text()
+        assert twin.path == m.path and text.replace(twin.old, twin.new) == text.replace(m.old, m.new), label
 
 
 def test_reference_imports_nothing_from_dsb():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,16 @@ from dsb.state import Vocab, new_sequence
 
 from reference import advance_reference
 
-VOCAB = Vocab(size=16, mask_id=15)
+
+@functools.cache
+def small_vocab():
+    """Built at first use, not at import, so its checks count for the tests that use it."""
+    return Vocab(size=16, mask_id=15)
 
 
 def make_state(prompt_len, gen_len, decoded=()):
     """A state with the absolute positions ``decoded`` committed."""
-    state = new_sequence([1] * prompt_len, gen_len, VOCAB)
+    state = new_sequence([1] * prompt_len, gen_len, small_vocab())
     for pos in decoded:
         state.commit(pos, 2)
     return state
@@ -32,7 +38,7 @@ def advance_checked(kind, window, state):
     """``advance``, asserted equal to the brute-force reference on both boundaries;
     a sliding window whose boundaries did not move comes back as the same object."""
     new = advance(kind, window, state)
-    masked = (state.response == VOCAB.mask_id).tolist()
+    masked = (state.response == small_vocab().mask_id).tolist()
     assert (new.start, new.end) == advance_reference(kind, window, masked, state.prompt_len)
     if isinstance(kind, SlidingBlock) and (new.start, new.end) == (window.start, window.end):
         assert new is window
